@@ -22,11 +22,13 @@ from .classical import (
 )
 from .core import (
     CONSTANTS,
+    BatchFit,
     EstimateResult,
     SortedSample,
     SpecialConstants,
     WeibullParams,
     cdf,
+    draw_sorted,
     pdf,
     quantile,
     raw_moment,
@@ -50,7 +52,7 @@ from .likelihood import (
     profile_score,
     simulate_weight_medians,
 )
-from .methods import METHOD_NAMES, FitOptions, fit_method
+from .methods import METHOD_NAMES, FitOptions, fit_batch, fit_method
 from .regression import (
     GlsSystem,
     PlottingPositions,
@@ -81,8 +83,8 @@ from .ustat import (
 __all__ = [
     "__version__",
     # core
-    "WeibullParams", "SortedSample", "EstimateResult", "SpecialConstants", "CONSTANTS",
-    "pdf", "cdf", "quantile", "sample", "raw_moment",
+    "WeibullParams", "SortedSample", "EstimateResult", "BatchFit", "SpecialConstants", "CONSTANTS",
+    "pdf", "cdf", "quantile", "sample", "draw_sorted", "raw_moment",
     # errors
     "DataError", "EstimationError", "DegenerateSampleError", "InvalidRatioError",
     "BracketError", "SingularSystemError",
@@ -97,7 +99,7 @@ __all__ = [
     # gof
     "GofReport", "ks_distance", "cvm_distance", "gof_report",
     # lab
-    "METHOD_NAMES", "FitOptions", "fit_method",
+    "METHOD_NAMES", "FitOptions", "fit_method", "fit_batch",
     "SimulationConfig", "MetricRow", "MetricTable", "run_experiment",
     "rank_methods", "emit_plot_data", "write_metric_csv",
     # datasets

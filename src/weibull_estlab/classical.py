@@ -6,11 +6,22 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import digamma, gamma, gammaln
 
-from .core import LOG_TWO, PSI_ONE, EstimateResult, SortedSample, gamma_fn
+from .core import (
+    LOG_TWO,
+    PSI_ONE,
+    BatchFit,
+    EstimateResult,
+    SortedSample,
+    fail_rows,
+    fit_one,
+    open_rows,
+    row_dot,
+    row_var,
+)
 from .errors import DegenerateSampleError, InvalidRatioError
-from .roots import solve_bracketed
+from .roots import solve_rows
 
 __all__ = [
     "LMomentSummary",
@@ -23,6 +34,10 @@ __all__ = [
     "fit_mlm",
     "fit_pm",
     "fit_mm",
+    "fit_lm_batch",
+    "fit_mlm_batch",
+    "fit_pm_batch",
+    "fit_mm_batch",
 ]
 
 # numpy.quantile interpolation conventions exposed for the percentile method
@@ -65,17 +80,22 @@ class PercentileConfig:
             raise ValueError(f"unknown quantile rule {self.quantile_rule!r}; choose from {QUANTILE_RULES}")
 
 
+def _lmoment_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    n = values.shape[1]
+    m1 = values.sum(axis=1) / n
+    ranks = np.arange(n, dtype=float)  # (i - 1) for 1-based i
+    m2 = 2.0 / (n * (n - 1)) * row_dot(values, ranks) - m1
+    return m1, m2
+
+
 def sample_lmoments(s: SortedSample) -> LMomentSummary:
     """First two sample L-moments from the ordered data.
 
     m1 is the mean; m2 = [2/(n(n-1))] sum_i (i-1) x_(i) - m1 with 1-based
     ascending ranks, equal to half the mean absolute pairwise difference.
     """
-    n = s.n
-    m1 = float(s.values.mean())
-    ranks = np.arange(n, dtype=float)  # (i - 1) for 1-based i
-    m2 = 2.0 / (n * (n - 1)) * float(ranks @ s.values) - m1
-    return LMomentSummary(m1=m1, m2=m2)
+    m1, m2 = _lmoment_rows(s.values[None, :])
+    return LMomentSummary(m1=float(m1[0]), m2=float(m2[0]))
 
 
 def log_moments(s: SortedSample) -> LogMomentSummary:
@@ -85,77 +105,120 @@ def log_moments(s: SortedSample) -> LogMomentSummary:
     )
 
 
-def fit_lm(s: SortedSample) -> EstimateResult:
-    """L-moment estimator.
+def fit_lm_batch(values: np.ndarray, logs: np.ndarray) -> BatchFit:
+    """L-moment estimator on every row.
 
     shape = -log 2 / log(1 - m2/m1), scale = m1 / Gamma(1/shape + 1).
     """
-    lm = sample_lmoments(s)
-    if lm.m2 == 0.0:
-        raise DegenerateSampleError("second sample L-moment is zero (all observations equal)")
-    ratio = lm.m2 / lm.m1
-    if not 0.0 < ratio < 1.0:
-        raise InvalidRatioError(f"m2/m1 = {ratio!r} outside (0, 1); cannot invert the L-moment equation")
-    shape = -LOG_TWO / math.log1p(-ratio)
-    scale = lm.m1 / gamma_fn(1.0 / shape + 1.0)
-    return EstimateResult(method="LM", shape=shape, scale=scale)
+    m1, m2 = _lmoment_rows(values)
+    errors: dict = {}
+    constant = (values[:, 0] == values[:, -1]) | (m2 == 0.0)
+    fail_rows(errors, constant, lambda r: DegenerateSampleError(
+        "second sample L-moment is zero (all observations equal)"))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratio = m2 / m1
+        fail_rows(errors, ~((ratio > 0.0) & (ratio < 1.0)), lambda r: InvalidRatioError(
+            f"m2/m1 = {ratio[r]!r} outside (0, 1); cannot invert the L-moment equation"))
+        shape = -LOG_TWO / np.log1p(-ratio)
+        scale = m1 / gamma(1.0 / shape + 1.0)
+    return BatchFit.build("LM", shape, scale, errors)
 
 
-def fit_mlm(s: SortedSample) -> EstimateResult:
-    """Logarithmic-moment estimator.
+def fit_lm(s: SortedSample) -> EstimateResult:
+    """L-moment estimator on one sample (see :func:`fit_lm_batch`)."""
+    return fit_one(fit_lm_batch, s)
+
+
+def fit_mlm_batch(values: np.ndarray, logs: np.ndarray) -> BatchFit:
+    """Logarithmic-moment estimator on every row.
 
     shape = sqrt(pi^2 / (6 S^2)) with the n-1 divisor for S^2;
     scale = exp(M1 - psi(1)/shape).
     """
-    mom = log_moments(s)
-    if mom.var_log == 0.0:
-        raise DegenerateSampleError("log-variance is zero (all observations equal)")
-    shape = math.sqrt(math.pi ** 2 / (6.0 * mom.var_log))
-    scale = math.exp(mom.mean_log - PSI_ONE / shape)
-    return EstimateResult(method="MLM", shape=shape, scale=scale)
+    mean_log = logs.sum(axis=1) / logs.shape[1]
+    var_log = row_var(logs, mean_log)
+    errors: dict = {}
+    constant = (logs[:, 0] == logs[:, -1]) | (var_log == 0.0)
+    fail_rows(errors, constant, lambda r: DegenerateSampleError(
+        "log-variance is zero (all observations equal)"))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        shape = np.sqrt(math.pi ** 2 / (6.0 * var_log))
+        scale = np.exp(mean_log - PSI_ONE / shape)
+    return BatchFit.build("MLM", shape, scale, errors)
 
 
-def fit_pm(s: SortedSample, cfg: PercentileConfig | None = None) -> EstimateResult:
-    """Percentile estimator at the configured lower percentile.
+def fit_mlm(s: SortedSample) -> EstimateResult:
+    """Logarithmic-moment estimator on one sample (see :func:`fit_mlm_batch`)."""
+    return fit_one(fit_mlm_batch, s)
+
+
+def fit_pm_batch(values: np.ndarray, logs: np.ndarray,
+                 cfg: PercentileConfig | None = None) -> BatchFit:
+    """Percentile estimator at the configured lower percentile, on every row.
 
     scale = empirical quantile at 1 - e^-1;
     shape = log(-log(1 - p)) / (log x_p - log x_0.632).
     """
     cfg = cfg or PercentileConfig()
-    x_p = float(np.quantile(s.values, cfg.p, method=cfg.quantile_rule))
-    x_anchor = float(np.quantile(s.values, _ANCHOR_P, method=cfg.quantile_rule))
-    if x_p == x_anchor:
-        raise DegenerateSampleError(
-            f"empirical quantiles at p={cfg.p} and {_ANCHOR_P:.4f} coincide ({x_p!r})"
-        )
-    shape = math.log(-math.log1p(-cfg.p)) / (math.log(x_p) - math.log(x_anchor))
-    return EstimateResult(method="PM", shape=shape, scale=x_anchor)
+    x_p, x_anchor = np.quantile(values, [cfg.p, _ANCHOR_P], axis=1, method=cfg.quantile_rule)
+    errors: dict = {}
+    fail_rows(errors, x_p == x_anchor, lambda r: DegenerateSampleError(
+        f"empirical quantiles at p={cfg.p} and {_ANCHOR_P:.4f} coincide ({x_p[r]!r})"))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shape = math.log(-math.log1p(-cfg.p)) / (np.log(x_p) - np.log(x_anchor))
+    return BatchFit.build("PM", shape, x_anchor, errors)
+
+
+def fit_pm(s: SortedSample, cfg: PercentileConfig | None = None) -> EstimateResult:
+    """Percentile estimator on one sample (see :func:`fit_pm_batch`)."""
+    return fit_one(fit_pm_batch, s, cfg)
+
+
+def _mm_log_ratio(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log(Gamma(1 + 2/a) / Gamma(1 + 1/a)^2) and its derivative in a."""
+    u = 1.0 / a
+    g = gammaln(1.0 + 2.0 * u) - 2.0 * gammaln(1.0 + u)
+    dg = 2.0 * u * u * (digamma(1.0 + u) - digamma(1.0 + 2.0 * u))
+    return g, dg
+
+
+def fit_mm_batch(values: np.ndarray, logs: np.ndarray) -> BatchFit:
+    """Method-of-moments estimator on every row.
+
+    The shape solves log(Gamma(1 + 2/a) / Gamma(1 + 1/a)^2) = log(1 + S^2 / Xbar^2)
+    (a strictly decreasing left side, so the root is unique) by safeguarded
+    Newton inside the bracket [0.05, 100], widened geometrically where it
+    holds no sign change; the scale is Xbar / Gamma(1/shape + 1). The moments
+    are taken of the data over its maximum, so large values cannot overflow.
+    """
+    top = values[:, -1]
+    unit = values / top[:, None]
+    xbar = unit.sum(axis=1) / values.shape[1]
+    s2 = row_var(unit, xbar)
+    errors: dict = {}
+    constant = (values[:, 0] == top) | (s2 == 0.0)
+    fail_rows(errors, constant, lambda r: DegenerateSampleError(
+        "sample variance is zero (all observations equal)"))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        cv2 = s2 / xbar ** 2
+        log_target = np.log1p(cv2)
+        # Justus' approximation a ~ CV^-1.086 starts Newton near the root
+        start = cv2 ** (-1.086 / 2.0)
+
+    def score(a, rows):
+        g, dg = _mm_log_ratio(a)
+        return g - log_target[rows], dg
+
+    rows = open_rows(values.shape[0], errors)
+    shape = np.full(values.shape[0], np.nan)
+    roots = solve_rows(score, rows, np.full(rows.size, 0.05), np.full(rows.size, 100.0),
+                       start[rows], errors)
+    shape[rows] = roots.x
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        scale = top * xbar / gamma(1.0 / shape + 1.0)
+    return BatchFit.build("MM", shape, scale, errors, **roots.diagnostics(values.shape[0]))
 
 
 def fit_mm(s: SortedSample) -> EstimateResult:
-    """Method-of-moments estimator.
-
-    The shape solves Gamma(1 + 2/a) / Gamma(1 + 1/a)^2 - 1 = S^2 / Xbar^2
-    (a strictly decreasing left side, so the root is unique) by bracketed
-    root finding from [0.05, 100] with geometric expansion; the scale is
-    Xbar / Gamma(1/shape + 1).
-    """
-    xbar = float(s.values.mean())
-    s2 = float(s.values.var(ddof=1))
-    if s2 == 0.0:
-        raise DegenerateSampleError("sample variance is zero (all observations equal)")
-    target = s2 / xbar ** 2
-
-    def residual(a: float) -> float:
-        return math.exp(float(gammaln(1.0 + 2.0 / a) - 2.0 * gammaln(1.0 + 1.0 / a))) - 1.0 - target
-
-    shape, diag = solve_bracketed(residual, 0.05, 100.0, xtol=1e-10)
-    scale = xbar / gamma_fn(1.0 / shape + 1.0)
-    return EstimateResult(
-        method="MM",
-        shape=shape,
-        scale=scale,
-        iterations=diag.iterations,
-        residual=diag.residual,
-        bracket=diag.bracket,
-    )
+    """Method-of-moments estimator on one sample (see :func:`fit_mm_batch`)."""
+    return fit_one(fit_mm_batch, s)

@@ -8,14 +8,13 @@ timestamps, so identical inputs give byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .classical import QUANTILE_RULES, PercentileConfig
@@ -28,7 +27,7 @@ from .likelihood import (
     WeightStore,
     default_weights_path,
     read_weight_table,
-    simulate_weight_medians,
+    seeded_weight_medians,
     write_weight_table,
 )
 from .methods import METHOD_NAMES, FitOptions, fit_method
@@ -83,6 +82,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # parse_args leaves the parser unchanged, so one serves every call
 def _build_parser() -> _Parser:
     parser = _Parser(prog="weibull-estlab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -352,12 +352,11 @@ def _run_weights(args, parser: _Parser) -> int:
     path = args.out or default_weights_path()
     records = read_weight_table(path)
     for n in sizes:
-        rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(1, n)))
-        records[n] = (simulate_weight_medians(n, args.reps, rng), args.seed)
+        records[(n, args.reps, args.seed)] = seeded_weight_medians(n, args.reps, args.seed)
     write_weight_table(path, records)
     print(f"wrote {len(sizes)} record(s) to {path}")
     for n in sizes:
-        pair = records[n][0]
+        pair = records[(n, args.reps, args.seed)]
         print(f"n={n}: w1={pair.w1:.6f} w2={pair.w2:.6f} ({pair.replications} replications)")
     return EXIT_OK
 

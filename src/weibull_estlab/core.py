@@ -5,21 +5,25 @@ for the parameterization
 
     F(x) = 1 - exp{-(x/scale)^shape},    x > 0,
 
-plus the validated sample container and the handful of special constants the
-estimators share.
+plus the validated sample container, the per-row result of a batched fit and
+the handful of special constants the estimators share.
+
+Every estimator has one array implementation that fits R samples of one size
+at once, given as R x n matrices of ascending values and their logs; a
+single-sample fit is the batch of one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import digamma
 from scipy.special import gamma as scipy_gamma
 from scipy.special import gammaln, polygamma
 
-from .errors import DataError
+from .errors import DataError, EstimationError
 
 __all__ = [
     "LOG_TWO",
@@ -30,10 +34,17 @@ __all__ = [
     "WeibullParams",
     "SortedSample",
     "EstimateResult",
+    "BatchFit",
+    "row_dot",
+    "row_var",
+    "fail_rows",
+    "open_rows",
+    "fit_one",
     "pdf",
     "cdf",
     "quantile",
     "sample",
+    "draw_sorted",
     "raw_moment",
     "gamma_fn",
 ]
@@ -137,6 +148,95 @@ class EstimateResult:
         return WeibullParams(self.shape, self.scale)
 
 
+def row_dot(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of an R x n matrix with an n-vector (or matrix).
+
+    Unlike a BLAS matrix product, every row is summed the same way whatever
+    its position in the batch, so a row's result does not depend on its
+    neighbours.
+    """
+    return np.einsum("ij,j...->i...", m, v)
+
+
+def row_var(m: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """Row variances (n - 1 divisor) of an R x n matrix given its row means."""
+    dev = m - mean[:, None]
+    return np.einsum("ij,ij->i", dev, dev) / (m.shape[1] - 1)
+
+
+def fail_rows(errors: dict[int, EstimationError], mask: np.ndarray, make) -> None:
+    """Record ``make(row)`` for every row in ``mask`` that has no error yet."""
+    if np.count_nonzero(mask):
+        for row in mask.nonzero()[0]:
+            errors.setdefault(int(row), make(int(row)))
+
+
+def open_rows(size: int, errors: dict[int, EstimationError]) -> np.ndarray:
+    """Indices of the rows of a batch of ``size`` that have no error yet."""
+    if not errors:
+        return np.arange(size)
+    return np.setdiff1d(np.arange(size), list(errors))
+
+
+@dataclass(slots=True)
+class BatchFit:
+    """Per-row estimates of one method on R samples of one size.
+
+    Failed rows hold NaN and have their exception in ``errors``. The solver
+    diagnostics are None for methods that have none; ``fallback`` marks rows
+    whose root came from the scalar bracketed solver instead of the batched
+    Newton iteration, and ``notes`` holds per-row remarks such as ties.
+    """
+
+    method: str
+    shape: np.ndarray
+    scale: np.ndarray
+    errors: dict[int, EstimationError]
+    iterations: np.ndarray | None = None
+    residual: np.ndarray | None = None
+    bracket: tuple[np.ndarray, np.ndarray] | None = None
+    fallback: np.ndarray | None = None
+    notes: dict[int, tuple[str, ...]] = field(default_factory=dict)
+
+    @classmethod
+    def build(cls, method: str, shape: np.ndarray, scale: np.ndarray,
+              errors: dict[int, EstimationError], **diagnostics) -> "BatchFit":
+        """Mark every row that is not a finite positive pair as failed."""
+        good = (np.minimum(shape, scale) > 0.0) & (np.maximum(shape, scale) < math.inf)
+        if errors or np.count_nonzero(good) < good.size:
+            fail_rows(errors, ~good, lambda r: EstimationError(
+                f"{method} estimate ({shape[r]!r}, {scale[r]!r}) is not a finite positive pair"))
+            failed = np.zeros(shape.size, dtype=bool)
+            failed[list(errors)] = True
+            shape = np.where(failed, np.nan, shape)
+            scale = np.where(failed, np.nan, scale)
+        return cls(method=method, shape=shape, scale=scale, errors=errors, **diagnostics)
+
+    @property
+    def failed(self) -> np.ndarray:
+        return np.isnan(self.shape)
+
+    def result(self, row: int = 0) -> EstimateResult:
+        """Row ``row`` as a result record; raises its EstimationError if it failed."""
+        if row in self.errors:
+            raise self.errors[row]
+        return EstimateResult(
+            method=self.method,
+            shape=float(self.shape[row]),
+            scale=float(self.scale[row]),
+            iterations=0 if self.iterations is None else int(self.iterations[row]),
+            residual=0.0 if self.residual is None else float(self.residual[row]),
+            bracket=None if self.bracket is None else
+            (float(self.bracket[0][row]), float(self.bracket[1][row])),
+            notes=self.notes.get(row, ()),
+        )
+
+
+def fit_one(fit_batch, s: SortedSample, *args) -> EstimateResult:
+    """One sample through a batch estimator: the batch of one."""
+    return fit_batch(s.values[None, :], s.logs[None, :], *args).result()
+
+
 def _check_positive(x, what: str = "x"):
     arr = np.asarray(x, dtype=float)
     if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
@@ -171,24 +271,41 @@ def quantile(p: WeibullParams, prob):
     return float(out) if np.isscalar(prob) else out
 
 
+def draw_sorted(p: WeibullParams, n: int, rngs) -> tuple[np.ndarray, np.ndarray]:
+    """Draw one sample of size ``n`` per generator by inversion, rows sorted.
+
+    Returns the R x n matrices of ascending values and of their logs. Row r
+    depends only on the state of ``rngs[r]``. A row can hold zeros or
+    infinities where the inversion underflows or overflows for extreme
+    parameters; callers decide what such a row means.
+    """
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
+    u = np.empty((len(rngs), n))
+    for row, rng in zip(u, rngs):
+        rng.random(out=row)
+        # u == 0.0 maps to x == 0; redraw those slots (probability 2^-53 per
+        # draw, still deterministic given the stream)
+        while np.count_nonzero(row) < n:
+            zero = row == 0.0
+            row[zero] = rng.random(int(zero.sum()))
+    with np.errstate(over="ignore", under="ignore"):
+        x = p.scale * (-np.log1p(-u)) ** (1.0 / p.shape)
+    x.sort(axis=1)
+    with np.errstate(divide="ignore"):
+        logs = np.log(x)
+    return x, logs
+
+
 def sample(p: WeibullParams, n: int, rng: np.random.Generator) -> SortedSample:
     """Draw ``n`` observations by inversion of one uniform stream, sorted.
 
     Fully determined by the state of ``rng``; the same seeded generator
-    reproduces the same sample.
+    reproduces the same sample. Raises DataError if a draw underflows to 0
+    or overflows.
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    u = rng.random(n)
-    # u == 0.0 maps to x == 0, which SortedSample rejects; redraw those slots
-    # (probability 2^-53 per draw, still deterministic given the stream).
-    while True:
-        zero = u == 0.0
-        if not zero.any():
-            break
-        u[zero] = rng.random(int(zero.sum()))
-    x = p.scale * (-np.log1p(-u)) ** (1.0 / p.shape)
-    return SortedSample.from_data(x)
+    values, _ = draw_sorted(p, n, [rng])
+    return SortedSample.from_data(values[0])
 
 
 def gamma_fn(x: float) -> float:

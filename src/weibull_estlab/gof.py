@@ -29,13 +29,21 @@ def _ordered_values(data) -> np.ndarray:
     return values
 
 
-def ks_distance(data, p: WeibullParams) -> float:
-    """sup-norm distance: max over i of max{i/n - F(x_(i)), F(x_(i)) - (i-1)/n}."""
-    x = _ordered_values(data)
-    n = x.size
-    f = cdf(p, x)
+def _ks(f: np.ndarray) -> float:
+    n = f.size
     i = np.arange(1, n + 1, dtype=float)
     return float(np.max(np.maximum(i / n - f, f - (i - 1) / n)))
+
+
+def _cvm(f: np.ndarray) -> float:
+    n = f.size
+    i = np.arange(1, n + 1, dtype=float)
+    return float(1.0 / (12 * n) + np.sum(((2 * i - 1) / (2 * n) - f) ** 2))
+
+
+def ks_distance(data, p: WeibullParams) -> float:
+    """sup-norm distance: max over i of max{i/n - F(x_(i)), F(x_(i)) - (i-1)/n}."""
+    return _ks(cdf(p, _ordered_values(data)))
 
 
 def cvm_distance(data, p: WeibullParams) -> float:
@@ -43,13 +51,10 @@ def cvm_distance(data, p: WeibullParams) -> float:
 
     Bounded below by 1/(12n), attained exactly when F(x_(i)) = (2i-1)/(2n).
     """
-    x = _ordered_values(data)
-    n = x.size
-    f = cdf(p, x)
-    i = np.arange(1, n + 1, dtype=float)
-    return float(1.0 / (12 * n) + np.sum(((2 * i - 1) / (2 * n) - f) ** 2))
+    return _cvm(cdf(p, _ordered_values(data)))
 
 
 def gof_report(data, p: WeibullParams) -> GofReport:
-    x = _ordered_values(data)
-    return GofReport(ks=ks_distance(x, p), cvm=cvm_distance(x, p), n=int(x.size))
+    """Both distances from one evaluation of the model cdf at the ordered data."""
+    f = cdf(p, _ordered_values(data))
+    return GofReport(ks=_ks(f), cvm=_cvm(f), n=int(f.size))

@@ -14,17 +14,19 @@ for i <= j (all entries positive: both log differences are negative). The
 systems are solved through a Cholesky factorization of V, never by forming
 the inverse; the factorization is cached per n.
 
-Two second design columns are available. "plain" is the plug-in transform
-t_i itself. "corrected" replaces t_i with its second-order mean
+The type-1 fit replaces the plug-in column t_i with its second-order mean
 approximation
 
     z_i = t_i + F_i (1 - F_i) / (n + 2) * h''(F_i),
     h(u) = log(-log(1 - u)),
 
-which removes most of the small-sample bias of the plug-in column and is
-the default for both generalized fits. The type-2 fit instruments the plain
-design with the corrected column; an older additive-offset instrument is
-retained as the "legacy" option for comparison.
+which removes most of the small-sample bias of the plug-in column. The
+type-2 fit instruments the plug-in design [1, t_i] with [1, z_i], and WLS
+fits the plug-in design with the diagonal of V only.
+
+The designs depend on n and the plotting rule alone, so each fit reduces to
+a product of the R x n matrix of sorted logs with cached V^-1-transformed
+design columns and one 2 x 2 solve shared by every row of the batch.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .core import EstimateResult, SortedSample
+from .core import BatchFit, EstimateResult, SortedSample, fail_rows, fit_one, row_dot
 from .errors import DegenerateSampleError, SingularSystemError
 
 __all__ = [
@@ -49,11 +51,13 @@ __all__ = [
     "v_diagonal",
     "plot_transform",
     "mean_corrected_transform",
-    "legacy_instrument_transform",
     "build_system",
     "fit_gls1",
     "fit_gls2",
     "fit_wls",
+    "fit_gls1_batch",
+    "fit_gls2_batch",
+    "fit_wls_batch",
 ]
 
 PLOTTING_RULES = ("i/(n+1)", "(i-0.3)/(n+0.4)")
@@ -83,8 +87,9 @@ class GlsSystem:
     weights_w: np.ndarray  # diag of cov_v
 
 
+@lru_cache(maxsize=32)
 def build_positions(n: int, rule: str = DEFAULT_RULE) -> PlottingPositions:
-    """Plotting positions for sample size n under the chosen rule."""
+    """Plotting positions for sample size n under the chosen rule (read-only, cached)."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     i = np.arange(1, n + 1, dtype=float)
@@ -133,21 +138,18 @@ class _GlsOperator:
 
     The designs are data-independent, so repeated fits at one sample size
     (the simulation lab's hot path) reduce to O(n) dot products against the
-    cached V^-1-transformed columns; the Cholesky factorization happens once
+    cached transformed columns; the Cholesky factorization happens once
     per n.
     """
 
     design_x: np.ndarray
     design_z: np.ndarray
-    design_legacy: np.ndarray
     vi_x: np.ndarray
     vi_z: np.ndarray
-    vi_legacy: np.ndarray
-    lhs_xx: np.ndarray
+    wi_x: np.ndarray   # W^-1 @ design_x, W = diag(V)
     lhs_zz: np.ndarray
     lhs_zx: np.ndarray
-    lhs_legacy_x: np.ndarray
-    inv_w: np.ndarray
+    lhs_wls: np.ndarray
 
 
 @lru_cache(maxsize=8)
@@ -156,23 +158,19 @@ def _gls_operator(n: int, rule: str) -> _GlsOperator:
     ones = np.ones(n)
     x = np.column_stack([ones, plot_transform(p)])
     z = np.column_stack([ones, mean_corrected_transform(p, n)])
-    legacy = np.column_stack([ones, legacy_instrument_transform(p)])
     factor = _cholesky_v(n)
     vi_x = cho_solve(factor, x)
     vi_z = cho_solve(factor, z)
-    vi_legacy = cho_solve(factor, legacy)
+    wi_x = x / v_diagonal(n)[:, None]
     return _GlsOperator(
         design_x=x,
         design_z=z,
-        design_legacy=legacy,
         vi_x=vi_x,
         vi_z=vi_z,
-        vi_legacy=vi_legacy,
-        lhs_xx=x.T @ vi_x,
+        wi_x=wi_x,
         lhs_zz=z.T @ vi_z,
         lhs_zx=z.T @ vi_x,
-        lhs_legacy_x=legacy.T @ vi_x,
-        inv_w=1.0 / v_diagonal(n),
+        lhs_wls=wi_x.T @ x,
     )
 
 
@@ -193,15 +191,6 @@ def mean_corrected_transform(positions: np.ndarray, n: int) -> np.ndarray:
     return plot_transform(positions) + var_u * _curvature(positions)
 
 
-def legacy_instrument_transform(positions: np.ndarray) -> np.ndarray:
-    """Older additive-offset instrument column:
-
-    t(F) - 0.5 - log(1-F) / ((1-F) log(1-F))^2.
-    """
-    log1mf = np.log1p(-positions)
-    return plot_transform(positions) - 0.5 - log1mf / ((1.0 - positions) * log1mf) ** 2
-
-
 def build_system(s: SortedSample, positions: PlottingPositions | None = None) -> GlsSystem:
     pos = positions or build_positions(s.n)
     if pos.n != s.n:
@@ -217,95 +206,84 @@ def build_system(s: SortedSample, positions: PlottingPositions | None = None) ->
     )
 
 
-def _tie_notes(s: SortedSample) -> tuple[str, ...]:
-    ties = int(np.sum(np.diff(s.values) == 0.0))
-    if not ties:
-        return ()
-    return (f"{ties} tied adjacent pair{'s' if ties > 1 else ''} in the data",)
+def _tie_notes(values: np.ndarray) -> dict[int, tuple[str, ...]]:
+    tied = values[:, 1:] == values[:, :-1]
+    if not np.count_nonzero(tied):
+        return {}
+    ties = tied.sum(axis=1)
+    return {int(r): (f"{ties[r]} tied adjacent pair{'s' if ties[r] > 1 else ''} in the data",)
+            for r in ties.nonzero()[0]}
 
 
-def _back_transform(method: str, b: np.ndarray, notes: tuple[str, ...],
-                    residual: float = 0.0) -> EstimateResult:
-    intercept, slope = float(b[0]), float(b[1])
-    if slope <= 0.0:
-        raise DegenerateSampleError(f"fitted slope {slope!r} is not positive; shape undefined")
-    return EstimateResult(
-        method=method,
-        shape=1.0 / slope,
-        scale=math.exp(intercept),
-        residual=residual,
-        notes=notes,
-    )
-
-
-def _solve_2x2(lhs: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
-    try:
-        b = np.linalg.solve(lhs, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"{what}: {exc}")
-    if not np.all(np.isfinite(b)):
-        raise SingularSystemError(f"{what}: non-finite solution {b!r}")
-    return b
-
-
-def _operator_for(s: SortedSample, positions: PlottingPositions | None) -> _GlsOperator:
+def _operator(n: int, positions: PlottingPositions | None) -> _GlsOperator:
     if positions is None:
-        return _gls_operator(s.n, DEFAULT_RULE)
-    if positions.n != s.n:
-        raise ValueError(f"positions built for n={positions.n}, sample has n={s.n}")
+        return _gls_operator(n, DEFAULT_RULE)
+    if positions.n != n:
+        raise ValueError(f"positions built for n={positions.n}, sample has n={n}")
     # the fit uses the cached rule-derived columns, so reject hand-rolled vectors
-    if not np.array_equal(positions.values, build_positions(s.n, positions.rule).values):
+    built = build_positions(n, positions.rule)
+    if positions is not built and not np.array_equal(positions.values, built.values):
         raise ValueError("positions do not match their declared rule; use build_positions")
-    return _gls_operator(s.n, positions.rule)
+    return _gls_operator(n, positions.rule)
 
 
-def fit_gls1(s: SortedSample, positions: PlottingPositions | None = None,
-             design: str = "corrected") -> EstimateResult:
-    """Type-1 generalized least squares: (M' V^-1 M) b = M' V^-1 y.
+def _solve_rows(method: str, values: np.ndarray, logs: np.ndarray, lhs: np.ndarray,
+                columns: np.ndarray, what: str) -> BatchFit:
+    """Solve lhs b = columns' y for every row y of ``logs`` and back-transform
+    (shape, scale) = (1/b[1], exp(b[0])); lhs is shared by all rows."""
+    rhs = row_dot(logs, columns)  # R x 2
+    errors: dict = {}
+    try:
+        b = np.linalg.solve(lhs, rhs.T).T
+    except np.linalg.LinAlgError as exc:
+        b = np.full_like(rhs, np.nan)
+        fail_rows(errors, np.ones(len(b), dtype=bool),
+                  lambda r: SingularSystemError(f"{what}: {exc}"))
+    fail_rows(errors, ~np.isfinite(b[:, 0] + b[:, 1]), lambda r: SingularSystemError(
+        f"{what}: non-finite solution {b[r]!r}"))
+    fail_rows(errors, logs[:, 0] == logs[:, -1], lambda r: DegenerateSampleError(
+        "all observations equal; the fitted slope is zero"))
+    fail_rows(errors, ~(b[:, 1] > 0.0), lambda r: DegenerateSampleError(
+        f"fitted slope {b[r, 1]!r} is not positive; shape undefined"))
+    residual = np.maximum.reduce(np.abs(b @ lhs.T - rhs), axis=1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return BatchFit.build(method, 1.0 / b[:, 1], np.exp(b[:, 0]), errors,
+                              residual=residual, notes=_tie_notes(values))
 
-    ``design`` picks the second column of M: "corrected" (default; the
-    variant that reproduces the published estimates) or "plain" (the raw
-    plug-in transform t_i).
-    """
-    op = _operator_for(s, positions)
-    if design == "corrected":
-        lhs, vi_m = op.lhs_zz, op.vi_z
-    elif design == "plain":
-        lhs, vi_m = op.lhs_xx, op.vi_x
-    else:
-        raise ValueError(f"unknown design {design!r}; choose 'corrected' or 'plain'")
-    rhs = vi_m.T @ s.logs
-    b = _solve_2x2(lhs, rhs, "GLS1 normal equations")
-    residual = float(np.max(np.abs(lhs @ b - rhs)))
-    return _back_transform("GLS1", b, _tie_notes(s), residual)
+
+def fit_gls1_batch(values: np.ndarray, logs: np.ndarray,
+                   positions: PlottingPositions | None = None) -> BatchFit:
+    """Type-1 generalized least squares on every row: (Z' V^-1 Z) b = Z' V^-1 y
+    with the mean-corrected design Z = [1, z_i]."""
+    op = _operator(logs.shape[1], positions)
+    return _solve_rows("GLS1", values, logs, op.lhs_zz, op.vi_z, "GLS1 normal equations")
 
 
-def fit_gls2(s: SortedSample, positions: PlottingPositions | None = None,
-             instrument: str = "corrected") -> EstimateResult:
-    """Type-2 (instrumented) fit: (Z' V^-1 X) b = Z' V^-1 y.
+def fit_gls2_batch(values: np.ndarray, logs: np.ndarray,
+                   positions: PlottingPositions | None = None) -> BatchFit:
+    """Type-2 (instrumented) fit on every row: (Z' V^-1 X) b = Z' V^-1 y."""
+    op = _operator(logs.shape[1], positions)
+    return _solve_rows("GLS2", values, logs, op.lhs_zx, op.vi_z, "GLS2 instrument equations")
 
-    ``instrument`` picks Z's second column: "corrected" (default) or
-    "legacy" (the additive-offset form, kept for comparison).
-    """
-    op = _operator_for(s, positions)
-    if instrument == "corrected":
-        lhs, vi_z = op.lhs_zx, op.vi_z
-    elif instrument == "legacy":
-        lhs, vi_z = op.lhs_legacy_x, op.vi_legacy
-    else:
-        raise ValueError(f"unknown instrument {instrument!r}; choose 'corrected' or 'legacy'")
-    rhs = vi_z.T @ s.logs
-    b = _solve_2x2(lhs, rhs, "GLS2 instrument equations")
-    residual = float(np.max(np.abs(lhs @ b - rhs)))
-    return _back_transform("GLS2", b, _tie_notes(s), residual)
+
+def fit_wls_batch(values: np.ndarray, logs: np.ndarray,
+                  positions: PlottingPositions | None = None) -> BatchFit:
+    """Weighted least squares with the diagonal of V on every row:
+    (X' W^-1 X) b = X' W^-1 y."""
+    op = _operator(logs.shape[1], positions)
+    return _solve_rows("WLS", values, logs, op.lhs_wls, op.wi_x, "WLS normal equations")
+
+
+def fit_gls1(s: SortedSample, positions: PlottingPositions | None = None) -> EstimateResult:
+    """Type-1 generalized least squares on one sample (see :func:`fit_gls1_batch`)."""
+    return fit_one(fit_gls1_batch, s, positions)
+
+
+def fit_gls2(s: SortedSample, positions: PlottingPositions | None = None) -> EstimateResult:
+    """Type-2 (instrumented) fit on one sample (see :func:`fit_gls2_batch`)."""
+    return fit_one(fit_gls2_batch, s, positions)
 
 
 def fit_wls(s: SortedSample, positions: PlottingPositions | None = None) -> EstimateResult:
-    """Weighted least squares with the diagonal of V: (X' W^-1 X) b = X' W^-1 y."""
-    op = _operator_for(s, positions)
-    xw = op.design_x * op.inv_w[:, None]
-    lhs = xw.T @ op.design_x
-    rhs = xw.T @ s.logs
-    b = _solve_2x2(lhs, rhs, "WLS normal equations")
-    residual = float(np.max(np.abs(lhs @ b - rhs)))
-    return _back_transform("WLS", b, _tie_notes(s), residual)
+    """Weighted least squares on one sample (see :func:`fit_wls_batch`)."""
+    return fit_one(fit_wls_batch, s, positions)

@@ -7,8 +7,15 @@ every requested method on that same sample (common random numbers), so the
 output is bit-identical for any worker count: per-replication estimates are
 materialized into arrays indexed by replication and reduced in fixed order.
 
+The unit of work is a chunk of replications of one cell. Its samples are
+drawn (each from its own substream) into one matrix, and every method fits
+all of its rows in one batch call; a row's estimate never depends on the
+other rows of its chunk.
+
 Estimator failures (degenerate samples at tiny n, bracket failures) never
-abort a run; they are excluded from the metrics and counted per cell.
+abort a run; they are excluded from the metrics and counted per cell. So is
+a replication whose draw underflows to 0 or overflows at extreme parameters:
+it counts as a failure of every method.
 """
 
 from __future__ import annotations
@@ -19,10 +26,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import WeibullParams, sample
-from .errors import EstimationError
-from .likelihood import WeightPair, simulate_weight_medians
-from .methods import FitOptions, fit_method, known_methods
+# sample, fit_method and simulate_weight_medians are the single-replication
+# steps of the lab, re-exported here next to their batched forms
+from .core import WeibullParams, draw_sorted, sample  # noqa: F401
+from .likelihood import (  # noqa: F401
+    DEFAULT_WEIGHT_REPLICATIONS,
+    WeightPair,
+    seeded_weight_medians,
+    simulate_weight_medians,
+)
+from .methods import FitOptions, fit_batch, fit_method, known_methods  # noqa: F401
 
 __all__ = [
     "METRICS",
@@ -43,13 +56,13 @@ RANK_TARGETS = ("ALPHA_BIAS", "BETA_BIAS", "ALPHA_RMSE", "BETA_RMSE")
 CSV_HEADER = "method,n,alpha,beta,bias_alpha,bias_beta,rmse_alpha,rmse_beta,reps,failures"
 
 DEFAULT_SEED = 1729
-DEFAULT_WEIGHT_REPLICATIONS = 100_000
 
-# reserved substream families under the master seed
+# substream family of the replications under the master seed (family 1 is
+# the WMLE weight simulation, see likelihood.seeded_weight_medians)
 _SK_REPLICATION = 0
-_SK_WEIGHTS = 1
 
 _CHUNK = 256  # replications per worker task; fixed so chunking never depends on workers
+_BLOCK_VALUES = 1 << 17  # a chunk at large n is drawn and fitted in row blocks of this size
 
 
 def default_replications(n: int) -> int:
@@ -147,29 +160,27 @@ def _run_chunk(args) -> tuple[int, int, np.ndarray]:
     (cell, n, shape, scale, methods, options, weights, master_seed, start, stop) = args
     level = WeibullParams(shape, scale)
     est = np.full((stop - start, len(methods), 2), np.nan)
-    for r in range(start, stop):
-        rng = _replication_rng(master_seed, cell, r)
-        s = sample(level, n, rng)
+    block = max(1, _BLOCK_VALUES // n)
+    for first in range(start, stop, block):
+        reps = range(first, min(first + block, stop))
+        values, logs = draw_sorted(level, n, [_replication_rng(master_seed, cell, r) for r in reps])
+        # a draw that underflowed to 0 or overflowed fails its replication for every method
+        ok = np.flatnonzero((values[:, 0] > 0.0) & np.isfinite(values[:, -1]))
+        if ok.size < len(reps):
+            values, logs = values[ok], logs[ok]
+        rows = ok + (first - start)
         for m, name in enumerate(methods):
-            try:
-                fit = fit_method(name, s, options, weights)
-            except EstimationError:
-                continue
-            est[r - start, m, 0] = fit.shape
-            est[r - start, m, 1] = fit.scale
+            fit = fit_batch(name, values, logs, options, weights)
+            est[rows, m, 0] = fit.shape
+            est[rows, m, 1] = fit.scale
     return cell, start, est
 
 
 def _weight_medians_for(cfg: SimulationConfig) -> dict[int, WeightPair]:
     if "WMLE" not in cfg.methods:
         return {}
-    out = {}
-    for n in cfg.sample_sizes:
-        rng = np.random.default_rng(
-            np.random.SeedSequence(cfg.master_seed, spawn_key=(_SK_WEIGHTS, n))
-        )
-        out[n] = simulate_weight_medians(n, cfg.weight_replications, rng)
-    return out
+    return {n: seeded_weight_medians(n, cfg.weight_replications, cfg.master_seed)
+            for n in cfg.sample_sizes}
 
 
 def run_experiment(cfg: SimulationConfig) -> MetricTable:

@@ -13,8 +13,9 @@ the pair sums collapse to single passes:
     sum_{i<j} (L_i + L_j) = (n - 1) * sum_i L_i
     sum_{i<j} min(L_i, L_j) = sum_i (n - i) * L_i     (1-based i)
 
-so the estimates cost O(n log n) including the sort. The quadratic
-double-loop path is kept as an independent cross-check.
+so the estimates cost O(n log n) including the sort, and a batch of R
+samples reduces to one product with the per-n min-weight vector. The
+quadratic double-loop path is kept as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -24,7 +25,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LOG_TWO, PSI_ONE, EstimateResult, SortedSample
+from .core import (
+    LOG_TWO,
+    PSI_ONE,
+    BatchFit,
+    EstimateResult,
+    SortedSample,
+    fail_rows,
+    fit_one,
+    row_dot,
+)
 from .errors import DegenerateSampleError
 
 __all__ = [
@@ -37,6 +47,7 @@ __all__ = [
     "pair_means_naive",
     "estimate_u",
     "fit_ustat",
+    "fit_ustat_batch",
 ]
 
 
@@ -88,17 +99,22 @@ def kernel_pair(x1: float, x2: float) -> KernelPairValue:
     return KernelPairValue(kernel_h1(x1, x2), kernel_h2(x1, x2))
 
 
+def _pair_means_rows(logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pair averages of (H1, H2) for every row of an R x n matrix of sorted logs."""
+    n = logs.shape[1]
+    npairs = n * (n - 1) / 2.0
+    total = logs.sum(axis=1)
+    # ascending order: logs[:, i] is the pair minimum for the n-1-i later points
+    weighted_min = row_dot(logs, np.arange(n - 1, -1, -1, dtype=float))
+    u_alpha = ((n - 1) / 2.0 * total - weighted_min) / (npairs * LOG_TWO)
+    u_logbeta = total / n - PSI_ONE * u_alpha
+    return u_alpha, u_logbeta
+
+
 def pair_means_sorted(s: SortedSample) -> tuple[float, float]:
     """Pair averages of (H1, H2) via the sorted-data single-pass identities."""
-    n = s.n
-    logs = s.logs
-    npairs = n * (n - 1) / 2.0
-    total = logs.sum()
-    # ascending order: logs[i] is the pair minimum for the n-1-i later points
-    weighted_min = float(np.arange(n - 1, -1, -1, dtype=float) @ logs)
-    u_alpha = ((n - 1) * total / 2.0 - weighted_min) / (npairs * LOG_TWO)
-    u_logbeta = total / n - PSI_ONE * u_alpha
-    return float(u_alpha), float(u_logbeta)
+    u_alpha, u_logbeta = _pair_means_rows(s.logs[None, :])
+    return float(u_alpha[0]), float(u_logbeta[0])
 
 
 def pair_means_naive(s: SortedSample) -> tuple[float, float]:
@@ -152,7 +168,18 @@ def estimate_u(s: SortedSample, path: str = "sorted") -> UStatEstimate:
     )
 
 
+def fit_ustat_batch(values: np.ndarray, logs: np.ndarray) -> BatchFit:
+    """USTAT on every row of the R x n matrices of sorted values and logs."""
+    u_alpha, u_logbeta = _pair_means_rows(logs)
+    errors: dict = {}
+    fail_rows(errors, logs[:, 0] == logs[:, -1], lambda r: DegenerateSampleError(
+        "all observations equal; pairwise kernel average is zero"))
+    fail_rows(errors, ~(u_alpha > 0.0), lambda r: DegenerateSampleError(
+        f"nonpositive kernel average {u_alpha[r]!r}"))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return BatchFit.build("USTAT", 1.0 / u_alpha, np.exp(u_logbeta), errors)
+
+
 def fit_ustat(s: SortedSample) -> EstimateResult:
-    """estimate_u wrapped in the common result record."""
-    est = estimate_u(s)
-    return EstimateResult(method="USTAT", shape=est.alpha_hat, scale=est.beta_hat)
+    """USTAT on one sample: the batch of one."""
+    return fit_one(fit_ustat_batch, s)

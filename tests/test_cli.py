@@ -14,6 +14,8 @@ from weibull_estlab import (
     parse_dataset,
 )
 from weibull_estlab.cli import EXIT_METHOD_FAILED, EXIT_OK, EXIT_USAGE, PRESETS, main
+from weibull_estlab.likelihood import (WEIGHT_TABLE_HEADER, read_weight_table,
+                                       seeded_weight_medians)
 
 LIFETIME_SHA256 = "6c20ae678d915be9f5e09e3474677af4d5439ce8ef75e75c4cdbcb9cf661bc23"
 
@@ -122,6 +124,42 @@ class TestFitCommand:
         assert doc["pm_rule"] == "linear"
 
 
+class TestWeightCache:
+    def fit_wmle(self, seed, out, cache, monkeypatch):
+        monkeypatch.setenv("WEIBULL_ESTLAB_WEIGHTS", str(cache))
+        argv = ["fit", "--methods", "WMLE", "--seed", str(seed), "--weight-reps", "2000",
+                "--out", str(out)]
+        assert run_cli(argv) == EXIT_OK
+        return out.read_bytes()
+
+    def test_cold_and_warm_cache_write_identical_reports(self, tmp_path, monkeypatch, capsys):
+        cache = tmp_path / "w.txt"
+        cold = self.fit_wmle(1, tmp_path / "cold.json", cache, monkeypatch)
+        assert cache.exists()
+        warm = self.fit_wmle(1, tmp_path / "warm.json", cache, monkeypatch)
+        assert warm == cold
+
+    def test_other_seed_uses_its_own_weights(self, tmp_path, monkeypatch, capsys):
+        cache = tmp_path / "w.txt"
+        seed1 = self.fit_wmle(1, tmp_path / "s1.json", cache, monkeypatch)
+        after_seed1 = self.fit_wmle(2, tmp_path / "s2.json", cache, monkeypatch)
+        fresh = self.fit_wmle(2, tmp_path / "fresh.json", tmp_path / "fresh.txt", monkeypatch)
+        assert after_seed1 == fresh
+        assert json.loads(after_seed1)["WMLE.alpha"] != json.loads(seed1)["WMLE.alpha"]
+        assert len(read_weight_table(cache)) == 2
+
+    def test_cache_in_older_rounded_layout_is_simulated_again(self, tmp_path, monkeypatch,
+                                                                capsys):
+        cold = self.fit_wmle(1, tmp_path / "cold.json", tmp_path / "fresh.txt", monkeypatch)
+        # the record a warm fit would use, in the header-less layout with
+        # floats rounded to 12 significant digits
+        pair = seeded_weight_medians(48, 2000, 1)
+        cache = tmp_path / "w.txt"
+        cache.write_text(f"48 {pair.w1:.12g} {pair.w2:.12g} 2000 1\n")
+        assert self.fit_wmle(1, tmp_path / "warm.json", cache, monkeypatch) == cold
+        assert read_weight_table(cache) == {(48, 2000, 1): pair}
+
+
 class TestGofCommand:
     def test_prints_distances(self, capsys):
         code = run_cli(["gof", "--alpha", "4.5922", "--beta", "26.9452"])
@@ -177,7 +215,8 @@ class TestWeightsCommand:
         out = tmp_path / "w.txt"
         code = run_cli(["weights", "--n", "5,10", "--reps", "2000", "--out", str(out)])
         assert code == EXIT_OK
-        lines = [l for l in out.read_text().splitlines() if l.strip()]
+        header, *lines = out.read_text().splitlines()
+        assert header == WEIGHT_TABLE_HEADER
         assert len(lines) == 2
         assert lines[0].split()[0] == "5"
 
@@ -186,7 +225,8 @@ class TestWeightsCommand:
         code = run_cli(["weights", "--n", "5,10,15,30,50,100,200", "--reps", "2000",
                         "--out", str(out)])
         assert code == EXIT_OK
-        lines = [l for l in out.read_text().splitlines() if l.strip()]
+        header, *lines = out.read_text().splitlines()
+        assert header == WEIGHT_TABLE_HEADER
         assert len(lines) == 7
         assert [int(l.split()[0]) for l in lines] == [5, 10, 15, 30, 50, 100, 200]
 

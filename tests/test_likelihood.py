@@ -17,8 +17,10 @@ from weibull_estlab import (
 )
 from weibull_estlab.core import cdf, pdf
 from weibull_estlab.likelihood import (
+    WEIGHT_TABLE_HEADER,
     WeightStore,
     read_weight_table,
+    seeded_weight_medians,
     write_weight_table,
 )
 
@@ -207,19 +209,17 @@ class TestWeightTable:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "weights.txt"
         records = {
-            5: (WeightPair(w1=0.935058123456, w2=0.705061234567, n=5, replications=100000), 42),
-            48: (WeightPair(w1=0.993672, w2=0.968697, n=48, replications=100000), 42),
+            (5, 100000, 42): WeightPair(w1=0.935058123456789, w2=0.7050612345678901,
+                                        n=5, replications=100000),
+            (48, 100000, 42): WeightPair(w1=0.993672, w2=0.968697, n=48, replications=100000),
+            (48, 2000, 7): WeightPair(w1=0.1 + 0.2, w2=1 / 3, n=48, replications=2000),
         }
         write_weight_table(path, records)
         back = read_weight_table(path)
-        assert back.keys() == records.keys()
-        for n in records:
-            pair, seed = back[n]
-            assert seed == records[n][1]
-            assert pair.replications == records[n][0].replications
-            # 12 significant digits survive the text round trip
-            assert pair.w1 == pytest.approx(records[n][0].w1, rel=1e-11)
-            assert pair.w2 == pytest.approx(records[n][0].w2, rel=1e-11)
+        # records are keyed by (n, replications, seed) and floats round-trip exactly
+        assert back == records
+        # the file is replaced through a temporary that does not stay behind
+        assert [p.name for p in tmp_path.iterdir()] == ["weights.txt"]
 
     def test_read_rejects_malformed(self, tmp_path):
         path = tmp_path / "weights.txt"
@@ -227,18 +227,24 @@ class TestWeightTable:
         with pytest.raises(ValueError, match="expected 5 fields"):
             read_weight_table(path)
 
+    def test_older_rounded_layout_is_not_read(self, tmp_path):
+        path = tmp_path / "weights.txt"
+        path.write_text("5 0.935058123456 0.705061234567 100000 42\n")
+        assert read_weight_table(path) == {}
+        # the store simulates the record again and rewrites the file in the new layout
+        pair = WeightStore(path=path, replications=1000, seed=42).get(5)
+        assert pair == seeded_weight_medians(5, 1000, 42)
+        assert path.read_text().splitlines()[0] == WEIGHT_TABLE_HEADER
+        assert read_weight_table(path) == {(5, 1000, 42): pair}
+
     def test_store_simulates_then_caches(self, tmp_path):
         path = tmp_path / "weights.txt"
         store = WeightStore(path=path, replications=1000, seed=9)
         pair = store.get(6)
         assert path.exists()
-        # a second store reads the file instead of re-simulating
-        # (12 significant digits survive the text round trip)
+        # a second store reads the file instead of re-simulating, exactly
         other = WeightStore(path=path, replications=1000, seed=9)
-        cached = other.get(6)
-        assert cached.w1 == pytest.approx(pair.w1, rel=1e-11)
-        assert cached.w2 == pytest.approx(pair.w2, rel=1e-11)
-        assert cached.replications == pair.replications
+        assert other.get(6) == pair
 
     def test_store_respects_env_default(self, tmp_path, monkeypatch):
         target = tmp_path / "env-weights.txt"

@@ -14,7 +14,6 @@ from weibull_estlab import (
 )
 from weibull_estlab.regression import (
     build_system,
-    legacy_instrument_transform,
     mean_corrected_transform,
     plot_transform,
     v_diagonal,
@@ -81,18 +80,10 @@ class TestBuildV:
 
 
 class TestExactLineRecovery:
-    @pytest.mark.parametrize("rule", ["i/(n+1)", "(i-0.3)/(n+0.4)"])
-    def test_gls1_plain_design(self, rule):
-        s, pos = exact_line_sample(25, rule)
-        r = fit_gls1(s, pos, design="plain")
-        assert r.shape == pytest.approx(3.0, abs=1e-10)
-        assert r.scale == pytest.approx(2.0, abs=1e-10)
-
-    @pytest.mark.parametrize("instrument", ["corrected", "legacy"])
-    def test_gls2_any_instrument(self, instrument):
+    def test_gls2(self):
         # the instrumented solve reproduces any response lying in the design span
         s, pos = exact_line_sample(25, "i/(n+1)")
-        r = fit_gls2(s, pos, instrument=instrument)
+        r = fit_gls2(s, pos)
         assert r.shape == pytest.approx(3.0, abs=1e-10)
         assert r.scale == pytest.approx(2.0, abs=1e-10)
         assert abs(r.residual) < 1e-10
@@ -112,19 +103,17 @@ class TestDenseOracle:
             sys = build_system(s)
             v = build_v(n)
             cases = [
-                (fit_gls1(s, design="corrected"), sys.design_z, sys.design_z),
-                (fit_gls1(s, design="plain"), sys.design_x, sys.design_x),
-                (fit_gls2(s, instrument="corrected"), sys.design_x, sys.design_z),
-                (fit_wls(s), sys.design_x, sys.design_x),
+                (fit_gls1(s), sys.design_z, sys.design_z),
+                (fit_gls2(s), sys.design_x, sys.design_z),
             ]
-            for fitted, design, instrument in cases[:3]:
+            for fitted, design, instrument in cases:
                 b = dense_reference(design, instrument, v, sys.response_y)
                 assert fitted.shape == pytest.approx(1 / b[1], rel=1e-8)
                 assert fitted.scale == pytest.approx(math.exp(b[0]), rel=1e-8)
             w = np.diag(v_diagonal(n))
             b = dense_reference(sys.design_x, sys.design_x, w, sys.response_y)
-            assert cases[3][0].shape == pytest.approx(1 / b[1], rel=1e-8)
-            assert cases[3][0].scale == pytest.approx(math.exp(b[0]), rel=1e-8)
+            assert fit_wls(s).shape == pytest.approx(1 / b[1], rel=1e-8)
+            assert fit_wls(s).scale == pytest.approx(math.exp(b[0]), rel=1e-8)
 
 
 class TestWlsReductions:
@@ -173,12 +162,6 @@ class TestFitProperties:
         with pytest.raises(ValueError):
             fit_gls1(lifetime_sample, build_positions(10))
 
-    def test_unknown_variants(self, lifetime_sample):
-        with pytest.raises(ValueError):
-            fit_gls1(lifetime_sample, design="quadratic")
-        with pytest.raises(ValueError):
-            fit_gls2(lifetime_sample, instrument="quadratic")
-
 
 class TestBuildSystem:
     def test_design_column_strictly_increasing(self, lifetime_sample):
@@ -201,9 +184,3 @@ class TestTransforms:
         middle = gap[n // 10: -n // 10]
         assert middle.max() < 5e-3
         assert np.median(gap) < 1e-3
-
-    def test_legacy_column_shape(self):
-        pos = build_positions(20).values
-        z = legacy_instrument_transform(pos)
-        assert z.shape == (20,)
-        assert np.all(np.isfinite(z))

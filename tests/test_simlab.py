@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from weibull_estlab import (
+    METHOD_NAMES,
     EstimationError,
     MetricRow,
     MetricTable,
@@ -101,6 +102,17 @@ class TestRunExperiment:
         assert table.skipped == (("FAIL", 10, 2.0, 3.0, 150),)
         lm_rows = [r for r in table.rows if r.method == "LM"]
         assert len(lm_rows) == 1 and lm_rows[0].failures == 0
+
+    def test_draw_underflow_counts_as_failure_for_every_method(self):
+        # at shape 0.01 a draw can underflow to 0; that replication is a
+        # failure of every method instead of an error out of the run
+        cfg = SimulationConfig(methods=METHOD_NAMES, param_levels=((0.01, 1.0),),
+                               sample_sizes=(30,), replications=100, weight_replications=2000)
+        table = run_experiment(cfg)
+        assert {r.method for r in table.rows} | {s[0] for s in table.skipped} == set(METHOD_NAMES)
+        for r in table.rows:
+            assert r.reps + r.failures == 100
+            assert r.failures >= 1
 
     def test_wmle_runs_with_precomputed_weights(self):
         cfg = tiny_config(methods=("WMLE",), replications=150, weight_replications=2000)
