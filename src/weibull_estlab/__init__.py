@@ -21,11 +21,9 @@ from .classical import (
     sample_lmoments,
 )
 from .core import (
-    CONSTANTS,
     BatchFit,
     EstimateResult,
     SortedSample,
-    SpecialConstants,
     WeibullParams,
     cdf,
     draw_sorted,
@@ -54,10 +52,8 @@ from .likelihood import (
 )
 from .methods import METHOD_NAMES, FitOptions, fit_batch, fit_method
 from .regression import (
-    GlsSystem,
     PlottingPositions,
     build_positions,
-    build_v,
     fit_gls1,
     fit_gls2,
     fit_wls,
@@ -72,7 +68,6 @@ from .simlab import (
     write_metric_csv,
 )
 from .ustat import (
-    KernelPairValue,
     UStatEstimate,
     estimate_u,
     fit_ustat,
@@ -83,18 +78,18 @@ from .ustat import (
 __all__ = [
     "__version__",
     # core
-    "WeibullParams", "SortedSample", "EstimateResult", "BatchFit", "SpecialConstants", "CONSTANTS",
+    "WeibullParams", "SortedSample", "EstimateResult", "BatchFit",
     "pdf", "cdf", "quantile", "sample", "draw_sorted", "raw_moment",
     # errors
     "DataError", "EstimationError", "DegenerateSampleError", "InvalidRatioError",
     "BracketError", "SingularSystemError",
     # estimators
-    "kernel_h1", "kernel_h2", "KernelPairValue", "UStatEstimate", "estimate_u", "fit_ustat",
+    "kernel_h1", "kernel_h2", "UStatEstimate", "estimate_u", "fit_ustat",
     "sample_lmoments", "log_moments", "LMomentSummary", "LogMomentSummary",
     "PercentileConfig", "fit_lm", "fit_mlm", "fit_pm", "fit_mm",
     "profile_score", "fit_mle", "fit_wmle", "WeightPair", "WeightStore",
     "simulate_weight_medians",
-    "PlottingPositions", "GlsSystem", "build_positions", "build_v",
+    "PlottingPositions", "build_positions",
     "fit_gls1", "fit_gls2", "fit_wls",
     # gof
     "GofReport", "ks_distance", "cvm_distance", "gof_report",

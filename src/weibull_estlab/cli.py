@@ -148,10 +148,6 @@ def _load_data(spec: str, parser: _Parser) -> Dataset:
         parser.error(str(exc))
 
 
-def _flat_float(x: float) -> float:
-    return float(x)
-
-
 def _run_fit(args, parser: _Parser) -> int:
     dataset = _load_data(args.data, parser)
     methods = _parse_methods(args.methods, parser)
@@ -228,10 +224,10 @@ def _fit_report_document(report: FitReport) -> str:
     }
     for name, r in report.results.items():
         doc[f"{name}.status"] = "ok"
-        doc[f"{name}.alpha"] = _flat_float(r.shape)
-        doc[f"{name}.beta"] = _flat_float(r.scale)
-        doc[f"{name}.ks"] = _flat_float(report.gofs[name].ks)
-        doc[f"{name}.cvm"] = _flat_float(report.gofs[name].cvm)
+        doc[f"{name}.alpha"] = r.shape
+        doc[f"{name}.beta"] = r.scale
+        doc[f"{name}.ks"] = report.gofs[name].ks
+        doc[f"{name}.cvm"] = report.gofs[name].cvm
     for name, reason in report.failures.items():
         doc[f"{name}.status"] = "failed"
         doc[f"{name}.error"] = reason

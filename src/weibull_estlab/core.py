@@ -29,8 +29,6 @@ __all__ = [
     "LOG_TWO",
     "PSI_ONE",
     "TRIGAMMA_ONE",
-    "SpecialConstants",
-    "CONSTANTS",
     "WeibullParams",
     "SortedSample",
     "EstimateResult",
@@ -56,18 +54,6 @@ TRIGAMMA_ONE = float(polygamma(1, 1))   # pi^2 / 6
 # gammaln is finite well beyond this, but exp(gammaln(x)) overflows a double
 # for x > ~171.62
 _GAMMA_OVERFLOW_ARG = 171.61447887182298
-
-
-@dataclass(frozen=True)
-class SpecialConstants:
-    """Shared constants: digamma(1), trigamma(1) and log 2."""
-
-    psi1: float = PSI_ONE
-    trigamma1: float = TRIGAMMA_ONE
-    log2: float = LOG_TWO
-
-
-CONSTANTS = SpecialConstants()
 
 
 @dataclass(frozen=True)

@@ -78,8 +78,8 @@ def _score_rows(dd: np.ndarray, mean_d: np.ndarray, alpha: np.ndarray,
     """Rowwise w2/a + mean(d) - sum(e^(a d) d)/sum(e^(a d)) and its derivative
     in a, for d = log x - max log x <= 0 (so no power overflows) and
     dd = [d, d^2] stacked."""
-    w = np.exp(alpha[:, None] * dd[0])
-    sw = w.sum(axis=1)
+    w = np.multiply(alpha[:, None], dd[0])
+    sw = np.exp(w, out=w).sum(axis=1)  # in place: one k x n temporary per call
     m1, m2 = np.einsum("ij,kij->ki", w, dd) / sw
     inv = 1.0 / alpha
     return w2 * inv + mean_d - m1, -w2 * inv * inv - (m2 - m1 * m1)
@@ -137,7 +137,8 @@ def _likelihood_batch(method: str, logs: np.ndarray, w1: float, w2: float) -> Ba
     shape = np.full(logs.shape[0], np.nan)
     shape[rows] = roots.x
     with np.errstate(invalid="ignore", over="ignore", under="ignore"):
-        log_sum = np.log(np.exp(shape[:, None] * dd[0]).sum(axis=1))
+        power = np.multiply(shape[:, None], dd[0])
+        log_sum = np.log(np.exp(power, out=power).sum(axis=1))
         scale = np.exp(logs[:, -1] + (log_sum - math.log(n * w1)) / shape)
     return BatchFit.build(method, shape, scale, errors, **roots.diagnostics(logs.shape[0]))
 

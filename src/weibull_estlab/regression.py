@@ -8,11 +8,20 @@ with F_i an empirical plotting position. The responses are correlated, so
 the generalized fit weights by the inverse of the order-statistic covariance
 surrogate
 
-    v_ij = [i / (n+1-i)] * d_i * d_j,   d_k = 1 / (log(n+1-k) - log(n+1)),
+    v_ij = d_i d_j min(r_i, r_j),   r_k = k / (n+1-k),
+    d_k = 1 / (log(n+1-k) - log(n+1)).
 
-for i <= j (all entries positive: both log differences are negative). The
-systems are solved through a Cholesky factorization of V, never by forming
-the inverse; the factorization is cached per n.
+With r increasing, min(r_i, r_j) is the covariance of a Brownian motion
+observed at the times r_1 < ... < r_n (the Markov structure of exponential
+order statistics), so V^-1 = D^-1 M^-1 D^-1 with M^-1 tridiagonal in closed
+form: with u = c / d and steps r_k - r_(k-1) = (n+1) / ((n+1-k)(n+2-k)),
+
+    (M^-1 u)_k = (u_k - u_(k-1)) / step_k - (u_(k+1) - u_k) / step_(k+1),
+
+taking u_0 = 0 and dropping the second term at k = n. Applying V^-1 to a
+design column is therefore O(n) time and memory; no n x n array is formed
+(the dense matrix and an explicit-inverse solve survive only as the test
+oracle).
 
 The type-1 fit replaces the plug-in column t_i with its second-order mean
 approximation
@@ -36,7 +45,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .core import BatchFit, EstimateResult, SortedSample, fail_rows, fit_one, row_dot
 from .errors import DegenerateSampleError, SingularSystemError
@@ -45,13 +53,10 @@ __all__ = [
     "PLOTTING_RULES",
     "DEFAULT_RULE",
     "PlottingPositions",
-    "GlsSystem",
     "build_positions",
-    "build_v",
     "v_diagonal",
     "plot_transform",
     "mean_corrected_transform",
-    "build_system",
     "fit_gls1",
     "fit_gls2",
     "fit_wls",
@@ -76,17 +81,6 @@ class PlottingPositions:
         return int(self.values.size)
 
 
-@dataclass(frozen=True)
-class GlsSystem:
-    """Assembled regression system for one sample and plotting rule."""
-
-    design_x: np.ndarray   # [1, t_i]
-    design_z: np.ndarray   # [1, z_i] mean-corrected column
-    response_y: np.ndarray
-    cov_v: np.ndarray
-    weights_w: np.ndarray  # diag of cov_v
-
-
 @lru_cache(maxsize=32)
 def build_positions(n: int, rule: str = DEFAULT_RULE) -> PlottingPositions:
     """Plotting positions for sample size n under the chosen rule (read-only, cached)."""
@@ -108,44 +102,32 @@ def _log_ratio_terms(n: int) -> np.ndarray:
     return 1.0 / (np.log(n + 1 - i) - math.log(n + 1))
 
 
-def build_v(n: int) -> np.ndarray:
-    """Covariance surrogate V; symmetric with every entry positive."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    i = np.arange(1, n + 1, dtype=float)
-    ratio = i / (n + 1 - i)
-    d = _log_ratio_terms(n)
-    # ratio is increasing, so the i<=j entry ratio[min(i,j)] is minimum.outer
-    return np.minimum.outer(ratio, ratio) * np.outer(d, d)
-
-
 def v_diagonal(n: int) -> np.ndarray:
     i = np.arange(1, n + 1, dtype=float)
     return i / (n + 1 - i) * _log_ratio_terms(n) ** 2
 
 
-@lru_cache(maxsize=4)
-def _cholesky_v(n: int):
-    try:
-        return cho_factor(build_v(n), lower=True)
-    except LinAlgError as exc:
-        raise SingularSystemError(f"covariance surrogate for n={n} is not positive definite: {exc}")
+def _apply_precision(n: int, columns: np.ndarray) -> np.ndarray:
+    """V^-1 @ columns from the closed-form tridiagonal precision (module docstring)."""
+    k = np.arange(1, n + 1, dtype=float)
+    d = _log_ratio_terms(n)[:, None]
+    inv_step = ((n + 1 - k) * (n + 2 - k) / (n + 1))[:, None]
+    flux = np.diff(columns / d, axis=0, prepend=0.0) * inv_step  # (u_k - u_(k-1)) / step_k
+    flux[:-1] -= flux[1:]
+    return flux / d
 
 
 @dataclass(frozen=True)
 class _GlsOperator:
-    """Per-(n, rule) precomputation: designs, V^-1 @ columns and 2x2 blocks.
+    """Per-(n, rule) precomputation: V^-1- and W^-1-transformed design columns
+    and the 2x2 blocks.
 
     The designs are data-independent, so repeated fits at one sample size
     (the simulation lab's hot path) reduce to O(n) dot products against the
-    cached transformed columns; the Cholesky factorization happens once
-    per n.
+    cached transformed columns; everything held here is O(n).
     """
 
-    design_x: np.ndarray
-    design_z: np.ndarray
-    vi_x: np.ndarray
-    vi_z: np.ndarray
+    vi_z: np.ndarray   # V^-1 @ design_z
     wi_x: np.ndarray   # W^-1 @ design_x, W = diag(V)
     lhs_zz: np.ndarray
     lhs_zx: np.ndarray
@@ -158,18 +140,14 @@ def _gls_operator(n: int, rule: str) -> _GlsOperator:
     ones = np.ones(n)
     x = np.column_stack([ones, plot_transform(p)])
     z = np.column_stack([ones, mean_corrected_transform(p, n)])
-    factor = _cholesky_v(n)
-    vi_x = cho_solve(factor, x)
-    vi_z = cho_solve(factor, z)
-    wi_x = x / v_diagonal(n)[:, None]
+    # column-major: row_dot sums contiguous columns several times faster
+    vi_z = np.asfortranarray(_apply_precision(n, z))
+    wi_x = np.asfortranarray(x / v_diagonal(n)[:, None])
     return _GlsOperator(
-        design_x=x,
-        design_z=z,
-        vi_x=vi_x,
         vi_z=vi_z,
         wi_x=wi_x,
-        lhs_zz=z.T @ vi_z,
-        lhs_zx=z.T @ vi_x,
+        lhs_zz=vi_z.T @ z,
+        lhs_zx=vi_z.T @ x,   # Z' V^-1 X, V symmetric
         lhs_wls=wi_x.T @ x,
     )
 
@@ -189,21 +167,6 @@ def mean_corrected_transform(positions: np.ndarray, n: int) -> np.ndarray:
     """Second-order approximation to E[t(U_(i))]: t(F) + Var(U_(i)) h''(F)."""
     var_u = positions * (1.0 - positions) / (n + 2)
     return plot_transform(positions) + var_u * _curvature(positions)
-
-
-def build_system(s: SortedSample, positions: PlottingPositions | None = None) -> GlsSystem:
-    pos = positions or build_positions(s.n)
-    if pos.n != s.n:
-        raise ValueError(f"positions built for n={pos.n}, sample has n={s.n}")
-    p = pos.values
-    ones = np.ones(s.n)
-    return GlsSystem(
-        design_x=np.column_stack([ones, plot_transform(p)]),
-        design_z=np.column_stack([ones, mean_corrected_transform(p, s.n)]),
-        response_y=s.logs,
-        cov_v=build_v(s.n),
-        weights_w=v_diagonal(s.n),
-    )
 
 
 def _tie_notes(values: np.ndarray) -> dict[int, tuple[str, ...]]:

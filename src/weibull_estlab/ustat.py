@@ -38,25 +38,15 @@ from .core import (
 from .errors import DegenerateSampleError
 
 __all__ = [
-    "KernelPairValue",
     "UStatEstimate",
     "kernel_h1",
     "kernel_h2",
-    "kernel_pair",
     "pair_means_sorted",
     "pair_means_naive",
     "estimate_u",
     "fit_ustat",
     "fit_ustat_batch",
 ]
-
-
-@dataclass(frozen=True)
-class KernelPairValue:
-    """Both kernel values for one unordered pair."""
-
-    h1: float
-    h2: float
 
 
 @dataclass(frozen=True)
@@ -93,10 +83,6 @@ def kernel_h2(x1: float, x2: float) -> float:
     l1, l2 = math.log(x1), math.log(x2)
     h1 = (l1 + l2) / (2.0 * LOG_TWO) - min(l1, l2) / LOG_TWO
     return (l1 + l2) / 2.0 - PSI_ONE * h1
-
-
-def kernel_pair(x1: float, x2: float) -> KernelPairValue:
-    return KernelPairValue(kernel_h1(x1, x2), kernel_h2(x1, x2))
 
 
 def _pair_means_rows(logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

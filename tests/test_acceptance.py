@@ -18,7 +18,6 @@ from weibull_estlab import (
     SortedSample,
     WeibullParams,
     build_positions,
-    build_v,
     cvm_distance,
     estimate_u,
     fit_gls1,
@@ -40,7 +39,7 @@ from weibull_estlab.core import LOG_TWO, TRIGAMMA_ONE
 from weibull_estlab.methods import METHOD_NAMES
 from weibull_estlab.ustat import pair_means_naive, pair_means_sorted
 
-from conftest import random_positive_sample
+from conftest import dense_system, dense_v, random_positive_sample
 
 
 def report(criterion, ok, detail):
@@ -238,12 +237,9 @@ class TestCriterion7OracleEquivalence:
         for n in (5, 20, 50):
             for _ in range(5):
                 s = SortedSample.from_data(random_positive_sample(rng, n=n))
-                v = build_v(n)
-                vi = np.linalg.inv(v)
                 pos = build_positions(n)
-                from weibull_estlab.regression import build_system
-
-                sysm = build_system(s, pos)
+                sysm = dense_system(s, pos)
+                vi = np.linalg.inv(sysm.cov_v)
                 ref = {}
                 for tag, design, instrument, vv in (
                     ("GLS1", sysm.design_z, sysm.design_z, vi),
@@ -288,7 +284,7 @@ class TestCriterion9PropertySuites:
     def test_v_positive_definite_up_to_200(self):
         worst = math.inf
         for n in range(2, 201):
-            eigs = np.linalg.eigvalsh(build_v(n))
+            eigs = np.linalg.eigvalsh(dense_v(n))
             worst = min(worst, float(eigs.min()))
         report("9", worst > 0.0, f"V positive definite for 2 <= n <= 200, smallest eigenvalue {worst:.3e}")
 

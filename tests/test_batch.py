@@ -30,11 +30,12 @@ from weibull_estlab.core import LOG_TWO, PSI_ONE, draw_sorted
 from weibull_estlab.methods import METHOD_NAMES, fit_batch
 from weibull_estlab.regression import (
     build_positions,
-    build_v,
     mean_corrected_transform,
     plot_transform,
     v_diagonal,
 )
+
+from conftest import dense_v
 
 ROOT_METHODS = ("MLE", "WMLE", "MM")
 CLOSED_FORMS = ("USTAT", "LM", "MLM", "PM", "GLS1", "GLS2", "WLS")
@@ -219,7 +220,7 @@ def _old_closed_form(name, values, logs):
     ones = np.ones(n)
     x = np.column_stack([ones, plot_transform(p)])
     z = np.column_stack([ones, mean_corrected_transform(p, n)])
-    factor = cho_factor(build_v(n), lower=True)
+    factor = cho_factor(dense_v(n), lower=True)
     if name == "GLS1":
         vi_z = cho_solve(factor, z)
         b = np.linalg.solve(z.T @ vi_z, vi_z.T @ logs)

@@ -14,7 +14,7 @@ from weibull_estlab import (
     raw_moment,
     sample,
 )
-from weibull_estlab.core import CONSTANTS, gamma_fn
+from weibull_estlab.core import LOG_TWO, PSI_ONE, TRIGAMMA_ONE, gamma_fn
 
 
 class TestWeibullParams:
@@ -27,9 +27,9 @@ class TestWeibullParams:
 
 class TestSpecialConstants:
     def test_values(self):
-        assert CONSTANTS.psi1 == pytest.approx(-0.5772156649015329, rel=1e-12)
-        assert CONSTANTS.trigamma1 == pytest.approx(math.pi ** 2 / 6, rel=1e-12)
-        assert CONSTANTS.log2 == math.log(2.0)
+        assert PSI_ONE == pytest.approx(-0.5772156649015329, rel=1e-12)
+        assert TRIGAMMA_ONE == pytest.approx(math.pi ** 2 / 6, rel=1e-12)
+        assert LOG_TWO == math.log(2.0)
 
 
 class TestPdf:

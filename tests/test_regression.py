@@ -1,31 +1,29 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from weibull_estlab import (
     DegenerateSampleError,
     SortedSample,
+    WeibullParams,
     build_positions,
-    build_v,
     fit_gls1,
     fit_gls2,
     fit_wls,
+    sample,
 )
 from weibull_estlab.regression import (
-    build_system,
+    _apply_precision,
+    _gls_operator,
     mean_corrected_transform,
     plot_transform,
     v_diagonal,
 )
 
-from conftest import random_positive_sample
-
-
-def dense_reference(design, instrument, v, y):
-    """Explicit-inverse solve used as the linear-algebra oracle."""
-    vi = np.linalg.inv(v)
-    return np.linalg.solve(instrument.T @ vi @ design, instrument.T @ vi @ y)
+from conftest import dense_reference, dense_system, dense_v, random_positive_sample
 
 
 def exact_line_sample(n, rule, shape=3.0, scale=2.0):
@@ -57,8 +55,10 @@ class TestPositions:
 
 
 class TestBuildV:
+    """The dense V of the test oracle against the paper's hand values."""
+
     def test_hand_values_n2(self):
-        v = build_v(2)
+        v = dense_v(2)
         assert v[0, 0] == pytest.approx(0.5 / math.log(2 / 3) ** 2, rel=1e-12)
         assert v[0, 1] == pytest.approx(0.5 / (math.log(2 / 3) * math.log(1 / 3)), rel=1e-12)
         assert v[1, 1] == pytest.approx(2.0 / math.log(1 / 3) ** 2, rel=1e-12)
@@ -68,7 +68,7 @@ class TestBuildV:
 
     @pytest.mark.parametrize("n", [2, 5, 10, 30, 50, 100, 200])
     def test_symmetric_positive_definite(self, n):
-        v = build_v(n)
+        v = dense_v(n)
         assert np.array_equal(v, v.T)
         assert np.all(v > 0.0)
         eigs = np.linalg.eigvalsh(v)
@@ -76,7 +76,43 @@ class TestBuildV:
 
     def test_diagonal_shortcut(self):
         for n in (2, 7, 48):
-            np.testing.assert_allclose(v_diagonal(n), np.diag(build_v(n)), rtol=1e-14)
+            np.testing.assert_allclose(v_diagonal(n), np.diag(dense_v(n)), rtol=1e-14)
+
+
+class TestClosedFormPrecision:
+    def test_times_dense_v_is_identity(self):
+        for n in range(2, 201):
+            err = np.abs(_apply_precision(n, dense_v(n)) - np.eye(n)).max()
+            assert err < 1e-12, n
+
+    @pytest.mark.parametrize("n", [1000, 4000])
+    def test_fits_match_dense_cholesky(self, n):
+        s = sample(WeibullParams(2.5, 7.0), n, np.random.default_rng(n))
+        sys = dense_system(s)
+        factor = cho_factor(sys.cov_v, lower=True, overwrite_a=True)
+        x, z, y = sys.design_x, sys.design_z, sys.response_y
+        vi_z = cho_solve(factor, z)
+        xw = x / sys.weights_w[:, None]
+        cases = [
+            (fit_gls1(s), np.linalg.solve(z.T @ vi_z, vi_z.T @ y)),
+            (fit_gls2(s), np.linalg.solve(z.T @ cho_solve(factor, x), vi_z.T @ y)),
+            (fit_wls(s), np.linalg.solve(xw.T @ x, xw.T @ y)),
+        ]
+        for fitted, b in cases:
+            assert fitted.shape == pytest.approx(1 / b[1], rel=1e-10), fitted.method
+            assert fitted.scale == pytest.approx(math.exp(b[0]), rel=1e-10), fitted.method
+
+    def test_cold_fit_memory_is_linear(self):
+        # a dense V alone would take 8 n^2 = 200 MB at this size
+        s = sample(WeibullParams(2.5, 7.0), 5000, np.random.default_rng(5))
+        _gls_operator.cache_clear()
+        tracemalloc.start()
+        try:
+            fit_gls1(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
 
 
 class TestExactLineRecovery:
@@ -100,8 +136,8 @@ class TestDenseOracle:
     def test_all_fitters_match_explicit_inverse(self, n, rng):
         for _ in range(10):
             s = SortedSample.from_data(random_positive_sample(rng, n=n))
-            sys = build_system(s)
-            v = build_v(n)
+            sys = dense_system(s)
+            v = sys.cov_v
             cases = [
                 (fit_gls1(s), sys.design_z, sys.design_z),
                 (fit_gls2(s), sys.design_x, sys.design_z),
@@ -118,7 +154,7 @@ class TestDenseOracle:
 
 class TestWlsReductions:
     def test_unit_weights_reduce_to_ols(self, lifetime_sample):
-        sys = build_system(lifetime_sample)
+        sys = dense_system(lifetime_sample)
         x, y = sys.design_x, sys.response_y
         ols = np.linalg.solve(x.T @ x, x.T @ y)
         w_unit = dense_reference(x, x, np.eye(lifetime_sample.n), y)
@@ -165,13 +201,8 @@ class TestFitProperties:
 
 class TestBuildSystem:
     def test_design_column_strictly_increasing(self, lifetime_sample):
-        sys = build_system(lifetime_sample)
+        sys = dense_system(lifetime_sample)
         assert np.all(np.diff(sys.design_x[:, 1]) > 0)
-
-    def test_carries_v_and_its_diagonal(self, lifetime_sample):
-        sys = build_system(lifetime_sample)
-        np.testing.assert_allclose(sys.weights_w, np.diag(sys.cov_v), rtol=1e-14)
-        assert sys.response_y is lifetime_sample.logs
 
 
 class TestTransforms:

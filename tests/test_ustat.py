@@ -13,7 +13,7 @@ from weibull_estlab import (
     sample,
 )
 from weibull_estlab.core import LOG_TWO, PSI_ONE
-from weibull_estlab.ustat import kernel_pair, pair_means_naive, pair_means_sorted
+from weibull_estlab.ustat import pair_means_naive, pair_means_sorted
 
 from conftest import random_positive_sample
 
@@ -49,9 +49,9 @@ class TestKernels:
             kernel_h2(1.0, -2.0)
 
     def test_pair_record(self):
-        kv = kernel_pair(2.0, 8.0)
-        assert kv.h1 == kernel_h1(2.0, 8.0)
-        assert kv.h2 == kernel_h2(2.0, 8.0)
+        # log 8 = 3 log 2: h1 = (1 + 3)/2 - 1 and h2 = 2 log 2 - psi(1) h1
+        assert kernel_h1(2.0, 8.0) == pytest.approx(1.0, rel=1e-15)
+        assert kernel_h2(2.0, 8.0) == pytest.approx(2 * LOG_TWO - PSI_ONE, rel=1e-15)
 
 
 class TestEstimate:
