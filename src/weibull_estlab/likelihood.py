@@ -59,6 +59,10 @@ DEFAULT_WEIGHT_REPLICATIONS = 100_000
 # substream family of the weight simulation under a seed: spawn_key=(1, n)
 _SK_WEIGHTS = 1
 
+# values per block of the weight simulation's reused draw buffers (whole rows,
+# at least one): small enough to stay in cache
+_WEIGHT_BLOCK_VALUES = 1 << 15
+
 # bracket seeded from the closed-form log-moment estimate, then widened
 _BRACKET_SEED = (0.2, 5.0)
 
@@ -177,23 +181,31 @@ def simulate_weight_medians(n: int, replications: int, rng: np.random.Generator)
 
     The statistics are pivotal under the true model, so no Weibull
     parameters enter. Draws are consumed replication-by-replication in a
-    fixed order, so the result depends only on the generator state.
+    fixed order into a small reused buffer of whole rows, and each row is
+    reduced on its own, so the result depends only on the generator state,
+    not on the buffer's block size.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if replications < 1000:
         raise ValueError(f"need at least 1000 replications, got {replications}")
+    rows = min(max(1, _WEIGHT_BLOCK_VALUES // n), replications)
+    e = np.empty((rows, n))
+    log_e = np.empty((rows, n))
+    sums = np.empty((3, rows))  # per row: sum(e), sum(log e), sum(e log e)
     w1 = np.empty(replications)
     w2 = np.empty(replications)
-    chunk = max(1, (1 << 22) // max(n, 1))  # cap draw blocks at ~32 MB
-    done = 0
-    while done < replications:
-        k = min(chunk, replications - done)
-        e = rng.standard_exponential((k, n))
-        log_e = np.log(e)
-        w1[done:done + k] = e.mean(axis=1)
-        w2[done:done + k] = (e * log_e).sum(axis=1) / e.sum(axis=1) - log_e.mean(axis=1)
-        done += k
+    for done in range(0, replications, rows):
+        k = min(rows, replications - done)
+        block, logs = e[:k], log_e[:k]
+        sum_e, sum_log, sum_elog = sums[:, :k]
+        rng.standard_exponential(out=block)
+        np.add.reduce(block, axis=1, out=sum_e)
+        np.add.reduce(np.log(block, out=logs), axis=1, out=sum_log)
+        np.add.reduce(np.multiply(block, logs, out=logs), axis=1, out=sum_elog)
+        # means as np.mean takes them: the row sum divided by n
+        np.divide(sum_e, n, out=w1[done:done + k])
+        np.subtract(sum_elog / sum_e, sum_log / n, out=w2[done:done + k])
     return WeightPair(
         w1=float(np.median(w1)),
         w2=float(np.median(w2)),

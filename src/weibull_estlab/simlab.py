@@ -10,7 +10,10 @@ materialized into arrays indexed by replication and reduced in fixed order.
 The unit of work is a chunk of replications of one cell. Its samples are
 drawn (each from its own substream) into one matrix, and every method fits
 all of its rows in one batch call; a row's estimate never depends on the
-other rows of its chunk.
+other rows of its chunk. The substreams of a block of rows are seeded
+together (the SeedSequence hash of every replication index in one array
+pass), yet row r equals
+``default_rng(SeedSequence(master_seed, spawn_key=(0, cell, r)))`` bit for bit.
 
 Estimator failures (degenerate samples at tiny n, bracket failures) never
 abort a run; they are excluded from the metrics and counted per cell. So is
@@ -25,6 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 # sample, fit_method and simulate_weight_medians are the single-replication
 # steps of the lab, re-exported here next to their batched forms
@@ -145,10 +149,76 @@ class MetricTable:
     skipped: tuple[tuple[str, int, float, float, int], ...] = ()
 
 
-def _replication_rng(master_seed: int, cell: int, rep: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence(master_seed, spawn_key=(_SK_REPLICATION, cell, rep))
-    )
+# SeedSequence hashing constants (NEP 19): hashmix multipliers A (entropy into
+# the pool) and B (pool into state words), and the pool's mix multipliers
+_MASK32 = 0xFFFF_FFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_SHIFT = np.uint32(16)
+
+
+def _hash_consts(start: int, mult: int, count: int) -> np.ndarray:
+    """start, start*mult, ... (count + 1 constants, mod 2^32) as a uint32 column."""
+    consts = [start]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+# generate_state(4, uint64) hashes the pool words 0, 1, 2, 3, 0, 1, 2, 3 under these
+_STATE_CONSTS = _hash_consts(_INIT_B, _MULT_B, 8)
+
+
+def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of ``value`` under each successive constant, one row each."""
+    value = (value ^ consts[:-1]) * consts[1:]
+    return value ^ value >> _SHIFT
+
+
+def _word_count(x: int) -> int:
+    """How many uint32 entropy words SeedSequence makes of the integer x >= 0."""
+    return max(1, -(-int(x).bit_length() // 32))
+
+
+class _StateWords(ISeedSequence):
+    """Hands a bit generator the precomputed ``generate_state(4, uint64)`` words."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if (n_words, dtype) != (4, np.uint64):
+            raise ValueError(f"holds 4 uint64 state words, not {n_words} {dtype}")
+        return self.words
+
+
+def _block_rngs(master_seed: int, cell: int, reps: range) -> list[np.random.Generator]:
+    """The generators of replications ``reps`` of one cell, seeded as one block.
+
+    Row r equals ``default_rng(SeedSequence(master_seed, spawn_key=(0, cell, r)))``
+    bit for bit. A SeedSequence mixes its entropy words into a 4-word pool one
+    at a time, and the replication index is the last word. So the pool of the
+    shared (master seed, 0, cell) words comes from numpy, and only the index is
+    hashed in here, as uint32 arithmetic over the whole block (it wraps mod
+    2^32, as the hash does). Every shared word took 4 hashmix steps, which
+    fixes where the hash constant stands. numpy seeds each PCG64 from the
+    resulting state words.
+    """
+    if reps.stop > 1 << 32:
+        raise ValueError("a replication index must fit one 32-bit entropy word")
+    shared = np.random.SeedSequence(master_seed, spawn_key=(_SK_REPLICATION, cell))
+    # the shared words: the seed's, zero-padded to the pool size, then the spawn key's
+    shared_words = max(4, _word_count(master_seed)) + 1 + _word_count(cell)
+    start = _INIT_A * pow(_MULT_A, 4 * shared_words, 1 << 32) & _MASK32
+    index = np.arange(reps.start, reps.stop, dtype=np.uint32)
+    mixed = _hashmix(index, _hash_consts(start, _MULT_A, 4))
+    pool = shared.pool[:, None] * _MIX_L - mixed * _MIX_R
+    pool ^= pool >> _SHIFT
+    state32 = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_CONSTS).astype(np.uint64)
+    # PCG64 reads its 4 words from the row's memory, so every row must be contiguous
+    state = np.ascontiguousarray((state32[0::2] | state32[1::2] << np.uint64(32)).T)
+    return [np.random.Generator(np.random.PCG64(_StateWords(row))) for row in state]
 
 
 def _run_chunk(args) -> tuple[int, int, np.ndarray]:
@@ -163,7 +233,7 @@ def _run_chunk(args) -> tuple[int, int, np.ndarray]:
     block = max(1, _BLOCK_VALUES // n)
     for first in range(start, stop, block):
         reps = range(first, min(first + block, stop))
-        values, logs = draw_sorted(level, n, [_replication_rng(master_seed, cell, r) for r in reps])
+        values, logs = draw_sorted(level, n, _block_rngs(master_seed, cell, reps))
         # a draw that underflowed to 0 or overflowed fails its replication for every method
         ok = np.flatnonzero((values[:, 0] > 0.0) & np.isfinite(values[:, -1]))
         if ok.size < len(reps):

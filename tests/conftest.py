@@ -81,3 +81,12 @@ def dense_reference(design, instrument, v, y):
     """Explicit-inverse solve of (instrument' V^-1 design) b = instrument' V^-1 y."""
     vi = np.linalg.inv(v)
     return np.linalg.solve(instrument.T @ vi @ design, instrument.T @ vi @ y)
+
+
+# --- the per-replication seeding oracle ------------------------------------------------
+# The lab seeds a whole block of replications at once with its own SeedSequence
+# arithmetic; the simlab tests check every row against numpy's SeedSequence.
+
+def replication_rng(master_seed, cell, rep):
+    """The generator of replication ``rep`` of cell ``cell``, one SeedSequence per row."""
+    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(0, cell, rep)))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,8 +16,10 @@ from weibull_estlab import (
     sample,
     simulate_weight_medians,
 )
+from weibull_estlab import likelihood
 from weibull_estlab.core import cdf, pdf
 from weibull_estlab.likelihood import (
+    DEFAULT_WEIGHT_REPLICATIONS,
     WEIGHT_TABLE_HEADER,
     WeightStore,
     read_weight_table,
@@ -166,6 +169,50 @@ class TestWeightSimulation:
             simulate_weight_medians(0, 5000, np.random.default_rng(1))
         with pytest.raises(ValueError):
             simulate_weight_medians(5, 999, np.random.default_rng(1))
+
+
+def whole_block_weight_medians(n, replications, rng):
+    """The pivot simulation drawn in blocks of ~32 MB with whole-array
+    temporaries: the oracle for the buffered production version."""
+    w1 = np.empty(replications)
+    w2 = np.empty(replications)
+    chunk = max(1, (1 << 22) // n)
+    done = 0
+    while done < replications:
+        k = min(chunk, replications - done)
+        e = rng.standard_exponential((k, n))
+        log_e = np.log(e)
+        w1[done:done + k] = e.mean(axis=1)
+        w2[done:done + k] = (e * log_e).sum(axis=1) / e.sum(axis=1) - log_e.mean(axis=1)
+        done += k
+    return float(np.median(w1)), float(np.median(w2))
+
+
+class TestWeightSimulationOracle:
+    @pytest.mark.parametrize("n", [1, 2, 5, 7, 8, 9, 30, 48, 1000, 10000])
+    def test_bitwise_equal_to_whole_block_simulation(self, n):
+        reps = 2000 if n >= 1000 else DEFAULT_WEIGHT_REPLICATIONS
+        for seed in (11, 12):
+            pair = simulate_weight_medians(n, reps, np.random.default_rng(seed))
+            assert (pair.w1, pair.w2) == whole_block_weight_medians(
+                n, reps, np.random.default_rng(seed))
+
+    def test_independent_of_block_size(self, monkeypatch):
+        n, reps = 30, 10_000
+        default = simulate_weight_medians(n, reps, np.random.default_rng(5))
+        # 7 rows per block, which does not divide the replications
+        monkeypatch.setattr(likelihood, "_WEIGHT_BLOCK_VALUES", 7 * n + 3)
+        assert simulate_weight_medians(n, reps, np.random.default_rng(5)) == default
+
+    def test_traced_peak_memory(self):
+        rng = np.random.default_rng(6)
+        tracemalloc.start()
+        try:
+            simulate_weight_medians(30, 100_000, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestFitWMLE:

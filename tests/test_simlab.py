@@ -13,8 +13,12 @@ from weibull_estlab import (
     run_experiment,
     write_metric_csv,
 )
-from weibull_estlab.methods import register_method
+from weibull_estlab import simlab
+from weibull_estlab.core import draw_sorted
+from weibull_estlab.methods import FitOptions, register_method
 from weibull_estlab.simlab import CSV_HEADER, default_replications
+
+from conftest import replication_rng
 
 
 def tiny_config(**overrides):
@@ -136,6 +140,55 @@ class TestRunExperiment:
         assert len(table.rows) == 10
         for r in table.rows:
             assert abs(r.bias_alpha) < 0.02, (r.method, r.bias_alpha)
+
+
+class TestBlockSeeding:
+    """Rows seeded a block at a time equal one SeedSequence per replication."""
+
+    LEVEL = WeibullParams(2.0, 3.0)
+
+    def oracle_rows(self, master, cell, reps, n=3):
+        return draw_sorted(self.LEVEL, n, [replication_rng(master, cell, r) for r in reps])[0]
+
+    def block_rows(self, master, cell, reps):
+        return draw_sorted(self.LEVEL, 3, simlab._block_rngs(master, cell, reps))[0]
+
+    @pytest.mark.parametrize("master", [0, 1, 1729, 2**32 - 1, 2**32, 2**64 + 5, 172900017])
+    def test_rows_equal_per_replication_seeding(self, master):
+        for cell in (0, 11):
+            expected = self.oracle_rows(master, cell, range(300))
+            for block in (1, 255, 256, 257):
+                rows = np.concatenate([
+                    self.block_rows(master, cell, range(first, min(first + block, 300)))
+                    for first in range(0, 300, block)])
+                assert np.array_equal(rows, expected), (cell, block)
+            last = range(2**32 - 1, 2**32)
+            assert np.array_equal(self.block_rows(master, cell, last),
+                                  self.oracle_rows(master, cell, last))
+
+    def test_index_beyond_one_entropy_word_rejected(self):
+        with pytest.raises(ValueError):
+            simlab._block_rngs(1, 0, range(2**32 - 1, 2**32 + 1))
+
+    def test_negative_master_seed_rejected(self):
+        with pytest.raises(ValueError):
+            simlab._block_rngs(-1, 0, range(3))
+
+    def test_chunk_split_into_row_blocks(self, monkeypatch):
+        # at n = 4000 a chunk is drawn in row blocks of _BLOCK_VALUES // n = 32 rows
+        drawn = []
+
+        def recording_draw(level, n, rngs):
+            values, logs = draw_sorted(level, n, rngs)
+            drawn.append(values)
+            return values, logs
+
+        monkeypatch.setattr(simlab, "draw_sorted", recording_draw)
+        n, master, cell = 4000, 1729, 5
+        simlab._run_chunk((cell, n, self.LEVEL.shape, self.LEVEL.scale, ("LM",), FitOptions(),
+                           None, master, 0, 40))
+        assert [v.shape[0] for v in drawn] == [32, 8]
+        assert np.array_equal(np.concatenate(drawn), self.oracle_rows(master, cell, range(40), n))
 
 
 class TestRankMethods:
