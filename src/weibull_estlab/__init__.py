@@ -11,13 +11,11 @@ __version__ = "0.1.0"
 
 from .classical import (
     LMomentSummary,
-    LogMomentSummary,
     PercentileConfig,
     fit_lm,
     fit_mlm,
     fit_mm,
     fit_pm,
-    log_moments,
     sample_lmoments,
 )
 from .core import (
@@ -85,7 +83,7 @@ __all__ = [
     "BracketError", "SingularSystemError",
     # estimators
     "kernel_h1", "kernel_h2", "UStatEstimate", "estimate_u", "fit_ustat",
-    "sample_lmoments", "log_moments", "LMomentSummary", "LogMomentSummary",
+    "sample_lmoments", "LMomentSummary",
     "PercentileConfig", "fit_lm", "fit_mlm", "fit_pm", "fit_mm",
     "profile_score", "fit_mle", "fit_wmle", "WeightPair", "WeightStore",
     "simulate_weight_medians",

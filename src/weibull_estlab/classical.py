@@ -25,11 +25,9 @@ from .roots import solve_rows
 
 __all__ = [
     "LMomentSummary",
-    "LogMomentSummary",
     "PercentileConfig",
     "QUANTILE_RULES",
     "sample_lmoments",
-    "log_moments",
     "fit_lm",
     "fit_mlm",
     "fit_pm",
@@ -52,14 +50,6 @@ class LMomentSummary:
 
     m1: float
     m2: float
-
-
-@dataclass(frozen=True)
-class LogMomentSummary:
-    """Mean and (n-1)-divisor variance of the log-transformed data."""
-
-    mean_log: float
-    var_log: float
 
 
 @dataclass(frozen=True)
@@ -96,13 +86,6 @@ def sample_lmoments(s: SortedSample) -> LMomentSummary:
     """
     m1, m2 = _lmoment_rows(s.values[None, :])
     return LMomentSummary(m1=float(m1[0]), m2=float(m2[0]))
-
-
-def log_moments(s: SortedSample) -> LogMomentSummary:
-    return LogMomentSummary(
-        mean_log=float(s.logs.mean()),
-        var_log=float(s.logs.var(ddof=1)),
-    )
 
 
 def fit_lm_batch(values: np.ndarray, logs: np.ndarray) -> BatchFit:

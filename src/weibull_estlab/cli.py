@@ -82,6 +82,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _seed(text: str) -> int:
+    """Type of the --seed options: numpy seeds only from non-negative integers."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+    return seed
+
+
 @functools.cache  # parse_args leaves the parser unchanged, so one serves every call
 def _build_parser() -> _Parser:
     parser = _Parser(prog="weibull-estlab", description=__doc__)
@@ -94,7 +105,7 @@ def _build_parser() -> _Parser:
     fit.add_argument("--methods", default="all",
                      help="comma-separated subset of " + ",".join(METHOD_NAMES) + " or 'all'")
     fit.add_argument("--out", type=Path, default=None, help="write a machine-readable report")
-    fit.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    fit.add_argument("--seed", type=_seed, default=DEFAULT_SEED,
                      help="seed for the weight simulation (WMLE)")
     fit.add_argument("--rule", choices=PLOTTING_RULES, default=DEFAULT_RULE,
                      help="plotting-position rule for the regression fits")
@@ -115,7 +126,7 @@ def _build_parser() -> _Parser:
     sim.add_argument("--preset", choices=sorted(PRESETS), default=None)
     # flags override the config file only when given explicitly
     sim.add_argument("--reps", type=int, default=None, help="override replication count")
-    sim.add_argument("--seed", type=int, default=None, help=f"master seed (default {DEFAULT_SEED})")
+    sim.add_argument("--seed", type=_seed, default=None, help=f"master seed (default {DEFAULT_SEED})")
     sim.add_argument("--workers", type=int, default=None)
     sim.add_argument("--rule", choices=PLOTTING_RULES, default=None)
     sim.add_argument("--out-dir", type=Path, default=Path("simlab-out"))
@@ -123,7 +134,7 @@ def _build_parser() -> _Parser:
     weights = sub.add_parser("weights", help="precompute WMLE weight medians")
     weights.add_argument("--n", required=True, help="comma-separated sample sizes (each >= 2)")
     weights.add_argument("--reps", type=int, default=DEFAULT_WEIGHT_REPLICATIONS)
-    weights.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    weights.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     weights.add_argument("--out", type=Path, default=None,
                          help="weight-table path (default: env override or user cache)")
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import digamma
-from scipy.special import gamma as scipy_gamma
 from scipy.special import gammaln, polygamma
 
 from .errors import DataError, EstimationError
@@ -44,7 +43,6 @@ __all__ = [
     "sample",
     "draw_sorted",
     "raw_moment",
-    "gamma_fn",
 ]
 
 LOG_TWO = math.log(2.0)
@@ -276,7 +274,12 @@ def draw_sorted(p: WeibullParams, n: int, rngs) -> tuple[np.ndarray, np.ndarray]
             zero = row == 0.0
             row[zero] = rng.random(int(zero.sum()))
     with np.errstate(over="ignore", under="ignore"):
-        x = p.scale * (-np.log1p(-u)) ** (1.0 / p.shape)
+        # x = scale * (-log1p(-u))^(1/shape), in place: no n-sized temporaries
+        x = np.negative(u, out=u)
+        np.log1p(x, out=x)
+        np.negative(x, out=x)
+        x **= 1.0 / p.shape
+        x *= p.scale
     x.sort(axis=1)
     with np.errstate(divide="ignore"):
         logs = np.log(x)
@@ -292,20 +295,6 @@ def sample(p: WeibullParams, n: int, rng: np.random.Generator) -> SortedSample:
     """
     values, _ = draw_sorted(p, n, [rng])
     return SortedSample.from_data(values[0])
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma function on (0, ~171.6); raises OverflowError past the double range.
-
-    Backed by the dedicated rational approximation rather than exp(lgamma):
-    the exponential amplifies lgamma's absolute rounding error beyond 1e-13
-    relative near the top of the range.
-    """
-    if x <= 0.0:
-        raise ValueError(f"gamma_fn requires x > 0, got {x}")
-    if x > _GAMMA_OVERFLOW_ARG:
-        raise OverflowError(f"gamma({x}) exceeds the double-precision range")
-    return float(scipy_gamma(x))
 
 
 def raw_moment(p: WeibullParams, r: int) -> float:

@@ -35,8 +35,8 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .core import BatchFit, EstimateResult, SortedSample, fail_rows, fit_one, open_rows, row_var
-from .errors import BracketError, DegenerateSampleError, EstimationError
-from .roots import BRACKET_FACTOR, MAX_EXPANSIONS, brent_row, solve_rows
+from .errors import DegenerateSampleError, EstimationError
+from .roots import no_sign_change, solve_rows
 
 __all__ = [
     "WeightPair",
@@ -105,19 +105,14 @@ def profile_score(s: SortedSample, alpha: float) -> float:
 
 
 def _minimize_row(f, lo: float, hi: float):
-    """WMLE's fallback: Brent on the bracket, else the squared score minimized."""
-    try:
-        return brent_row(f, lo, hi)
-    except BracketError:
-        widen = BRACKET_FACTOR ** MAX_EXPANSIONS
-        span = (lo / widen, hi * widen)
-        opt = minimize_scalar(lambda a: f(a) ** 2, bounds=span, method="bounded",
-                              options={"xatol": 1e-10})
-        if not opt.success:
-            raise EstimationError(f"weighted-likelihood minimization failed: {opt.message}")
-        shape = float(opt.x)
-        return shape, int(opt.nfev), float(f(shape)), span, (
-            "no sign change; squared objective minimized over the expanded bracket",)
+    """WMLE's ``no_root`` hook: the squared score minimized over the searched bracket."""
+    opt = minimize_scalar(lambda a: f(a) ** 2, bounds=(lo, hi), method="bounded",
+                          options={"xatol": 1e-10})
+    if not opt.success:
+        raise EstimationError(f"weighted-likelihood minimization failed: {opt.message}")
+    shape = float(opt.x)
+    return shape, int(opt.nfev), float(f(shape)), (
+        "no sign change; squared objective minimized over the expanded bracket",)
 
 
 def _likelihood_batch(method: str, logs: np.ndarray, w1: float, w2: float) -> BatchFit:
@@ -134,10 +129,12 @@ def _likelihood_batch(method: str, logs: np.ndarray, w1: float, w2: float) -> Ba
     seed = np.sqrt(math.pi ** 2 / (6.0 * var_log[rows]))
 
     def score(alpha, rows):
+        if rows.size == logs.shape[0]:  # every row, in order: score them without a copy
+            return _score_rows(dd, mean_d, alpha, w2)
         return _score_rows(dd[:, rows], mean_d[rows], alpha, w2)
 
     roots = solve_rows(score, rows, _BRACKET_SEED[0] * seed, _BRACKET_SEED[1] * seed, seed,
-                       errors, fallback=_minimize_row if method == "WMLE" else brent_row)
+                       errors, no_root=_minimize_row if method == "WMLE" else no_sign_change)
     shape = np.full(logs.shape[0], np.nan)
     shape[rows] = roots.x
     with np.errstate(invalid="ignore", over="ignore", under="ignore"):

@@ -2,8 +2,7 @@
 
 Every method is registered as a batch function that fits the rows of R x n
 matrices of sorted values and logs at once; a single fit is the batch of
-one. Methods added with :func:`register_method` are single-sample
-estimators and run row by row.
+one.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import numpy as np
 
 from .classical import PercentileConfig, fit_lm_batch, fit_mlm_batch, fit_mm_batch, fit_pm_batch
 from .core import BatchFit, EstimateResult, SortedSample
-from .errors import EstimationError
 from .likelihood import WeightPair, fit_mle_batch, fit_wmle_batch
 from .regression import (
     DEFAULT_RULE,
@@ -26,7 +24,7 @@ from .regression import (
 )
 from .ustat import fit_ustat_batch
 
-__all__ = ["METHOD_NAMES", "FitOptions", "fit_method", "fit_batch", "register_method"]
+__all__ = ["METHOD_NAMES", "FitOptions", "fit_method", "fit_batch"]
 
 METHOD_NAMES = ("USTAT", "MLE", "WMLE", "GLS1", "GLS2", "WLS", "LM", "MLM", "PM", "MM")
 
@@ -39,7 +37,6 @@ class FitOptions:
     percentile: PercentileConfig = field(default_factory=PercentileConfig)
 
 
-FitFunction = Callable[[SortedSample, FitOptions, WeightPair | None], EstimateResult]
 BatchFunction = Callable[[np.ndarray, np.ndarray, FitOptions, WeightPair | None], BatchFit]
 
 
@@ -69,30 +66,6 @@ _REGISTRY: dict[str, BatchFunction] = {
 
 def known_methods() -> tuple[str, ...]:
     return tuple(_REGISTRY)
-
-
-def _row_by_row(name: str, fn: FitFunction) -> BatchFunction:
-    """A batch function that applies a single-sample estimator to each row."""
-    def fit_rows(values, logs, options, weights) -> BatchFit:
-        shape = np.full(values.shape[0], np.nan)
-        scale = np.full(values.shape[0], np.nan)
-        errors: dict[int, EstimationError] = {}
-        for r in range(values.shape[0]):
-            try:
-                fit = fn(SortedSample(values=values[r], logs=logs[r], n=values.shape[1]),
-                         options, weights)
-            except EstimationError as exc:
-                errors[r] = exc
-                continue
-            shape[r], scale[r] = fit.shape, fit.scale
-        return BatchFit.build(name, shape, scale, errors)
-    return fit_rows
-
-
-def register_method(name: str, fn: FitFunction) -> None:
-    """Add a custom single-sample estimator to the dispatch table (used by tests);
-    the lab runs it row by row."""
-    _REGISTRY[name] = _row_by_row(name, fn)
 
 
 def _lookup(name: str) -> BatchFunction:

@@ -1,9 +1,11 @@
-"""Bracketed root finding with geometric bracket expansion.
+"""Bracketed root finding for a batch of scalar equations, one root per row.
 
-:func:`solve_rows` finds one root per row of a batch at once by safeguarded
-Newton iteration; :func:`solve_bracketed` is the scalar Brent solver it falls
-back to for a row whose bracket holds no sign change or whose iteration does
-not settle.
+:func:`solve_rows` is the one place that widens a seed bracket and tests it
+for a sign change. It iterates safeguarded Newton on all rows at once; a row
+whose iteration does not settle goes to Brent's method on the bracket it
+already holds, and a row whose widened bracket holds no sign change goes to a
+``no_root`` hook on that same bracket (by default :func:`no_sign_change`,
+which raises a BracketError naming it).
 """
 
 from __future__ import annotations
@@ -17,11 +19,10 @@ from scipy.optimize import brentq
 
 from .errors import BracketError, EstimationError
 
-__all__ = ["RootDiagnostics", "RowRoots", "expand_bracket", "solve_bracketed", "solve_rows",
-           "brent_row"]
+__all__ = ["RowRoots", "no_sign_change", "solve_rows"]
 
 # a bracket without a sign change is widened by this factor at both ends, at
-# most this many times, before the solvers give up on it
+# most this many times, before the solver gives up on it
 BRACKET_FACTOR = 10.0
 MAX_EXPANSIONS = 3
 MAX_NEWTON_STEPS = 60
@@ -30,66 +31,13 @@ MAX_NEWTON_STEPS = 60
 NEWTON_RTOL = 1e-8
 
 
-@dataclass(frozen=True)
-class RootDiagnostics:
-    iterations: int
-    bracket: tuple[float, float]
-    residual: float
-
-
-def _sign_change(flo, fhi):
-    """f changes sign (or vanishes) across the bracket; NaN never counts."""
-    return ((flo == 0.0) | (fhi == 0.0) | ((flo < 0.0) & (fhi > 0.0))
-            | ((flo > 0.0) & (fhi < 0.0)))
-
-
-def expand_bracket(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-) -> tuple[float, float, float, float]:
-    """Grow [lo, hi] geometrically until f changes sign across it.
-
-    Returns (lo, hi, f(lo), f(hi)). Raises BracketError after
-    ``MAX_EXPANSIONS`` symmetric expansions by ``BRACKET_FACTOR`` without a
-    sign change.
-    """
-    flo, fhi = f(lo), f(hi)
-    for _ in range(MAX_EXPANSIONS + 1):
-        if _sign_change(flo, fhi):
-            return lo, hi, flo, fhi
-        lo /= BRACKET_FACTOR
-        hi *= BRACKET_FACTOR
-        flo, fhi = f(lo), f(hi)
+def no_sign_change(f: Callable[[float], float], lo: float, hi: float):
+    """The default ``no_root`` hook of :func:`solve_rows`: raise a BracketError
+    naming the searched bracket and the function values at its ends."""
     raise BracketError(
         f"no sign change in [{lo}, {hi}] after {MAX_EXPANSIONS} expansions "
-        f"(f(lo)={flo:.6g}, f(hi)={fhi:.6g})"
+        f"(f(lo)={f(lo):.6g}, f(hi)={f(hi):.6g})"
     )
-
-
-def solve_bracketed(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    xtol: float = 1e-10,
-) -> tuple[float, RootDiagnostics]:
-    """Find a root of f inside the (expanded) bracket via Brent's method."""
-    lo, hi, flo, fhi = expand_bracket(f, lo, hi)
-    if flo == 0.0:
-        return lo, RootDiagnostics(0, (lo, hi), 0.0)
-    if fhi == 0.0:
-        return hi, RootDiagnostics(0, (lo, hi), 0.0)
-    root, info = brentq(f, lo, hi, xtol=xtol, full_output=True)
-    return float(root), RootDiagnostics(int(info.iterations), (lo, hi), float(f(root)))
-
-
-def brent_row(f: Callable[[float], float], lo: float, hi: float):
-    """The scalar fallback of :func:`solve_rows`: Brent on the expanded bracket.
-
-    Returns (root, iterations, residual, bracket, notes).
-    """
-    root, diag = solve_bracketed(f, lo, hi, xtol=1e-10)
-    return root, diag.iterations, diag.residual, diag.bracket, ()
 
 
 @dataclass(frozen=True)
@@ -138,25 +86,29 @@ def solve_rows(
     hi: np.ndarray,
     start: np.ndarray,
     errors: dict[int, EstimationError],
-    fallback=brent_row,
+    no_root=no_sign_change,
 ) -> RowRoots:
     """One root per row of decreasing functions by safeguarded Newton.
 
     ``score(x, rows)`` returns f and f' of the given batch rows at ``x``; f
     is decreasing in x. ``lo``/``hi``/``start`` (positive, aligned with
     ``rows``) are the seed brackets and starting points. A bracket without a
-    sign change is widened as :func:`expand_bracket` does. Each Newton step
-    that leaves the current bracket is replaced by its geometric midpoint,
-    the bracket shrinks around every iterate, and a row stops once its step is below ``NEWTON_RTOL``
-    relative, so its iterates depend only on that row. A row that finds no
-    sign change or does not settle within ``MAX_NEWTON_STEPS`` goes to
-    ``fallback(f, lo, hi)`` on its seed bracket, by default
-    :func:`brent_row`; an EstimationError it raises is recorded in
-    ``errors`` under the batch row.
+    sign change (f(lo) >= 0 >= f(hi)) is widened by ``BRACKET_FACTOR`` at
+    both ends, at most ``MAX_EXPANSIONS`` times; this is the only widening.
+    Each Newton step that leaves the current bracket is replaced by its
+    geometric midpoint, the bracket shrinks around every iterate, and a row
+    stops once its step is below ``NEWTON_RTOL`` relative, so its iterates
+    depend only on that row.
+
+    Two kinds of row leave the iteration and are marked ``fallback``. A row
+    with a sign change that does not settle within ``MAX_NEWTON_STEPS`` is
+    solved by Brent's method on its widened bracket. A row whose widened
+    bracket still holds no sign change goes to ``no_root(f, lo, hi)`` on that
+    bracket, which returns (root, iterations, residual, notes) or raises; an
+    EstimationError it raises is recorded in ``errors`` under the batch row.
     """
     k = rows.size
-    lo0, hi0 = lo, hi
-    lo, hi = lo.copy(), hi.copy()  # widened, then overwritten by fallback brackets
+    lo, hi = lo.copy(), hi.copy()  # widened where a row needs it
     x = np.full(k, np.nan)
     iterations = np.zeros(k, dtype=int)
     residual = np.zeros(k)
@@ -168,9 +120,9 @@ def solve_rows(
     with np.errstate(all="ignore"):
         outside = ~((start > lo) & (start < hi))
         xa = np.where(outside, np.sqrt(lo * hi), start) if np.count_nonzero(outside) else start
-        # one call for both bracket ends and the first iterate
-        f, df = score(np.concatenate([lo, hi, xa]), np.concatenate([rows, rows, rows]))
-        flo, fhi, f, df = f[:k], f[k:2 * k], f[2 * k:], df[2 * k:]
+        # whole-row-set calls, which a scorer can serve without gathering its rows
+        flo, fhi = score(lo, rows)[0], score(hi, rows)[0]
+        f, df = score(xa, rows)
         pending = ~((flo >= 0.0) & (fhi <= 0.0))
         if np.count_nonzero(pending):
             pending = pending.nonzero()[0]
@@ -213,22 +165,24 @@ def solve_rows(
             if np.count_nonzero(outside):
                 xa = np.where(outside, np.sqrt(la * ha), newton)
             f, df = score(xa, rows[active])
-        iterations[active] = MAX_NEWTON_STEPS
 
-    for i in np.concatenate([pending, active]):
-        row = int(rows[i])
+    def row_function(i):
+        row = rows[i:i + 1]
+        return lambda a: float(score(np.array([a]), row)[0][0])
 
-        def f_row(a: float, row=row) -> float:
-            return float(score(np.array([a]), np.array([row]))[0][0])
-
-        used_fallback[i] = True
+    used_fallback[pending] = used_fallback[active] = True
+    for i in pending:  # no sign change in the widened bracket
         try:
-            x[i], iterations[i], residual[i], (lo[i], hi[i]), row_notes = \
-                fallback(f_row, float(lo0[i]), float(hi0[i]))
+            x[i], iterations[i], residual[i], row_notes = \
+                no_root(row_function(i), float(lo[i]), float(hi[i]))
         except EstimationError as exc:
-            errors.setdefault(row, exc)
+            errors.setdefault(int(rows[i]), exc)
             x[i] = math.nan
             continue
         if row_notes:
-            notes[row] = row_notes
+            notes[int(rows[i])] = row_notes
+    for i in active:  # a sign change, but Newton did not settle
+        f_row = row_function(i)
+        root, info = brentq(f_row, float(lo[i]), float(hi[i]), xtol=1e-10, full_output=True)
+        x[i], iterations[i], residual[i] = root, info.iterations, f_row(root)
     return RowRoots(rows, x, iterations, residual, lo, hi, used_fallback, notes)

@@ -7,12 +7,13 @@ every requested method on that same sample (common random numbers), so the
 output is bit-identical for any worker count: per-replication estimates are
 materialized into arrays indexed by replication and reduced in fixed order.
 
-The unit of work is a chunk of replications of one cell. Its samples are
-drawn (each from its own substream) into one matrix, and every method fits
-all of its rows in one batch call; a row's estimate never depends on the
-other rows of its chunk. The substreams of a block of rows are seeded
-together (the SeedSequence hash of every replication index in one array
-pass), yet row r equals
+The unit of work is a chunk of replications of one cell: one row block of
+at most ``_CHUNK`` rows and about ``_BLOCK_VALUES`` values, a split that
+never depends on the worker count. Its samples are drawn (each from its own
+substream) into one matrix, and every method fits all of its rows in one
+batch call; a row's estimate never depends on the other rows of its chunk.
+The substreams of a chunk's rows are seeded together (the SeedSequence hash
+of every replication index in one array pass), yet row r equals
 ``default_rng(SeedSequence(master_seed, spawn_key=(0, cell, r)))`` bit for bit.
 
 Estimator failures (degenerate samples at tiny n, bracket failures) never
@@ -65,8 +66,8 @@ DEFAULT_SEED = 1729
 # the WMLE weight simulation, see likelihood.seeded_weight_medians)
 _SK_REPLICATION = 0
 
-_CHUNK = 256  # replications per worker task; fixed so chunking never depends on workers
-_BLOCK_VALUES = 1 << 17  # a chunk at large n is drawn and fitted in row blocks of this size
+_CHUNK = 256  # replications per chunk at most
+_BLOCK_VALUES = 1 << 17  # and values per chunk at most (or one row), to keep temporaries small
 
 
 def default_replications(n: int) -> int:
@@ -110,6 +111,8 @@ class SimulationConfig:
             raise ValueError(f"replications must be >= 100, got {self.replications}")
         if self.metric not in METRICS:
             raise ValueError(f"metric must be one of {METRICS}, got {self.metric!r}")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be a non-negative integer, got {self.master_seed}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.weight_replications < 1000:
@@ -221,6 +224,12 @@ def _block_rngs(master_seed: int, cell: int, reps: range) -> list[np.random.Gene
     return [np.random.Generator(np.random.PCG64(_StateWords(row))) for row in state]
 
 
+def _chunks(n: int, reps: int) -> list[range]:
+    """The replication ranges of a cell's chunks, one row block each."""
+    size = min(_CHUNK, max(1, _BLOCK_VALUES // n))
+    return [range(start, min(start + size, reps)) for start in range(0, reps, size)]
+
+
 def _run_chunk(args) -> tuple[int, int, np.ndarray]:
     """Fit all methods on replications [start, stop) of one cell.
 
@@ -228,21 +237,17 @@ def _run_chunk(args) -> tuple[int, int, np.ndarray]:
     NaN rows marking failures.
     """
     (cell, n, shape, scale, methods, options, weights, master_seed, start, stop) = args
-    level = WeibullParams(shape, scale)
+    values, logs = draw_sorted(WeibullParams(shape, scale), n,
+                               _block_rngs(master_seed, cell, range(start, stop)))
     est = np.full((stop - start, len(methods), 2), np.nan)
-    block = max(1, _BLOCK_VALUES // n)
-    for first in range(start, stop, block):
-        reps = range(first, min(first + block, stop))
-        values, logs = draw_sorted(level, n, _block_rngs(master_seed, cell, reps))
-        # a draw that underflowed to 0 or overflowed fails its replication for every method
-        ok = np.flatnonzero((values[:, 0] > 0.0) & np.isfinite(values[:, -1]))
-        if ok.size < len(reps):
-            values, logs = values[ok], logs[ok]
-        rows = ok + (first - start)
-        for m, name in enumerate(methods):
-            fit = fit_batch(name, values, logs, options, weights)
-            est[rows, m, 0] = fit.shape
-            est[rows, m, 1] = fit.scale
+    # a draw that underflowed to 0 or overflowed fails its replication for every method
+    ok = np.flatnonzero((values[:, 0] > 0.0) & np.isfinite(values[:, -1]))
+    if ok.size < stop - start:
+        values, logs = values[ok], logs[ok]
+    for m, name in enumerate(methods):
+        fit = fit_batch(name, values, logs, options, weights)
+        est[ok, m, 0] = fit.shape
+        est[ok, m, 1] = fit.scale
     return cell, start, est
 
 
@@ -262,10 +267,9 @@ def run_experiment(cfg: SimulationConfig) -> MetricTable:
     for cell, n, level in cells:
         reps = cfg.replications or default_replications(n)
         estimates[cell] = np.empty((reps, len(cfg.methods), 2))
-        for start in range(0, reps, _CHUNK):
-            stop = min(start + _CHUNK, reps)
+        for chunk in _chunks(n, reps):
             tasks.append((cell, n, level.shape, level.scale, cfg.methods, cfg.options,
-                          weights_by_n.get(n), cfg.master_seed, start, stop))
+                          weights_by_n.get(n), cfg.master_seed, chunk.start, chunk.stop))
 
     if cfg.workers == 1:
         results = map(_run_chunk, tasks)

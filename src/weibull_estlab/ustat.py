@@ -120,38 +120,17 @@ def pair_means_naive(s: SortedSample) -> tuple[float, float]:
     return sum_h1 / npairs, sum_h2 / npairs
 
 
-def estimate_u(s: SortedSample, path: str = "sorted") -> UStatEstimate:
-    """Estimate both parameters from the pairwise kernel averages.
+def estimate_u(s: SortedSample) -> UStatEstimate:
+    """Both kernel averages and the plug-in estimates on one sample.
 
-    Parameters
-    ----------
-    s : SortedSample
-    path : {"sorted", "naive"}
-        "sorted" is the O(n log n) production path; "naive" the O(n^2)
-        double loop. Both agree to floating rounding.
-
-    Raises
-    ------
-    DegenerateSampleError
-        If all observations are equal (u_alpha = 0, so 1/u_alpha is
-        undefined).
+    The estimates are USTAT's batch of one, so its checks apply: a sample
+    whose observations are all equal (u_alpha = 0, so 1/u_alpha is
+    undefined) raises DegenerateSampleError.
     """
-    if s.logs[0] == s.logs[-1]:
-        raise DegenerateSampleError("all observations equal; pairwise kernel average is zero")
-    if path == "sorted":
-        u_alpha, u_logbeta = pair_means_sorted(s)
-    elif path == "naive":
-        u_alpha, u_logbeta = pair_means_naive(s)
-    else:
-        raise ValueError(f"unknown path {path!r}")
-    if u_alpha <= 0.0:
-        raise DegenerateSampleError(f"nonpositive kernel average {u_alpha!r}")
-    return UStatEstimate(
-        u_alpha=u_alpha,
-        u_logbeta=u_logbeta,
-        alpha_hat=1.0 / u_alpha,
-        beta_hat=math.exp(u_logbeta),
-    )
+    fit = fit_ustat(s)
+    u_alpha, u_logbeta = pair_means_sorted(s)
+    return UStatEstimate(u_alpha=u_alpha, u_logbeta=u_logbeta,
+                         alpha_hat=fit.shape, beta_hat=fit.scale)
 
 
 def fit_ustat_batch(values: np.ndarray, logs: np.ndarray) -> BatchFit:

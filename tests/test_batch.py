@@ -18,6 +18,7 @@ from scipy.optimize import brentq
 from scipy.special import gamma, gammaln
 
 from weibull_estlab import (
+    BracketError,
     EstimationError,
     SortedSample,
     WeibullParams,
@@ -25,7 +26,7 @@ from weibull_estlab import (
     fit_method,
     simulate_weight_medians,
 )
-from weibull_estlab import roots
+from weibull_estlab import likelihood, roots
 from weibull_estlab.core import LOG_TWO, PSI_ONE, draw_sorted
 from weibull_estlab.methods import METHOD_NAMES, fit_batch
 from weibull_estlab.regression import (
@@ -282,6 +283,27 @@ def test_forced_fallback_matches_newton(name, monkeypatch):
     np.testing.assert_allclose(brent.shape, newton.shape, rtol=1e-9)
     np.testing.assert_allclose(brent.scale, newton.scale, rtol=1e-9)
     assert not np.any(newton.fallback)
+    # Brent runs on the bracket the Newton rows were widened to, not a copy of its own
+    for ends_brent, ends_newton in zip(brent.bracket, newton.bracket):
+        np.testing.assert_array_equal(ends_brent[brent.fallback], ends_newton[brent.fallback])
+
+
+def test_bracket_error_names_the_searched_bracket(monkeypatch):
+    # MM on a near-constant sample: the seed bracket [0.05, 100] widened three times
+    with pytest.raises(BracketError, match=r"no sign change in \[5e-05, 100000\.0\] after 3 "):
+        fit_method("MM", SortedSample.from_data([1.0] * 5 + [1.0 + 1e-13]))
+    # an MLE row whose score stays positive: the seed bracket [0.2, 5] x seed, widened
+    # three times, with seed the log-moment shape
+    monkeypatch.setattr(likelihood, "_score_rows",
+                        lambda dd, mean_d, alpha, w2: (1.0 / alpha, -1.0 / alpha ** 2))
+    values, logs = _drawn(2.0, 5.0, 10, 1, 4)
+    batch = fit_batch("MLE", values, logs)
+    lo, hi = batch.bracket[0][0], batch.bracket[1][0]
+    seed = math.sqrt(math.pi ** 2 / (6.0 * np.var(logs[0], ddof=1)))
+    assert lo == pytest.approx(0.2 * seed / 1000, rel=1e-12)
+    assert hi == pytest.approx(5.0 * seed * 1000, rel=1e-12)
+    assert isinstance(batch.errors[0], BracketError) and batch.fallback[0]
+    assert f"no sign change in [{lo}, {hi}] after 3 expansions" in str(batch.errors[0])
 
 
 def test_wmle_without_sign_change_minimizes_the_squared_score():

@@ -17,7 +17,6 @@ from weibull_estlab import (
     sample,
     sample_lmoments,
 )
-from weibull_estlab.classical import log_moments
 
 from conftest import random_positive_sample
 
@@ -173,10 +172,3 @@ class TestScaleEquivariance:
             tol = 1e-8 if fitter is fit_mm else 1e-12
             assert scaled.shape == pytest.approx(base.shape, rel=tol)
             assert scaled.scale == pytest.approx(c * base.scale, rel=tol)
-
-
-class TestLogMoments:
-    def test_matches_numpy(self, lifetime_sample):
-        mom = log_moments(lifetime_sample)
-        assert mom.mean_log == pytest.approx(float(np.mean(np.log(lifetime_sample.values))), rel=1e-15)
-        assert mom.var_log == pytest.approx(float(np.var(np.log(lifetime_sample.values), ddof=1)), rel=1e-12)

@@ -210,6 +210,31 @@ class TestSimulateCommand:
             assert preset["param_levels"] == ((0.5, 0.5), (0.5, 2.5), (2.5, 0.5), (2.5, 2.5))
 
 
+class TestSeedValidation:
+    """numpy seeds only from non-negative integers; a negative seed is a usage error."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--preset", "table1", "--reps", "100", "--seed", "-1"],
+        ["fit", "--methods", "WMLE", "--seed", "-1"],
+        ["weights", "--n", "5", "--reps", "2000", "--seed", "-1"],
+    ], ids=["simulate", "fit", "weights"])
+    def test_negative_seed_exits_64(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("WEIBULL_ESTLAB_WEIGHTS", str(tmp_path / "w.txt"))
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(argv) == EXIT_USAGE
+        assert "non-negative integer" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_negative_master_seed_in_config_exits_64(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"methods": ["WMLE"], "sample_sizes": [10],
+                                   "param_levels": [[2, 3]], "master_seed": -1}))
+        out_dir = tmp_path / "out"
+        assert run_cli(["simulate", "--config", str(cfg), "--out-dir", str(out_dir)]) == EXIT_USAGE
+        assert "non-negative integer" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+
 class TestWeightsCommand:
     def test_writes_records(self, tmp_path, capsys):
         out = tmp_path / "w.txt"

@@ -14,7 +14,7 @@ from weibull_estlab import (
     raw_moment,
     sample,
 )
-from weibull_estlab.core import LOG_TWO, PSI_ONE, TRIGAMMA_ONE, gamma_fn
+from weibull_estlab.core import LOG_TWO, PSI_ONE, TRIGAMMA_ONE
 
 
 class TestWeibullParams:
@@ -158,20 +158,6 @@ class TestRawMoment:
     def test_rejects_zero_order(self):
         with pytest.raises(ValueError):
             raw_moment(WeibullParams(1, 1), 0)
-
-
-class TestGammaFn:
-    def test_matches_mpmath_within_1e13(self):
-        mpmath = pytest.importorskip("mpmath")
-        mpmath.mp.dps = 40
-        xs = np.concatenate([np.linspace(0.05, 5, 120), np.linspace(5, 169, 120)])
-        for x in xs:
-            exact = float(mpmath.gamma(float(x)))
-            assert gamma_fn(float(x)) == pytest.approx(exact, rel=1e-13)
-
-    def test_overflow(self):
-        with pytest.raises(OverflowError):
-            gamma_fn(172.0)
 
 
 class TestSortedSample:

@@ -13,9 +13,9 @@ from weibull_estlab import (
     run_experiment,
     write_metric_csv,
 )
-from weibull_estlab import simlab
-from weibull_estlab.core import draw_sorted
-from weibull_estlab.methods import FitOptions, register_method
+from weibull_estlab import methods, simlab
+from weibull_estlab.core import BatchFit, draw_sorted
+from weibull_estlab.methods import FitOptions
 from weibull_estlab.simlab import CSV_HEADER, default_replications
 
 from conftest import replication_rng
@@ -53,6 +53,10 @@ class TestConfigValidation:
     def test_bad_metric_rejected(self):
         with pytest.raises(ValueError):
             tiny_config(metric="MAE")
+
+    def test_negative_master_seed_rejected(self):
+        with pytest.raises(ValueError, match="master_seed"):
+            tiny_config(master_seed=-1)
 
     def test_zero_workers_rejected(self):
         with pytest.raises(ValueError):
@@ -96,11 +100,13 @@ class TestRunExperiment:
             se = r_short.rmse_alpha / np.sqrt(300)
             assert abs(r_short.bias_alpha - r_long.bias_alpha) < 3 * se
 
-    def test_failure_accounting(self):
-        def always_fails(s, options, weights):
-            raise EstimationError("injected")
+    def test_failure_accounting(self, monkeypatch):
+        def all_rows_fail(values, logs, options, weights):
+            nan = np.full(values.shape[0], np.nan)
+            errors = {r: EstimationError("injected") for r in range(values.shape[0])}
+            return BatchFit.build("FAIL", nan, nan, errors)
 
-        register_method("FAIL", always_fails)
+        monkeypatch.setitem(methods._REGISTRY, "FAIL", all_rows_fail)
         table = run_experiment(tiny_config(methods=("FAIL", "LM"), replications=150))
         assert all(r.method != "FAIL" for r in table.rows)
         assert table.skipped == (("FAIL", 10, 2.0, 3.0, 150),)
@@ -175,7 +181,7 @@ class TestBlockSeeding:
             simlab._block_rngs(-1, 0, range(3))
 
     def test_chunk_split_into_row_blocks(self, monkeypatch):
-        # at n = 4000 a chunk is drawn in row blocks of _BLOCK_VALUES // n = 32 rows
+        # at n = 4000 a chunk is one row block of _BLOCK_VALUES // n = 32 replications
         drawn = []
 
         def recording_draw(level, n, rngs):
@@ -185,8 +191,11 @@ class TestBlockSeeding:
 
         monkeypatch.setattr(simlab, "draw_sorted", recording_draw)
         n, master, cell = 4000, 1729, 5
-        simlab._run_chunk((cell, n, self.LEVEL.shape, self.LEVEL.scale, ("LM",), FitOptions(),
-                           None, master, 0, 40))
+        chunks = simlab._chunks(n, 40)
+        assert chunks == [range(0, 32), range(32, 40)]
+        for chunk in chunks:
+            simlab._run_chunk((cell, n, self.LEVEL.shape, self.LEVEL.scale, ("LM",),
+                               FitOptions(), None, master, chunk.start, chunk.stop))
         assert [v.shape[0] for v in drawn] == [32, 8]
         assert np.array_equal(np.concatenate(drawn), self.oracle_rows(master, cell, range(40), n))
 

@@ -79,10 +79,6 @@ class TestEstimate:
         with pytest.raises(DegenerateSampleError):
             estimate_u(SortedSample.from_data([3.0, 3.0, 3.0]))
 
-    def test_unknown_path_rejected(self, lifetime_sample):
-        with pytest.raises(ValueError):
-            estimate_u(lifetime_sample, path="quadratic")
-
 
 class TestProperties:
     def test_scale_invariance(self, rng):
