@@ -16,6 +16,7 @@ single-sample fit is the batch of one.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,8 +31,10 @@ __all__ = [
     "TRIGAMMA_ONE",
     "WeibullParams",
     "SortedSample",
+    "check_observations",
     "EstimateResult",
     "BatchFit",
+    "scratch",
     "row_dot",
     "row_var",
     "fail_rows",
@@ -52,6 +55,12 @@ TRIGAMMA_ONE = float(polygamma(1, 1))   # pi^2 / 6
 # gammaln is finite well beyond this, but exp(gammaln(x)) overflows a double
 # for x > ~171.62
 _GAMMA_OVERFLOW_ARG = 171.61447887182298
+
+# work arrays up to this many values are kept between calls (2 MB each, room
+# for the d/d^2 stack of a lab row block of 2^17 values); a larger one is
+# allocated afresh, so one fit at a huge n does not pin its memory
+_SCRATCH_MAX_VALUES = 1 << 18
+_scratch_buffers = threading.local()
 
 
 @dataclass(frozen=True)
@@ -87,19 +96,15 @@ class SortedSample:
         ------
         DataError
             If fewer than ``min_size`` observations are given, or any
-            observation is non-positive or non-finite (the offending input
-            indices are listed in the message).
+            observation is non-positive or non-finite (see
+            :func:`check_observations`).
         """
         values = np.asarray(data, dtype=float)
         if values.ndim != 1:
             values = values.reshape(-1)
         if values.size < min_size:
             raise DataError(f"need at least {min_size} observations, got {values.size}")
-        bad = np.flatnonzero(~np.isfinite(values) | (values <= 0.0))
-        if bad.size:
-            shown = ", ".join(f"[{i}]={values[i]!r}" for i in bad[:10])
-            more = "" if bad.size <= 10 else f" (+{bad.size - 10} more)"
-            raise DataError(f"observations must be positive finite reals; offending entries: {shown}{more}")
+        check_observations(values)
         values = np.sort(values)
         values.flags.writeable = False
         logs = np.log(values)
@@ -109,6 +114,15 @@ class SortedSample:
     def scaled(self, c: float) -> "SortedSample":
         """Sample with every observation multiplied by ``c > 0``."""
         return SortedSample.from_data(self.values * c)
+
+
+def check_observations(values: np.ndarray) -> None:
+    """Raise DataError naming the first observation, by its 1-based position in
+    ``values`` and its value, that is not a positive finite real."""
+    bad = np.flatnonzero(~np.isfinite(values) | (values <= 0.0))
+    if bad.size:
+        i = int(bad[0])
+        raise DataError(f"observation {i + 1} is not a positive finite real ({values[i]!r})")
 
 
 @dataclass(frozen=True)
@@ -132,6 +146,25 @@ class EstimateResult:
         return WeibullParams(self.shape, self.scale)
 
 
+def scratch(tag: str, shape: tuple[int, ...]) -> np.ndarray:
+    """A float64 work array of ``shape`` that never leaves the call that asked for it.
+
+    Up to ``_SCRATCH_MAX_VALUES`` values it is a view of a buffer that this
+    thread keeps under ``tag`` and only ever grows, so a call repeated on row
+    blocks of one size allocates, and page-faults, nothing. Its contents are
+    whatever the last user left, and the next request under the same tag in
+    this thread overwrites them. A larger request gets a fresh array.
+    """
+    size = math.prod(shape)
+    if size > _SCRATCH_MAX_VALUES:
+        return np.empty(shape)
+    buffers = vars(_scratch_buffers)
+    buf = buffers.get(tag)
+    if buf is None or buf.size < size:
+        buf = buffers[tag] = np.empty(size)
+    return buf[:size].reshape(shape)
+
+
 def row_dot(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Row-wise dot products of an R x n matrix with an n-vector (or matrix).
 
@@ -144,7 +177,7 @@ def row_dot(m: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def row_var(m: np.ndarray, mean: np.ndarray) -> np.ndarray:
     """Row variances (n - 1 divisor) of an R x n matrix given its row means."""
-    dev = m - mean[:, None]
+    dev = np.subtract(m, mean[:, None], out=scratch("core.row_var", m.shape))
     return np.einsum("ij,ij->i", dev, dev) / (m.shape[1] - 1)
 
 
@@ -255,24 +288,36 @@ def quantile(p: WeibullParams, prob):
     return float(out) if np.isscalar(prob) else out
 
 
-def draw_sorted(p: WeibullParams, n: int, rngs) -> tuple[np.ndarray, np.ndarray]:
+def draw_sorted(p: WeibullParams, n: int, rngs,
+                out: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Draw one sample of size ``n`` per generator by inversion, rows sorted.
 
-    Returns the R x n matrices of ascending values and of their logs. Row r
-    depends only on the state of ``rngs[r]``. A row can hold zeros or
-    infinities where the inversion underflows or overflows for extreme
-    parameters; callers decide what such a row means.
+    Returns the R x n matrices of ascending values and of their logs, written
+    into ``out=(values, logs)`` when given (two float64 R x n arrays) and
+    fresh otherwise. Row r depends only on the state of ``rngs[r]``. A row
+    can hold zeros or infinities where the inversion underflows or overflows
+    for extreme parameters; callers decide what such a row means.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    u = np.empty((len(rngs), n))
+    shape = (len(rngs), n)
+    if out is None:
+        u, logs = np.empty(shape), None
+    else:
+        u, logs = out
+        if u.shape != shape or logs.shape != shape:
+            raise ValueError(f"out arrays must both have shape {shape}, got {u.shape} and {logs.shape}")
     for row, rng in zip(u, rngs):
         rng.random(out=row)
-        # u == 0.0 maps to x == 0; redraw those slots (probability 2^-53 per
-        # draw, still deterministic given the stream)
-        while np.count_nonzero(row) < n:
-            zero = row == 0.0
-            row[zero] = rng.random(int(zero.sum()))
+    # u == 0.0 maps to x == 0: a row that drew one (probability 2^-53 per
+    # draw) redraws those slots from its own generator, so every row still
+    # depends only on its own stream
+    if np.count_nonzero(u) < u.size:
+        for r in np.flatnonzero((u == 0.0).any(axis=1)):
+            row = u[r]
+            while np.count_nonzero(row) < n:
+                zero = row == 0.0
+                row[zero] = rngs[r].random(int(zero.sum()))
     with np.errstate(over="ignore", under="ignore"):
         # x = scale * (-log1p(-u))^(1/shape), in place: no n-sized temporaries
         x = np.negative(u, out=u)
@@ -282,7 +327,7 @@ def draw_sorted(p: WeibullParams, n: int, rngs) -> tuple[np.ndarray, np.ndarray]
         x *= p.scale
     x.sort(axis=1)
     with np.errstate(divide="ignore"):
-        logs = np.log(x)
+        logs = np.log(x, out=logs)
     return x, logs
 
 

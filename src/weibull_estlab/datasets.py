@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .core import check_observations
 from .errors import DataError
 
 __all__ = ["Dataset", "BUNDLED_LIFETIME", "parse_dataset", "parse_dataset_text", "load_dataset", "lifetime48"]
@@ -32,10 +33,10 @@ def _validate(values: list[float], name: str, source: str) -> Dataset:
     if not values:
         raise DataError(f"{source}: no observations found")
     arr = np.asarray(values, dtype=float)
-    bad = np.flatnonzero(~np.isfinite(arr) | (arr <= 0.0))
-    if bad.size:
-        i = int(bad[0])
-        raise DataError(f"{source}: observation {i + 1} is not a positive finite real ({arr[i]!r})")
+    try:
+        check_observations(arr)
+    except DataError as exc:
+        raise DataError(f"{source}: {exc}") from None
     arr.flags.writeable = False
     return Dataset(name=name, observations=arr, source=source)
 

@@ -34,7 +34,8 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .core import BatchFit, EstimateResult, SortedSample, fail_rows, fit_one, open_rows, row_var
+from .core import (BatchFit, EstimateResult, SortedSample, fail_rows, fit_one, open_rows, row_var,
+                   scratch)
 from .errors import DegenerateSampleError, EstimationError
 from .roots import no_sign_change, solve_rows
 
@@ -77,20 +78,27 @@ class WeightPair:
     replications: int
 
 
+def _powers(alpha: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """e^(alpha_r d_r) for every row r, in this thread's reused k x n work array."""
+    w = np.multiply(alpha[:, None], d, out=scratch("likelihood.powers", d.shape))
+    return np.exp(w, out=w)
+
+
 def _score_rows(dd: np.ndarray, mean_d: np.ndarray, alpha: np.ndarray,
                 w2: float) -> tuple[np.ndarray, np.ndarray]:
     """Rowwise w2/a + mean(d) - sum(e^(a d) d)/sum(e^(a d)) and its derivative
     in a, for d = log x - max log x <= 0 (so no power overflows) and
     dd = [d, d^2] stacked."""
-    w = np.multiply(alpha[:, None], dd[0])
-    sw = np.exp(w, out=w).sum(axis=1)  # in place: one k x n temporary per call
-    m1, m2 = np.einsum("ij,kij->ki", w, dd) / sw
+    w = _powers(alpha, dd[0])
+    m1, m2 = np.einsum("ij,kij->ki", w, dd) / w.sum(axis=1)
     inv = 1.0 / alpha
     return w2 * inv + mean_d - m1, -w2 * inv * inv - (m2 - m1 * m1)
 
 
 def _stacked(logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    dd = np.empty((2,) + logs.shape)
+    """dd = [d, d^2] for d = logs - max log, in this thread's reused work array
+    (valid until the next call), and the row means of d."""
+    dd = scratch("likelihood.dd", (2,) + logs.shape)
     d = np.subtract(logs, logs[:, -1:], out=dd[0])
     np.multiply(d, d, out=dd[1])
     return dd, d.sum(axis=1) / d.shape[1]
@@ -131,15 +139,18 @@ def _likelihood_batch(method: str, logs: np.ndarray, w1: float, w2: float) -> Ba
     def score(alpha, rows):
         if rows.size == logs.shape[0]:  # every row, in order: score them without a copy
             return _score_rows(dd, mean_d, alpha, w2)
-        return _score_rows(dd[:, rows], mean_d[rows], alpha, w2)
+        # the rows still iterating, gathered into a reused work array; every
+        # index is valid, and take buffers ``out`` in a temporary under mode="raise"
+        gathered = np.take(dd, rows, axis=1, mode="clip",
+                           out=scratch("likelihood.dd_rows", (2, rows.size, n)))
+        return _score_rows(gathered, mean_d[rows], alpha, w2)
 
     roots = solve_rows(score, rows, _BRACKET_SEED[0] * seed, _BRACKET_SEED[1] * seed, seed,
                        errors, no_root=_minimize_row if method == "WMLE" else no_sign_change)
     shape = np.full(logs.shape[0], np.nan)
     shape[rows] = roots.x
     with np.errstate(invalid="ignore", over="ignore", under="ignore"):
-        power = np.multiply(shape[:, None], dd[0])
-        log_sum = np.log(np.exp(power, out=power).sum(axis=1))
+        log_sum = np.log(_powers(shape, dd[0]).sum(axis=1))
         scale = np.exp(logs[:, -1] + (log_sum - math.log(n * w1)) / shape)
     return BatchFit.build(method, shape, scale, errors, **roots.diagnostics(logs.shape[0]))
 

@@ -33,7 +33,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 # sample, fit_method and simulate_weight_medians are the single-replication
 # steps of the lab, re-exported here next to their batched forms
-from .core import WeibullParams, draw_sorted, sample  # noqa: F401
+from .core import WeibullParams, draw_sorted, sample, scratch  # noqa: F401
 from .likelihood import (  # noqa: F401
     DEFAULT_WEIGHT_REPLICATIONS,
     WeightPair,
@@ -237,8 +237,11 @@ def _run_chunk(args) -> tuple[int, int, np.ndarray]:
     NaN rows marking failures.
     """
     (cell, n, shape, scale, methods, options, weights, master_seed, start, stop) = args
+    # the samples live in this thread's reused work arrays: no fit keeps them
+    block = (stop - start, n)
     values, logs = draw_sorted(WeibullParams(shape, scale), n,
-                               _block_rngs(master_seed, cell, range(start, stop)))
+                               _block_rngs(master_seed, cell, range(start, stop)),
+                               out=(scratch("simlab.values", block), scratch("simlab.logs", block)))
     est = np.full((stop - start, len(methods), 2), np.nan)
     # a draw that underflowed to 0 or overflowed fails its replication for every method
     ok = np.flatnonzero((values[:, 0] > 0.0) & np.isfinite(values[:, -1]))

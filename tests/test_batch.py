@@ -10,6 +10,8 @@ formulas they replaced, and how many rows need the scalar fallback.
 """
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -316,3 +318,59 @@ def test_wmle_without_sign_change_minimizes_the_squared_score():
         assert single.notes and "minimized" in single.notes[0]
         assert single.shape == pytest.approx(batch.shape[r], rel=1e-12)
         assert math.isfinite(single.shape) and single.shape > 0
+
+
+def _diagnostics(fit):
+    """Copies of every array a BatchFit holds."""
+    arrays = [fit.shape, fit.scale, fit.iterations, fit.residual, fit.fallback]
+    arrays += list(fit.bracket or ())
+    return [None if a is None else a.copy() for a in arrays]
+
+
+@pytest.mark.parametrize("name", METHOD_NAMES)
+def test_results_do_not_alias_the_work_buffers(name):
+    # the fits and draws reuse per-thread work arrays; a second call of the same
+    # size must leave the first call's results as they were
+    first = _drawn(1.3, 2.0, 1000, 24, 1)
+    fit = _fit(name, *first)
+    kept = _diagnostics(fit)
+    drawn = [a.copy() for a in first]
+    _fit(name, *_drawn(0.7, 5.0, 1000, 24, 2))
+    for before, after in zip(kept, _diagnostics(fit)):
+        np.testing.assert_array_equal(before, after)
+    for before, after in zip(drawn, first):
+        np.testing.assert_array_equal(before, after)
+
+
+def test_threads_fitting_at_once_match_serial_fits():
+    batches = [_drawn(shape, 1.5, n, 16, seed)
+               for seed, (shape, n) in enumerate([(0.6, 1000), (2.5, 1000), (1.2, 300), (4.0, 30)])]
+    weights = {n: _weights(n) for n in {b[0].shape[1] for b in batches}}
+
+    def fit_all(values, logs):
+        n = values.shape[1]
+        return [_diagnostics(fit_batch(m, values, logs, None, weights[n])) for m in ("MLE", "WMLE")]
+
+    serial = [fit_all(*b) for b in batches]
+    results: dict[int, list] = {}
+
+    def worker(i):
+        results[i] = [fit_all(*batches[i % len(batches)]) for _ in range(5)]
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(results) == list(range(8))
+    for i, repeats in results.items():
+        for got in repeats:
+            for got_fit, want_fit in zip(got, serial[i % len(batches)]):
+                for a, b in zip(got_fit, want_fit):
+                    np.testing.assert_array_equal(a, b)

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from weibull_estlab import (
     raw_moment,
     sample,
 )
-from weibull_estlab.core import LOG_TWO, PSI_ONE, TRIGAMMA_ONE
+from weibull_estlab import core
+from weibull_estlab.core import LOG_TWO, PSI_ONE, TRIGAMMA_ONE, draw_sorted
 
 
 class TestWeibullParams:
@@ -140,6 +142,68 @@ class TestSample:
             sample(WeibullParams(1, 1), 1, np.random.default_rng(1))
 
 
+class OneZeroGenerator:
+    """A seeded generator whose uniform at position ``slot`` of its stream is 0.0."""
+
+    def __init__(self, seed, slot):
+        self.rng = np.random.default_rng(seed)
+        self.slot = slot
+        self.drawn = 0
+
+    def random(self, size=None, out=None):
+        u = self.rng.random(size, out=out)
+        if self.drawn <= self.slot < self.drawn + u.size:
+            u[self.slot - self.drawn] = 0.0
+        self.drawn += u.size
+        return u
+
+
+class TestDrawSorted:
+    P = WeibullParams(1.5, 2.0)
+
+    def test_zero_uniform_redrawn_from_its_own_row_stream(self):
+        # u = 0 would map to x = 0: row 1 redraws its slot 3 from its own
+        # generator's next uniform, and rows 0 and 2 draw as if it had not
+        rngs = [np.random.default_rng(10), OneZeroGenerator(11, 3), np.random.default_rng(12)]
+        values, logs = draw_sorted(self.P, 8, rngs)
+        stream = np.random.default_rng(11).random(9)
+        u = stream[:8].copy()
+        u[3] = stream[8]
+        np.testing.assert_array_equal(values[1], np.sort(quantile(self.P, u)))
+        others = draw_sorted(self.P, 8, [np.random.default_rng(10), np.random.default_rng(12)])[0]
+        np.testing.assert_array_equal(values[[0, 2]], others)
+        np.testing.assert_array_equal(logs, np.log(values))
+
+    def test_out_receives_the_fresh_result(self):
+        fresh = draw_sorted(self.P, 30, [np.random.default_rng(r) for r in range(4)])
+        out = (np.empty((4, 30)), np.empty((4, 30)))
+        got = draw_sorted(self.P, 30, [np.random.default_rng(r) for r in range(4)], out=out)
+        assert got[0] is out[0] and got[1] is out[1]
+        np.testing.assert_array_equal(got[0], fresh[0])
+        np.testing.assert_array_equal(got[1], fresh[1])
+        with pytest.raises(ValueError, match="shape"):
+            draw_sorted(self.P, 30, [np.random.default_rng(0)], out=out)
+
+
+class TestScratch:
+    def test_reused_per_tag_and_fresh_above_the_cap(self):
+        a = core.scratch("test.a", (4, 5))
+        assert a.shape == (4, 5) and a.dtype == np.float64
+        assert np.shares_memory(a, core.scratch("test.a", (2, 10)))
+        assert not np.shares_memory(a, core.scratch("test.b", (4, 5)))
+        big = (2, core._SCRATCH_MAX_VALUES // 2 + 1)
+        assert not np.shares_memory(core.scratch("test.big", big), core.scratch("test.big", big))
+
+    def test_each_thread_has_its_own_buffers(self):
+        mine = core.scratch("test.a", (4, 5))
+        theirs = []
+        t = threading.Thread(target=lambda: theirs.append(core.scratch("test.a", (4, 5))))
+        t.start()
+        t.join(timeout=10)
+        assert not t.is_alive()
+        assert not np.shares_memory(mine, theirs[0])
+
+
 class TestRawMoment:
     def test_exponential_moments(self):
         p = WeibullParams(1, 1)
@@ -172,9 +236,9 @@ class TestSortedSample:
             SortedSample.from_data([1.0])
 
     def test_rejects_nonpositive_with_indices(self):
-        with pytest.raises(DataError, match=r"\[1\]"):
-            SortedSample.from_data([1.0, -2.0, 3.0])
-        with pytest.raises(DataError, match=r"\[2\]"):
+        with pytest.raises(DataError, match=r"observation 2 .*\(-2\.0\)"):
+            SortedSample.from_data([1.0, -2.0, 3.0, 0.0])
+        with pytest.raises(DataError, match=r"observation 3 .*\(nan\)"):
             SortedSample.from_data([1.0, 2.0, math.nan])
 
     def test_values_read_only(self):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -184,9 +186,9 @@ class TestBlockSeeding:
         # at n = 4000 a chunk is one row block of _BLOCK_VALUES // n = 32 replications
         drawn = []
 
-        def recording_draw(level, n, rngs):
-            values, logs = draw_sorted(level, n, rngs)
-            drawn.append(values)
+        def recording_draw(level, n, rngs, out=None):
+            values, logs = draw_sorted(level, n, rngs, out=out)
+            drawn.append(values.copy())  # the chunk draws into reused work arrays
             return values, logs
 
         monkeypatch.setattr(simlab, "draw_sorted", recording_draw)
@@ -198,6 +200,26 @@ class TestBlockSeeding:
                                FitOptions(), None, master, chunk.start, chunk.stop))
         assert [v.shape[0] for v in drawn] == [32, 8]
         assert np.array_equal(np.concatenate(drawn), self.oracle_rows(master, cell, range(40), n))
+
+
+class TestWorkBuffers:
+    """A warm chunk draws and fits in reused per-thread work arrays."""
+
+    def chunk(self, start, stop):
+        return simlab._run_chunk((5, 4000, 2.0, 3.0, ("MLE", "LM"), FitOptions(), None,
+                                  1729, start, stop))
+
+    def test_warm_chunk_allocates_nothing_large(self):
+        # a 32 x 4000 chunk's draw alone is two 1 MB matrices
+        self.chunk(0, 32)
+        tracemalloc.start()
+        try:
+            _, _, est = self.chunk(32, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(est).all()
+        assert peak < 1 << 20, peak
 
 
 class TestRankMethods:
