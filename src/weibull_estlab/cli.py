@@ -162,6 +162,8 @@ def _load_data(spec: str, parser: _Parser) -> Dataset:
 def _run_fit(args, parser: _Parser) -> int:
     dataset = _load_data(args.data, parser)
     methods = _parse_methods(args.methods, parser)
+    if args.weight_reps < 1000:
+        parser.error("--weight-reps must be >= 1000")
     try:
         options = FitOptions(
             plotting_rule=args.rule,
@@ -305,11 +307,11 @@ def _run_simulate(args, parser: _Parser) -> int:
             sample_sizes=tuple(raw["sample_sizes"]),
             param_levels=tuple(tuple(lv) for lv in raw["param_levels"]),
             replications=raw.get("replications"),
-            master_seed=int(seed),
+            master_seed=seed,
             metric=raw.get("metric", "BOTH"),
-            workers=int(workers),
+            workers=workers,
             options=FitOptions(plotting_rule=rule),
-            weight_replications=int(raw.get("weight_replications", DEFAULT_WEIGHT_REPLICATIONS)),
+            weight_replications=raw.get("weight_replications", DEFAULT_WEIGHT_REPLICATIONS),
         )
     except (KeyError, TypeError, ValueError) as exc:
         parser.error(f"invalid experiment config: {exc}")

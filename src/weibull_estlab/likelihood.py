@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .core import (BatchFit, EstimateResult, SortedSample, fail_rows, fit_one, open_rows, row_var,
                    scratch)
@@ -114,6 +113,9 @@ def profile_score(s: SortedSample, alpha: float) -> float:
 
 def _minimize_row(f, lo: float, hi: float):
     """WMLE's ``no_root`` hook: the squared score minimized over the searched bracket."""
+    # imported here: few runs reach this hook, and scipy.optimize costs every
+    # process about 20 MB and 0.25 s to load
+    from scipy.optimize import minimize_scalar
     opt = minimize_scalar(lambda a: f(a) ** 2, bounds=(lo, hi), method="bounded",
                           options={"xatol": 1e-10})
     if not opt.success:

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import BracketError, EstimationError
 
@@ -181,7 +180,11 @@ def solve_rows(
             continue
         if row_notes:
             notes[int(rows[i])] = row_notes
-    for i in active:  # a sign change, but Newton did not settle
+    if active.size:  # a sign change, but Newton did not settle
+        # imported here: few runs reach Brent, and scipy.optimize costs every
+        # process about 20 MB and 0.25 s to load
+        from scipy.optimize import brentq
+    for i in active:
         f_row = row_function(i)
         root, info = brentq(f_row, float(lo[i]), float(hi[i]), xtol=1e-10, full_output=True)
         x[i], iterations[i], residual[i] = root, info.iterations, f_row(root)

@@ -24,7 +24,6 @@ it counts as a failure of every method.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -76,6 +75,16 @@ def default_replications(n: int) -> int:
     return 10_000 if n <= 200 else 2_000
 
 
+def _whole(name: str, value) -> int:
+    """``value`` as an int if it is a whole number (an integral float such as
+    1e4 included), else a ValueError naming the field ``name``."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Experiment grid: methods x sample sizes x parameter levels."""
@@ -92,7 +101,12 @@ class SimulationConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "methods", tuple(self.methods))
-        object.__setattr__(self, "sample_sizes", tuple(int(n) for n in self.sample_sizes))
+        object.__setattr__(self, "sample_sizes",
+                           tuple(_whole("sample_sizes", n) for n in self.sample_sizes))
+        if self.replications is not None:
+            object.__setattr__(self, "replications", _whole("replications", self.replications))
+        for name in ("master_seed", "workers", "weight_replications"):
+            object.__setattr__(self, name, _whole(name, getattr(self, name)))
         levels = tuple(
             lv if isinstance(lv, WeibullParams) else WeibullParams(*lv)
             for lv in self.param_levels
@@ -277,6 +291,9 @@ def run_experiment(cfg: SimulationConfig) -> MetricTable:
     if cfg.workers == 1:
         results = map(_run_chunk, tasks)
     else:
+        # imported here: at one worker the process pool's modules
+        # (multiprocessing, socket, ...) would be loaded for nothing
+        from concurrent.futures import ProcessPoolExecutor
         pool = ProcessPoolExecutor(max_workers=cfg.workers)
         try:
             results = list(pool.map(_run_chunk, tasks, chunksize=1))

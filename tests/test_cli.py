@@ -102,6 +102,14 @@ class TestFitCommand:
         code = run_cli(["fit", "--methods", "XYZ"])
         assert code == EXIT_USAGE
 
+    def test_small_weight_reps_exits_64(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("WEIBULL_ESTLAB_WEIGHTS", str(tmp_path / "w.txt"))
+        out = tmp_path / "r.json"
+        argv = ["fit", "--methods", "WMLE", "--weight-reps", "10", "--out", str(out)]
+        assert run_cli(argv) == EXIT_USAGE
+        assert "--weight-reps must be >= 1000" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_out_round_trip_and_determinism(self, tmp_path, capsys):
         out1 = tmp_path / "r1.json"
         out2 = tmp_path / "r2.json"
@@ -200,6 +208,33 @@ class TestSimulateCommand:
         cfg.write_text(json.dumps({"methods": ["LM"], "sample_sizes": [10],
                                    "param_levels": [[2, 3]], "bogus_field": 1}))
         assert run_cli(["simulate", "--config", str(cfg)]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("field, value", [
+        ("replications", 150.5), ("sample_sizes", [5.7]), ("master_seed", 1729.5),
+        ("workers", 1.5), ("weight_replications", 2000.5),
+    ])
+    def test_non_integral_count_in_config_exits_64(self, field, value, tmp_path, capsys):
+        doc = {"methods": ["USTAT"], "sample_sizes": [10], "param_levels": [[2.0, 3.0]],
+               "replications": 120, field: value}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out_dir = tmp_path / "out"
+        assert run_cli(["simulate", "--config", str(cfg), "--out-dir", str(out_dir)]) == EXIT_USAGE
+        assert f"{field} must be an integer" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_integral_float_counts_in_config_run(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"methods": ["USTAT"], "sample_sizes": [10.0],
+                                   "param_levels": [[2.0, 3.0]], "replications": 1e3,
+                                   "master_seed": 5.0, "workers": 1.0}))
+        out_dir = tmp_path / "out"
+        assert run_cli(["simulate", "--config", str(cfg), "--out-dir", str(out_dir)]) == EXIT_OK
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["seed"] == 5
+        assert manifest["config"]["sample_sizes"] == [10]
+        assert (manifest["config"]["replications"], manifest["config"]["workers"]) == (1000, 1)
+        assert (out_dir / "metrics.csv").read_text().splitlines()[1].startswith("USTAT,10,2,3,")
 
     def test_preset_structure(self):
         assert PRESETS["table1"]["sample_sizes"] == (5, 10, 30)

@@ -64,6 +64,23 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             tiny_config(workers=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("sample_sizes", (5.7,)), ("replications", 150.5), ("workers", 1.5),
+        ("weight_replications", 2000.5), ("master_seed", 77.5), ("master_seed", "77"),
+        ("workers", True),
+    ])
+    def test_non_integral_count_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            tiny_config(**{field: value})
+
+    def test_integral_floats_become_ints(self):
+        cfg = tiny_config(sample_sizes=(10.0,), replications=1e4, workers=2.0,
+                          weight_replications=2e3, master_seed=77.0)
+        counts = (cfg.sample_sizes[0], cfg.replications, cfg.workers,
+                  cfg.weight_replications, cfg.master_seed)
+        assert counts == (10, 10_000, 2, 2000, 77)
+        assert all(type(c) is int for c in counts)
+
     def test_levels_coerced_from_tuples(self):
         cfg = tiny_config(param_levels=((2.0, 3.0),))
         assert cfg.param_levels[0] == WeibullParams(2.0, 3.0)
