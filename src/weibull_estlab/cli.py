@@ -303,9 +303,9 @@ def _run_simulate(args, parser: _Parser) -> int:
     rule = args.rule if args.rule is not None else raw.get("plotting_rule", DEFAULT_RULE)
     try:
         cfg = SimulationConfig(
-            methods=tuple(raw["methods"]),
-            sample_sizes=tuple(raw["sample_sizes"]),
-            param_levels=tuple(tuple(lv) for lv in raw["param_levels"]),
+            methods=raw["methods"],
+            sample_sizes=raw["sample_sizes"],
+            param_levels=raw["param_levels"],
             replications=raw.get("replications"),
             master_seed=seed,
             metric=raw.get("metric", "BOTH"),

@@ -22,12 +22,19 @@ E = -log(1 - F(X)) ~ Exp(1) under the true model,
 so both medians depend on the sample size only and are estimated once per n
 by simulating standard exponentials. n * W1 is Gamma(n, 1); both medians
 tend to 1 as n grows, which is why the weighted fit converges to the MLE.
+
+The simulation runs on up to two threads that take alternate blocks of
+draws: the generator goes to the blocks strictly in stream order, one
+thread reduces a block while the other draws the next, and each thread
+takes one of the two medians, so the medians are the same on one thread or
+two. The threads are started and joined within each call.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -62,6 +69,10 @@ _SK_WEIGHTS = 1
 # values per block of the weight simulation's reused draw buffers (whole rows,
 # at least one): small enough to stay in cache
 _WEIGHT_BLOCK_VALUES = 1 << 15
+
+# threads of the weight simulation at most: one draws a block while the
+# other reduces the block before it
+_WEIGHT_THREADS = 2
 
 # bracket seeded from the closed-form log-moment estimate, then widened
 _BRACKET_SEED = (0.2, 5.0)
@@ -186,42 +197,126 @@ def fit_wmle(s: SortedSample, weights: WeightPair) -> EstimateResult:
     return fit_one(fit_wmle_batch, s, weights)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+class _Abandoned(Exception):
+    """Stops a weight-simulation thread once another one has failed."""
+
+
+class _WeightRun:
+    """One weight simulation, shared by the threads that run it.
+
+    Thread t of T draws and reduces blocks t, t + T, ... of ``rows``
+    replications each, into buffers of its own. The generator goes to the
+    blocks strictly in order (``_drawn`` counts the replications drawn so
+    far), so every block gets the same draws for any T. Once every block is
+    reduced, thread t takes the medians of w1 and w2 that fall to it. The
+    first exception in any thread is kept in ``error`` and wakes the others,
+    which then stop.
+    """
+
+    def __init__(self, n: int, replications: int, rows: int, threads: int,
+                 rng: np.random.Generator):
+        self.n, self.rows, self.threads, self.rng = n, rows, threads, rng
+        self.w = np.empty((2, replications))  # w1 and w2 of every replication
+        self.medians = [math.nan, math.nan]
+        self.error: BaseException | None = None
+        self._cond = threading.Condition()
+        self._drawn = 0
+        self._reduced = 0
+
+    def work(self, t: int) -> None:
+        """Thread t's share of the run; a failure is kept, not raised."""
+        try:
+            self._work(t)
+        except _Abandoned:
+            pass
+        except BaseException as exc:  # kept, and raised again by the caller
+            with self._cond:
+                self.error = self.error or exc
+                self._cond.notify_all()
+
+    def _until(self, ready) -> None:
+        """Wait until ready() holds, or stop if a thread has failed."""
+        with self._cond:
+            self._cond.wait_for(lambda: self.error is not None or ready())
+            if self.error is not None:
+                raise _Abandoned
+
+    def _work(self, t: int) -> None:
+        n, rows, (w1, w2) = self.n, self.rows, self.w
+        replications = w1.size
+        e = np.empty((rows, n))
+        log_e = np.empty((rows, n))
+        sums = np.empty((3, rows))  # per row: sum(e), sum(log e), sum(e log e)
+        for done in range(t * rows, replications, self.threads * rows):
+            k = min(rows, replications - done)
+            block, logs = e[:k], log_e[:k]
+            sum_e, sum_log, sum_elog = sums[:, :k]
+            self._until(lambda: self._drawn == done)
+            self.rng.standard_exponential(out=block)
+            with self._cond:
+                self._drawn += k
+                self._cond.notify_all()
+            np.add.reduce(block, axis=1, out=sum_e)
+            np.add.reduce(np.log(block, out=logs), axis=1, out=sum_log)
+            np.add.reduce(np.multiply(block, logs, out=logs), axis=1, out=sum_elog)
+            # means as np.mean takes them: the row sum divided by n
+            np.divide(sum_e, n, out=w1[done:done + k])
+            np.subtract(sum_elog / sum_e, sum_log / n, out=w2[done:done + k])
+            with self._cond:
+                self._reduced += k
+                if self._reduced == replications:
+                    self._cond.notify_all()
+        self._until(lambda: self._reduced == replications)
+        for i in range(t, 2, self.threads):
+            # in place: the same partition as on a copy, so the same median
+            self.medians[i] = float(np.median(self.w[i], overwrite_input=True))
+
+
 def simulate_weight_medians(n: int, replications: int, rng: np.random.Generator) -> WeightPair:
     """Estimate the median weights for sample size n from Exp(1) draws.
 
     The statistics are pivotal under the true model, so no Weibull
     parameters enter. Draws are consumed replication-by-replication in a
-    fixed order into a small reused buffer of whole rows, and each row is
+    fixed order into small reused buffers of whole rows, and each row is
     reduced on its own, so the result depends only on the generator state,
-    not on the buffer's block size.
+    not on the block size or the number of threads.
+
+    Up to ``_WEIGHT_THREADS`` threads (no more than the CPUs this process may
+    run on, or the blocks) share the work: one draws the next block while
+    another reduces the block before it (numpy releases the interpreter lock
+    in both), and the two medians are taken one on each thread. The threads
+    are started and joined within the call, so none outlives it, and an
+    exception in any of them is raised here.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if replications < 1000:
         raise ValueError(f"need at least 1000 replications, got {replications}")
     rows = min(max(1, _WEIGHT_BLOCK_VALUES // n), replications)
-    e = np.empty((rows, n))
-    log_e = np.empty((rows, n))
-    sums = np.empty((3, rows))  # per row: sum(e), sum(log e), sum(e log e)
-    w1 = np.empty(replications)
-    w2 = np.empty(replications)
-    for done in range(0, replications, rows):
-        k = min(rows, replications - done)
-        block, logs = e[:k], log_e[:k]
-        sum_e, sum_log, sum_elog = sums[:, :k]
-        rng.standard_exponential(out=block)
-        np.add.reduce(block, axis=1, out=sum_e)
-        np.add.reduce(np.log(block, out=logs), axis=1, out=sum_log)
-        np.add.reduce(np.multiply(block, logs, out=logs), axis=1, out=sum_elog)
-        # means as np.mean takes them: the row sum divided by n
-        np.divide(sum_e, n, out=w1[done:done + k])
-        np.subtract(sum_elog / sum_e, sum_log / n, out=w2[done:done + k])
-    return WeightPair(
-        w1=float(np.median(w1)),
-        w2=float(np.median(w2)),
-        n=n,
-        replications=replications,
-    )
+    threads = min(_WEIGHT_THREADS, _usable_cpus(), -(-replications // rows))
+    run = _WeightRun(n, replications, rows, threads, rng)
+    # daemon: joined below, but a helper that a fault left waiting must not
+    # also hold up the interpreter's exit
+    helpers = [threading.Thread(target=run.work, args=(t,), name=f"weight-medians-{t}",
+                                daemon=True) for t in range(1, threads)]
+    for helper in helpers:
+        helper.start()
+    try:
+        run.work(0)
+    finally:
+        for helper in helpers:
+            helper.join()
+    if run.error is not None:
+        raise run.error
+    return WeightPair(w1=run.medians[0], w2=run.medians[1], n=n, replications=replications)
 
 
 def seeded_weight_medians(n: int, replications: int, seed: int) -> WeightPair:

@@ -24,6 +24,7 @@ it counts as a failure of every method.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -85,6 +86,24 @@ def _whole(name: str, value) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _entries(name: str, value) -> tuple:
+    """``value`` as a tuple if it is a list of entries (a string or a mapping
+    is not), else a ValueError naming the field ``name``."""
+    if isinstance(value, (str, bytes, Mapping)) or not isinstance(value, Iterable):
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    return tuple(value)
+
+
+def _level(name: str, value) -> WeibullParams:
+    """``value`` as WeibullParams if it is one or a (shape, scale) pair."""
+    if isinstance(value, WeibullParams):
+        return value
+    pair = _entries(name, value)
+    if len(pair) != 2:
+        raise ValueError(f"{name} must be a (shape, scale) pair, got {value!r}")
+    return WeibullParams(*pair)
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Experiment grid: methods x sample sizes x parameter levels."""
@@ -100,17 +119,15 @@ class SimulationConfig:
     weight_replications: int = DEFAULT_WEIGHT_REPLICATIONS
 
     def __post_init__(self):
-        object.__setattr__(self, "methods", tuple(self.methods))
-        object.__setattr__(self, "sample_sizes",
-                           tuple(_whole("sample_sizes", n) for n in self.sample_sizes))
+        object.__setattr__(self, "methods", _entries("methods", self.methods))
+        object.__setattr__(self, "sample_sizes", tuple(
+            _whole("sample_sizes", n) for n in _entries("sample_sizes", self.sample_sizes)))
         if self.replications is not None:
             object.__setattr__(self, "replications", _whole("replications", self.replications))
         for name in ("master_seed", "workers", "weight_replications"):
             object.__setattr__(self, name, _whole(name, getattr(self, name)))
-        levels = tuple(
-            lv if isinstance(lv, WeibullParams) else WeibullParams(*lv)
-            for lv in self.param_levels
-        )
+        levels = tuple(_level(f"param_levels[{i}]", lv)
+                       for i, lv in enumerate(_entries("param_levels", self.param_levels)))
         object.__setattr__(self, "param_levels", levels)
         if not self.methods:
             raise ValueError("methods must be nonempty")

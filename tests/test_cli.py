@@ -223,6 +223,19 @@ class TestSimulateCommand:
         assert f"{field} must be an integer" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("methods", "USTAT"), ("sample_sizes", 10), ("param_levels", 2.0),
+    ])
+    def test_non_list_field_in_config_exits_64(self, field, value, tmp_path, capsys):
+        doc = {"methods": ["USTAT"], "sample_sizes": [10], "param_levels": [[2.0, 3.0]],
+               "replications": 120, field: value}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out_dir = tmp_path / "out"
+        assert run_cli(["simulate", "--config", str(cfg), "--out-dir", str(out_dir)]) == EXIT_USAGE
+        assert f"{field} must be a list" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_integral_float_counts_in_config_run(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"methods": ["USTAT"], "sample_sizes": [10.0],

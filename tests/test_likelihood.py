@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -213,6 +216,119 @@ class TestWeightSimulationOracle:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+
+class StubGenerator:
+    """A seeded generator that records the thread of every standard_exponential
+    call and raises on call number ``fail_on``, late enough that the other
+    thread of the simulation is already waiting for its next turn."""
+
+    def __init__(self, seed, fail_on=None):
+        self._rng = np.random.default_rng(seed)
+        self.fail_on = fail_on
+        self.threads = []
+
+    def standard_exponential(self, out):
+        self.threads.append(threading.get_ident())
+        if len(self.threads) == self.fail_on:
+            time.sleep(0.2)
+            raise RuntimeError(f"draw {self.fail_on} failed")
+        return self._rng.standard_exponential(out=out)
+
+
+def call_with_timeout(fn, *args, timeout=20.0):
+    """fn(*args) on a thread joined with a timeout: {"result": ...} or {"error": ...}."""
+    box = {}
+
+    def target():
+        try:
+            box["result"] = fn(*args)
+        except Exception as exc:
+            box["error"] = exc
+
+    runner = threading.Thread(target=target, daemon=True)
+    runner.start()
+    runner.join(timeout)
+    assert not runner.is_alive(), f"no return within {timeout} s"
+    return box
+
+
+class TestWeightSimulationThreads:
+    """Up to two threads share a weight simulation; the draws stay in stream order."""
+
+    @pytest.fixture
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(likelihood, "_usable_cpus", lambda: 2)
+
+    @pytest.mark.parametrize("n, reps", [(1, 100_000), (5, 100_000), (48, 100_000), (48, 12_345)])
+    def test_two_threads_equal_one(self, monkeypatch, n, reps):
+        monkeypatch.setattr(likelihood, "_usable_cpus", lambda: 2)
+        rng = StubGenerator(n)
+        two = simulate_weight_medians(n, reps, rng)
+        assert len(set(rng.threads)) == 2
+        monkeypatch.setattr(likelihood, "_usable_cpus", lambda: 1)
+        rng = StubGenerator(n)
+        assert simulate_weight_medians(n, reps, rng) == two
+        assert len(set(rng.threads)) == 1
+
+    def test_any_thread_count_and_block_size(self, monkeypatch):
+        n, reps = 30, 10_000
+        one_thread = simulate_weight_medians(n, reps, np.random.default_rng(5))
+        # 7 rows per block, which does not divide the replications
+        monkeypatch.setattr(likelihood, "_WEIGHT_BLOCK_VALUES", 7 * n + 3)
+        for threads in (2, 3):
+            monkeypatch.setattr(likelihood, "_WEIGHT_THREADS", threads)
+            monkeypatch.setattr(likelihood, "_usable_cpus", lambda: threads)
+            rng = StubGenerator(5)
+            assert simulate_weight_medians(n, reps, rng) == one_thread
+            assert len(set(rng.threads)) == threads
+
+    def test_one_block_runs_on_the_calling_thread(self, two_cpus):
+        rng = StubGenerator(1)
+        simulate_weight_medians(5, 1001, rng)
+        assert rng.threads == [threading.get_ident()]
+
+    def test_no_thread_outlives_a_call(self, two_cpus):
+        before = set(threading.enumerate())
+        rng = StubGenerator(2)
+        simulate_weight_medians(30, 10_000, rng)
+        assert len(set(rng.threads)) == 2
+        assert set(threading.enumerate()) == before
+
+    # call 3 draws a block of the calling thread, call 4 one of the other thread
+    @pytest.mark.parametrize("fail_on", [3, 4])
+    def test_failure_in_either_thread_reaches_the_caller(self, two_cpus, fail_on):
+        before = threading.active_count()
+        rng = StubGenerator(3, fail_on=fail_on)
+        box = call_with_timeout(simulate_weight_medians, 30, 10_000, rng)
+        assert isinstance(box.get("error"), RuntimeError)
+        assert str(box["error"]) == f"draw {fail_on} failed"
+        # the other thread drew nothing after the failure, and is gone
+        assert len(rng.threads) == fail_on
+        assert threading.active_count() == before
+
+    def test_concurrent_callers_match_serial_calls(self, two_cpus):
+        cases = [(5, 20_000, 1), (10, 20_000, 2), (30, 20_000, 3), (48, 20_000, 4)]
+        serial = [simulate_weight_medians(n, reps, np.random.default_rng(seed))
+                  for n, reps, seed in cases]
+        results = [None] * len(cases)
+
+        def call(i):
+            n, reps, seed = cases[i]
+            results[i] = simulate_weight_medians(n, reps, np.random.default_rng(seed))
+
+        callers = [threading.Thread(target=call, args=(i,)) for i in range(len(cases))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert results == serial
 
 
 class TestFitWMLE:

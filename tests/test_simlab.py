@@ -73,6 +73,20 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             tiny_config(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("methods", "MLE"), ("sample_sizes", 10), ("param_levels", 2.5),
+        ("param_levels", {"shape": 2.0, "scale": 3.0}),
+    ])
+    def test_non_list_field_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a list"):
+            tiny_config(**{field: value})
+
+    def test_level_must_be_a_pair(self):
+        with pytest.raises(ValueError, match=r"param_levels\[0\] must be a list"):
+            tiny_config(param_levels=(2.0, 3.0))
+        with pytest.raises(ValueError, match=r"param_levels\[1\] must be a \(shape, scale\) pair"):
+            tiny_config(param_levels=((2.0, 3.0), (2.0, 3.0, 4.0)))
+
     def test_integral_floats_become_ints(self):
         cfg = tiny_config(sample_sizes=(10.0,), replications=1e4, workers=2.0,
                           weight_replications=2e3, master_seed=77.0)
