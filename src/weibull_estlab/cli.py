@@ -24,6 +24,7 @@ from .errors import DataError, EstimationError
 from .gof import GofReport, gof_report
 from .likelihood import (
     DEFAULT_WEIGHT_REPLICATIONS,
+    MIN_WEIGHT_REPLICATIONS,
     WeightStore,
     default_weights_path,
     read_weight_table,
@@ -122,8 +123,9 @@ def _build_parser() -> _Parser:
     gof.add_argument("--out", type=Path, default=None)
 
     sim = sub.add_parser("simulate", help="run a bias/RMSE Monte Carlo experiment")
-    sim.add_argument("--config", type=Path, default=None, help="JSON experiment description")
-    sim.add_argument("--preset", choices=sorted(PRESETS), default=None)
+    source = sim.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config", type=Path, help="JSON experiment description")
+    source.add_argument("--preset", choices=sorted(PRESETS))
     # flags override the config file only when given explicitly
     sim.add_argument("--reps", type=int, default=None, help="override replication count")
     sim.add_argument("--seed", type=_seed, default=None, help=f"master seed (default {DEFAULT_SEED})")
@@ -162,8 +164,8 @@ def _load_data(spec: str, parser: _Parser) -> Dataset:
 def _run_fit(args, parser: _Parser) -> int:
     dataset = _load_data(args.data, parser)
     methods = _parse_methods(args.methods, parser)
-    if args.weight_reps < 1000:
-        parser.error("--weight-reps must be >= 1000")
+    if args.weight_reps < MIN_WEIGHT_REPLICATIONS:
+        parser.error(f"--weight-reps must be >= {MIN_WEIGHT_REPLICATIONS}")
     try:
         options = FitOptions(
             plotting_rule=args.rule,
@@ -176,13 +178,16 @@ def _run_fit(args, parser: _Parser) -> int:
     except DataError as exc:
         parser.error(str(exc))
 
-    store = WeightStore(replications=args.weight_reps, seed=args.seed)
+    try:
+        weights = (WeightStore(replications=args.weight_reps, seed=args.seed).get(s.n)
+                   if "WMLE" in methods else None)
+    except ValueError as exc:  # a malformed weight cache
+        parser.error(str(exc))
     results: dict[str, EstimateResult] = {}
     gofs: dict[str, GofReport] = {}
     failures: dict[str, str] = {}
     for name in methods:
         try:
-            weights = store.get(s.n) if name == "WMLE" else None
             fit = fit_method(name, s, options, weights)
         except EstimationError as exc:
             failures[name] = f"{type(exc).__name__}: {exc}"
@@ -274,46 +279,23 @@ def _run_gof(args, parser: _Parser) -> int:
     return EXIT_OK
 
 
-def _config_from_file(path: Path, parser: _Parser) -> dict:
-    try:
-        raw = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        parser.error(f"cannot read config {path}: {exc}")
-    if not isinstance(raw, dict):
-        parser.error(f"config {path} must be a JSON object")
-    known = {"methods", "sample_sizes", "param_levels", "replications",
-             "master_seed", "metric", "workers", "plotting_rule", "weight_replications"}
-    unknown = set(raw) - known
-    if unknown:
-        parser.error(f"config {path}: unknown field(s) {sorted(unknown)}; known: {sorted(known)}")
-    return raw
-
-
 def _run_simulate(args, parser: _Parser) -> int:
-    if (args.config is None) == (args.preset is None):
-        parser.error("exactly one of --config or --preset is required")
     if args.preset is not None:
         raw = dict(PRESETS[args.preset])
     else:
-        raw = _config_from_file(args.config, parser)
-    if args.reps is not None:
-        raw["replications"] = args.reps
-    seed = args.seed if args.seed is not None else raw.get("master_seed", DEFAULT_SEED)
-    workers = args.workers if args.workers is not None else raw.get("workers", 1)
-    rule = args.rule if args.rule is not None else raw.get("plotting_rule", DEFAULT_RULE)
+        try:
+            raw = json.loads(args.config.read_text())
+        except (OSError, json.JSONDecodeError) as exc:
+            parser.error(f"cannot read config {args.config}: {exc}")
+        if not isinstance(raw, dict):
+            parser.error(f"config {args.config} must be a JSON object")
+    for name, flag in (("replications", args.reps), ("master_seed", args.seed),
+                       ("workers", args.workers), ("plotting_rule", args.rule)):
+        if flag is not None:
+            raw[name] = flag
     try:
-        cfg = SimulationConfig(
-            methods=raw["methods"],
-            sample_sizes=raw["sample_sizes"],
-            param_levels=raw["param_levels"],
-            replications=raw.get("replications"),
-            master_seed=seed,
-            metric=raw.get("metric", "BOTH"),
-            workers=workers,
-            options=FitOptions(plotting_rule=rule),
-            weight_replications=raw.get("weight_replications", DEFAULT_WEIGHT_REPLICATIONS),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        cfg = SimulationConfig.from_mapping(raw)
+    except (TypeError, ValueError) as exc:
         parser.error(f"invalid experiment config: {exc}")
 
     started = time.perf_counter()
@@ -326,16 +308,7 @@ def _run_simulate(args, parser: _Parser) -> int:
     plot_paths = emit_plot_data(table, out_dir / "plot")
     manifest = {
         "seed": cfg.master_seed,
-        "config": {
-            "methods": list(cfg.methods),
-            "sample_sizes": list(cfg.sample_sizes),
-            "param_levels": [[lv.shape, lv.scale] for lv in cfg.param_levels],
-            "replications": cfg.replications,
-            "metric": cfg.metric,
-            "workers": cfg.workers,
-            "plotting_rule": cfg.options.plotting_rule,
-            "weight_replications": cfg.weight_replications,
-        },
+        "config": cfg.as_mapping(),
         "wall_time_seconds": elapsed,
         "files": [str(csv_path)] + [str(p) for p in plot_paths],
         "skipped_cells": [list(item) for item in table.skipped],
@@ -356,10 +329,13 @@ def _run_weights(args, parser: _Parser) -> int:
         parser.error(f"cannot parse --n {args.n!r} as integers")
     if not sizes or any(n < 2 for n in sizes):
         parser.error("every sample size must be an integer >= 2")
-    if args.reps < 1000:
-        parser.error("--reps must be >= 1000")
+    if args.reps < MIN_WEIGHT_REPLICATIONS:
+        parser.error(f"--reps must be >= {MIN_WEIGHT_REPLICATIONS}")
     path = args.out or default_weights_path()
-    records = read_weight_table(path)
+    try:
+        records = read_weight_table(path)
+    except ValueError as exc:
+        parser.error(str(exc))
     for n in sizes:
         records[(n, args.reps, args.seed)] = seeded_weight_medians(n, args.reps, args.seed)
     write_weight_table(path, records)

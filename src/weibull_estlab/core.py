@@ -5,8 +5,9 @@ for the parameterization
 
     F(x) = 1 - exp{-(x/scale)^shape},    x > 0,
 
-plus the validated sample container, the per-row result of a batched fit and
-the handful of special constants the estimators share.
+plus the validated sample container, the per-row result of a batched fit,
+the seeding of every random substream and the handful of special constants
+the estimators share.
 
 Every estimator has one array implementation that fits R samples of one size
 at once, given as R x n matrices of ascending values and their logs; a
@@ -20,6 +21,7 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 from scipy.special import digamma
 from scipy.special import gammaln, polygamma
 
@@ -34,6 +36,9 @@ __all__ = [
     "check_observations",
     "EstimateResult",
     "BatchFit",
+    "REPLICATIONS",
+    "WEIGHTS",
+    "substreams",
     "scratch",
     "row_dot",
     "row_var",
@@ -61,6 +66,19 @@ _GAMMA_OVERFLOW_ARG = 171.61447887182298
 # allocated afresh, so one fit at a huge n does not pin its memory
 _SCRATCH_MAX_VALUES = 1 << 18
 _scratch_buffers = threading.local()
+
+# substream families, the first word of a spawn key: the lab's replication r
+# of cell c is (REPLICATIONS, c, r), the WMLE weight simulation at n is (WEIGHTS, n)
+REPLICATIONS = 0
+WEIGHTS = 1
+
+# SeedSequence hashing constants (NEP 19): hashmix multipliers A (entropy into
+# the pool) and B (pool into state words), and the pool's mix multipliers
+_MASK32 = 0xFFFF_FFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_SHIFT = np.uint32(16)
 
 
 @dataclass(frozen=True)
@@ -144,6 +162,70 @@ class EstimateResult:
     @property
     def params(self) -> WeibullParams:
         return WeibullParams(self.shape, self.scale)
+
+
+def _hash_consts(start: int, mult: int, count: int) -> np.ndarray:
+    """start, start*mult, ... (count + 1 constants, mod 2^32) as a uint32 column."""
+    consts = [start]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+# generate_state(4, uint64) hashes the pool words 0, 1, 2, 3, 0, 1, 2, 3 under these
+_STATE_CONSTS = _hash_consts(_INIT_B, _MULT_B, 8)
+
+
+def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of ``value`` under each successive constant, one row each."""
+    value = (value ^ consts[:-1]) * consts[1:]
+    return value ^ value >> _SHIFT
+
+
+def _word_count(x: int) -> int:
+    """How many uint32 entropy words SeedSequence makes of the integer x >= 0."""
+    return max(1, -(-int(x).bit_length() // 32))
+
+
+class _StateWords(ISeedSequence):
+    """Hands a bit generator the precomputed ``generate_state(4, uint64)`` words."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if (n_words, dtype) != (4, np.uint64):
+            raise ValueError(f"holds 4 uint64 state words, not {n_words} {dtype}")
+        return self.words
+
+
+def substreams(seed: int, key: tuple[int, ...], indices: range) -> list[np.random.Generator]:
+    """The one derivation of a random stream from a seed: generator i equals
+    ``default_rng(SeedSequence(seed, spawn_key=key + (i,)))`` bit for bit, for
+    each i in ``indices``; ``key`` starts with the family.
+
+    A SeedSequence mixes its entropy words into a 4-word pool one at a time,
+    and the index is the last word. So the pool of the shared (seed, key)
+    words comes from numpy, and only the indices are hashed in here, as
+    uint32 arithmetic over all of them at once (it wraps mod 2^32, as the
+    hash does). Every shared word took 4 hashmix steps, which fixes where
+    the hash constant stands. numpy seeds each PCG64 from the resulting
+    state words.
+    """
+    if indices.stop > 1 << 32:
+        raise ValueError("a substream index must fit one 32-bit entropy word")
+    shared = np.random.SeedSequence(seed, spawn_key=key)
+    # the shared words: the seed's, zero-padded to the pool size, then the key's
+    shared_words = max(4, _word_count(seed)) + sum(_word_count(k) for k in key)
+    start = _INIT_A * pow(_MULT_A, 4 * shared_words, 1 << 32) & _MASK32
+    index = np.arange(indices.start, indices.stop, dtype=np.uint32)
+    mixed = _hashmix(index, _hash_consts(start, _MULT_A, 4))
+    pool = shared.pool[:, None] * _MIX_L - mixed * _MIX_R
+    pool ^= pool >> _SHIFT
+    state32 = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_CONSTS).astype(np.uint64)
+    # PCG64 reads its 4 words from the row's memory, so every row must be contiguous
+    state = np.ascontiguousarray((state32[0::2] | state32[1::2] << np.uint64(32)).T)
+    return [np.random.Generator(np.random.PCG64(_StateWords(row))) for row in state]
 
 
 def scratch(tag: str, shape: tuple[int, ...]) -> np.ndarray:

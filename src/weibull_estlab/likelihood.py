@@ -40,8 +40,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (BatchFit, EstimateResult, SortedSample, fail_rows, fit_one, open_rows, row_var,
-                   scratch)
+from .core import (WEIGHTS, BatchFit, EstimateResult, SortedSample, fail_rows, fit_one, open_rows,
+                   row_var, scratch, substreams)
 from .errors import DegenerateSampleError, EstimationError
 from .roots import no_sign_change, solve_rows
 
@@ -62,9 +62,7 @@ __all__ = [
 
 WEIGHTS_ENV_VAR = "WEIBULL_ESTLAB_WEIGHTS"
 DEFAULT_WEIGHT_REPLICATIONS = 100_000
-
-# substream family of the weight simulation under a seed: spawn_key=(1, n)
-_SK_WEIGHTS = 1
+MIN_WEIGHT_REPLICATIONS = 1000
 
 # values per block of the weight simulation's reused draw buffers (whole rows,
 # at least one): small enough to stay in cache
@@ -298,8 +296,8 @@ def simulate_weight_medians(n: int, replications: int, rng: np.random.Generator)
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if replications < 1000:
-        raise ValueError(f"need at least 1000 replications, got {replications}")
+    if replications < MIN_WEIGHT_REPLICATIONS:
+        raise ValueError(f"need at least {MIN_WEIGHT_REPLICATIONS} replications, got {replications}")
     rows = min(max(1, _WEIGHT_BLOCK_VALUES // n), replications)
     threads = min(_WEIGHT_THREADS, _usable_cpus(), -(-replications // rows))
     run = _WeightRun(n, replications, rows, threads, rng)
@@ -320,12 +318,12 @@ def simulate_weight_medians(n: int, replications: int, rng: np.random.Generator)
 
 
 def seeded_weight_medians(n: int, replications: int, seed: int) -> WeightPair:
-    """The weight medians for ``n`` simulated from the substream (seed, 1, n).
+    """The weight medians for ``n`` simulated from the substream (WEIGHTS, n) of ``seed``.
 
-    The one place that derives the weight stream from a seed, so the lab,
-    the weight cache and the ``weights`` command agree on it.
+    The one place that picks the weight stream, so the lab, the weight cache
+    and the ``weights`` command agree on it.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_SK_WEIGHTS, n)))
+    rng, = substreams(seed, (WEIGHTS,), range(n, n + 1))
     return simulate_weight_medians(n, replications, rng)
 
 
@@ -348,7 +346,8 @@ def read_weight_table(path: Path) -> dict[WeightKey, WeightPair]:
 
     A file without :data:`WEIGHT_TABLE_HEADER` as its first line holds the
     older layout with floats rounded to 12 digits; its records are not
-    returned, so they are simulated again and the file is rewritten.
+    returned, so they are simulated again and the file is rewritten. A
+    malformed record raises ValueError("<path>:<line>: ...").
     """
     records: dict[WeightKey, WeightPair] = {}
     if not path.exists():
@@ -361,9 +360,12 @@ def read_weight_table(path: Path) -> dict[WeightKey, WeightPair]:
         parts = line.split()
         if len(parts) != 5:
             raise ValueError(f"{path}:{lineno}: expected 5 fields, got {len(parts)}")
-        n, reps, seed = int(parts[0]), int(parts[3]), int(parts[4])
-        records[(n, reps, seed)] = WeightPair(w1=float(parts[1]), w2=float(parts[2]),
-                                              n=n, replications=reps)
+        try:
+            n, reps, seed = int(parts[0]), int(parts[3]), int(parts[4])
+            w1, w2 = float(parts[1]), float(parts[2])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        records[(n, reps, seed)] = WeightPair(w1=w1, w2=w2, n=n, replications=reps)
     if records and lines[0].strip() != WEIGHT_TABLE_HEADER:
         return {}
     return records

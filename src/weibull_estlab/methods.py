@@ -17,6 +17,7 @@ from .core import BatchFit, EstimateResult, SortedSample
 from .likelihood import WeightPair, fit_mle_batch, fit_wmle_batch
 from .regression import (
     DEFAULT_RULE,
+    PLOTTING_RULES,
     build_positions,
     fit_gls1_batch,
     fit_gls2_batch,
@@ -35,6 +36,11 @@ class FitOptions:
 
     plotting_rule: str = DEFAULT_RULE
     percentile: PercentileConfig = field(default_factory=PercentileConfig)
+
+    def __post_init__(self):
+        if self.plotting_rule not in PLOTTING_RULES:
+            raise ValueError(f"unknown plotting rule {self.plotting_rule!r}; "
+                             f"choose from {PLOTTING_RULES}")
 
 
 BatchFunction = Callable[[np.ndarray, np.ndarray, FitOptions, WeightPair | None], BatchFit]

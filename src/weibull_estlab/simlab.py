@@ -12,9 +12,8 @@ at most ``_CHUNK`` rows and about ``_BLOCK_VALUES`` values, a split that
 never depends on the worker count. Its samples are drawn (each from its own
 substream) into one matrix, and every method fits all of its rows in one
 batch call; a row's estimate never depends on the other rows of its chunk.
-The substreams of a chunk's rows are seeded together (the SeedSequence hash
-of every replication index in one array pass), yet row r equals
-``default_rng(SeedSequence(master_seed, spawn_key=(0, cell, r)))`` bit for bit.
+The substreams of a chunk's rows, ``(REPLICATIONS, cell, r)`` under the
+master seed, are seeded together by :func:`core.substreams`.
 
 Estimator failures (degenerate samples at tiny n, bracket failures) never
 abort a run; they are excluded from the metrics and counted per cell. So is
@@ -29,13 +28,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 # sample, fit_method and simulate_weight_medians are the single-replication
 # steps of the lab, re-exported here next to their batched forms
-from .core import WeibullParams, draw_sorted, sample, scratch  # noqa: F401
+from .core import REPLICATIONS, WeibullParams, draw_sorted, sample, scratch, substreams  # noqa: F401
 from .likelihood import (  # noqa: F401
     DEFAULT_WEIGHT_REPLICATIONS,
+    MIN_WEIGHT_REPLICATIONS,
     WeightPair,
     seeded_weight_medians,
     simulate_weight_medians,
@@ -43,7 +42,6 @@ from .likelihood import (  # noqa: F401
 from .methods import FitOptions, fit_batch, fit_method, known_methods  # noqa: F401
 
 __all__ = [
-    "METRICS",
     "RANK_TARGETS",
     "SimulationConfig",
     "MetricRow",
@@ -56,15 +54,10 @@ __all__ = [
     "CSV_HEADER",
 ]
 
-METRICS = ("BIAS", "RMSE", "BOTH")
 RANK_TARGETS = ("ALPHA_BIAS", "BETA_BIAS", "ALPHA_RMSE", "BETA_RMSE")
 CSV_HEADER = "method,n,alpha,beta,bias_alpha,bias_beta,rmse_alpha,rmse_beta,reps,failures"
 
 DEFAULT_SEED = 1729
-
-# substream family of the replications under the master seed (family 1 is
-# the WMLE weight simulation, see likelihood.seeded_weight_medians)
-_SK_REPLICATION = 0
 
 _CHUNK = 256  # replications per chunk at most
 _BLOCK_VALUES = 1 << 17  # and values per chunk at most (or one row), to keep temporaries small
@@ -104,6 +97,12 @@ def _level(name: str, value) -> WeibullParams:
     return WeibullParams(*pair)
 
 
+# the config-file fields of SimulationConfig.from_mapping and as_mapping: the
+# first three are required, the others default as the constructor's do
+_FILE_FIELDS = ("methods", "sample_sizes", "param_levels", "replications", "master_seed",
+                "workers", "plotting_rule", "weight_replications")
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Experiment grid: methods x sample sizes x parameter levels."""
@@ -113,7 +112,6 @@ class SimulationConfig:
     param_levels: tuple[WeibullParams, ...]
     replications: int | None = None  # None: per-n default_replications rule
     master_seed: int = DEFAULT_SEED
-    metric: str = "BOTH"
     workers: int = 1
     options: FitOptions = field(default_factory=FitOptions)
     weight_replications: int = DEFAULT_WEIGHT_REPLICATIONS
@@ -140,14 +138,44 @@ class SimulationConfig:
             raise ValueError("param_levels must be nonempty")
         if self.replications is not None and self.replications < 100:
             raise ValueError(f"replications must be >= 100, got {self.replications}")
-        if self.metric not in METRICS:
-            raise ValueError(f"metric must be one of {METRICS}, got {self.metric!r}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be a non-negative integer, got {self.master_seed}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.weight_replications < 1000:
-            raise ValueError("weight_replications must be >= 1000")
+        if self.weight_replications < MIN_WEIGHT_REPLICATIONS:
+            raise ValueError(f"weight_replications must be >= {MIN_WEIGHT_REPLICATIONS}")
+
+    @classmethod
+    def from_mapping(cls, raw: Mapping) -> SimulationConfig:
+        """The config of a config-file mapping such as :meth:`as_mapping` writes.
+
+        A field left out takes the constructor's default, and ``plotting_rule``
+        sets that of ``options``. ValueError names an unknown or missing field.
+        """
+        unknown = sorted(set(raw) - set(_FILE_FIELDS))
+        if unknown:
+            raise ValueError(f"unknown field(s) {unknown}; known: {list(_FILE_FIELDS)}")
+        missing = [name for name in _FILE_FIELDS[:3] if name not in raw]
+        if missing:
+            raise ValueError(f"missing field(s) {missing}")
+        kwargs = {name: value for name, value in raw.items() if name != "plotting_rule"}
+        if "plotting_rule" in raw:
+            kwargs["options"] = FitOptions(plotting_rule=raw["plotting_rule"])
+        return cls(**kwargs)
+
+    def as_mapping(self) -> dict:
+        """The config-file fields as JSON values (of ``options``, only the
+        plotting rule is one), which :meth:`from_mapping` reads back."""
+        return {
+            "methods": list(self.methods),
+            "sample_sizes": list(self.sample_sizes),
+            "param_levels": [[lv.shape, lv.scale] for lv in self.param_levels],
+            "replications": self.replications,
+            "master_seed": self.master_seed,
+            "workers": self.workers,
+            "plotting_rule": self.options.plotting_rule,
+            "weight_replications": self.weight_replications,
+        }
 
     def cells(self) -> list[tuple[int, int, WeibullParams]]:
         """(cell index, n, level) in deterministic grid order."""
@@ -179,80 +207,7 @@ class MetricTable:
     """Rows in (method, n, level) config order plus cells that never succeeded."""
 
     rows: tuple[MetricRow, ...]
-    metric: str = "BOTH"
     skipped: tuple[tuple[str, int, float, float, int], ...] = ()
-
-
-# SeedSequence hashing constants (NEP 19): hashmix multipliers A (entropy into
-# the pool) and B (pool into state words), and the pool's mix multipliers
-_MASK32 = 0xFFFF_FFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_SHIFT = np.uint32(16)
-
-
-def _hash_consts(start: int, mult: int, count: int) -> np.ndarray:
-    """start, start*mult, ... (count + 1 constants, mod 2^32) as a uint32 column."""
-    consts = [start]
-    for _ in range(count):
-        consts.append(consts[-1] * mult & _MASK32)
-    return np.array(consts, dtype=np.uint32)[:, None]
-
-
-# generate_state(4, uint64) hashes the pool words 0, 1, 2, 3, 0, 1, 2, 3 under these
-_STATE_CONSTS = _hash_consts(_INIT_B, _MULT_B, 8)
-
-
-def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
-    """SeedSequence's hashmix of ``value`` under each successive constant, one row each."""
-    value = (value ^ consts[:-1]) * consts[1:]
-    return value ^ value >> _SHIFT
-
-
-def _word_count(x: int) -> int:
-    """How many uint32 entropy words SeedSequence makes of the integer x >= 0."""
-    return max(1, -(-int(x).bit_length() // 32))
-
-
-class _StateWords(ISeedSequence):
-    """Hands a bit generator the precomputed ``generate_state(4, uint64)`` words."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if (n_words, dtype) != (4, np.uint64):
-            raise ValueError(f"holds 4 uint64 state words, not {n_words} {dtype}")
-        return self.words
-
-
-def _block_rngs(master_seed: int, cell: int, reps: range) -> list[np.random.Generator]:
-    """The generators of replications ``reps`` of one cell, seeded as one block.
-
-    Row r equals ``default_rng(SeedSequence(master_seed, spawn_key=(0, cell, r)))``
-    bit for bit. A SeedSequence mixes its entropy words into a 4-word pool one
-    at a time, and the replication index is the last word. So the pool of the
-    shared (master seed, 0, cell) words comes from numpy, and only the index is
-    hashed in here, as uint32 arithmetic over the whole block (it wraps mod
-    2^32, as the hash does). Every shared word took 4 hashmix steps, which
-    fixes where the hash constant stands. numpy seeds each PCG64 from the
-    resulting state words.
-    """
-    if reps.stop > 1 << 32:
-        raise ValueError("a replication index must fit one 32-bit entropy word")
-    shared = np.random.SeedSequence(master_seed, spawn_key=(_SK_REPLICATION, cell))
-    # the shared words: the seed's, zero-padded to the pool size, then the spawn key's
-    shared_words = max(4, _word_count(master_seed)) + 1 + _word_count(cell)
-    start = _INIT_A * pow(_MULT_A, 4 * shared_words, 1 << 32) & _MASK32
-    index = np.arange(reps.start, reps.stop, dtype=np.uint32)
-    mixed = _hashmix(index, _hash_consts(start, _MULT_A, 4))
-    pool = shared.pool[:, None] * _MIX_L - mixed * _MIX_R
-    pool ^= pool >> _SHIFT
-    state32 = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_CONSTS).astype(np.uint64)
-    # PCG64 reads its 4 words from the row's memory, so every row must be contiguous
-    state = np.ascontiguousarray((state32[0::2] | state32[1::2] << np.uint64(32)).T)
-    return [np.random.Generator(np.random.PCG64(_StateWords(row))) for row in state]
 
 
 def _chunks(n: int, reps: int) -> list[range]:
@@ -271,7 +226,7 @@ def _run_chunk(args) -> tuple[int, int, np.ndarray]:
     # the samples live in this thread's reused work arrays: no fit keeps them
     block = (stop - start, n)
     values, logs = draw_sorted(WeibullParams(shape, scale), n,
-                               _block_rngs(master_seed, cell, range(start, stop)),
+                               substreams(master_seed, (REPLICATIONS, cell), range(start, stop)),
                                out=(scratch("simlab.values", block), scratch("simlab.logs", block)))
     est = np.full((stop - start, len(methods), 2), np.nan)
     # a draw that underflowed to 0 or overflowed fails its replication for every method
@@ -345,7 +300,7 @@ def run_experiment(cfg: SimulationConfig) -> MetricTable:
                 reps=successes,
                 failures=failures,
             ))
-    return MetricTable(rows=tuple(rows), metric=cfg.metric, skipped=tuple(skipped))
+    return MetricTable(rows=tuple(rows), skipped=tuple(skipped))
 
 
 _TARGET_FIELDS = {
@@ -386,14 +341,8 @@ def rank_methods(
     return pairs
 
 
-def _plot_rows(table: MetricTable, metric: str, param: str) -> list[tuple[str, int, float]]:
-    field_name = f"{metric.lower()}_{param}"
-    keyed = sorted(table.rows, key=lambda r: (r.method, r.n))
-    return [(r.method, r.n, getattr(r, field_name)) for r in keyed]
-
-
 def emit_plot_data(table: MetricTable, path) -> list[Path]:
-    """Write plot-ready CSVs (method,n,value), one per (metric, parameter).
+    """Write the four plot-ready CSVs (method,n,value), one per (metric, parameter).
 
     ``path`` is a base prefix; files are named <base>_<metric>_<param>.csv.
     Values are written with full precision so parsing recovers the table
@@ -401,14 +350,14 @@ def emit_plot_data(table: MetricTable, path) -> list[Path]:
     """
     base = Path(path)
     base.parent.mkdir(parents=True, exist_ok=True)
-    metrics = ("BIAS", "RMSE") if table.metric == "BOTH" else (table.metric,)
+    keyed = sorted(table.rows, key=lambda r: (r.method, r.n))
     written = []
-    for metric in metrics:
+    for metric in ("bias", "rmse"):
         for param in ("alpha", "beta"):
-            target = base.with_name(f"{base.name}_{metric.lower()}_{param}.csv")
+            target = base.with_name(f"{base.name}_{metric}_{param}.csv")
             lines = ["method,n,value"]
-            for method, n, value in _plot_rows(table, metric, param):
-                lines.append(f"{method},{n},{value!r}")
+            for r in keyed:
+                lines.append(f"{r.method},{r.n},{getattr(r, f'{metric}_{param}')!r}")
             try:
                 target.write_text("\n".join(lines) + "\n")
             except OSError as exc:

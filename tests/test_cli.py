@@ -167,6 +167,17 @@ class TestWeightCache:
         assert self.fit_wmle(1, tmp_path / "warm.json", cache, monkeypatch) == cold
         assert read_weight_table(cache) == {(48, 2000, 1): pair}
 
+    @pytest.mark.parametrize("record", ["48 0.99 garbage", "48 0.99 x 100000 1729"])
+    def test_malformed_cache_exits_64(self, record, tmp_path, monkeypatch, capsys):
+        cache = tmp_path / "w.txt"
+        cache.write_text(f"{WEIGHT_TABLE_HEADER}\n{record}\n")
+        monkeypatch.setenv("WEIBULL_ESTLAB_WEIGHTS", str(cache))
+        out = tmp_path / "r.json"
+        argv = ["fit", "--methods", "WMLE", "--weight-reps", "2000", "--out", str(out)]
+        assert run_cli(argv) == EXIT_USAGE
+        assert f"{cache}:2: " in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cache]
+
 
 class TestGofCommand:
     def test_prints_distances(self, capsys):
@@ -249,6 +260,36 @@ class TestSimulateCommand:
         assert (manifest["config"]["replications"], manifest["config"]["workers"]) == (1000, 1)
         assert (out_dir / "metrics.csv").read_text().splitlines()[1].startswith("USTAT,10,2,3,")
 
+    @pytest.mark.parametrize("methods", [["GLS1"], ["USTAT"]])
+    def test_unknown_plotting_rule_in_config_exits_64(self, methods, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"methods": methods, "sample_sizes": [10],
+                                   "param_levels": [[2.0, 3.0]], "replications": 120,
+                                   "plotting_rule": "bogus"}))
+        out_dir = tmp_path / "out"
+        assert run_cli(["simulate", "--config", str(cfg), "--out-dir", str(out_dir)]) == EXIT_USAGE
+        assert "unknown plotting rule 'bogus'" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_metric_field_exits_64(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"methods": ["USTAT"], "sample_sizes": [10],
+                                   "param_levels": [[2.0, 3.0]], "replications": 120,
+                                   "metric": "BOTH"}))
+        out_dir = tmp_path / "out"
+        assert run_cli(["simulate", "--config", str(cfg), "--out-dir", str(out_dir)]) == EXIT_USAGE
+        assert "unknown field(s) ['metric']" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_manifest_config_reproduces_the_run(self, tmp_path, capsys):
+        first, second = tmp_path / "first", tmp_path / "second"
+        argv = ["simulate", "--preset", "table1", "--reps", "100", "--seed", "5"]
+        assert run_cli(argv + ["--out-dir", str(first)]) == EXIT_OK
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(json.loads((first / "manifest.json").read_text())["config"]))
+        assert run_cli(["simulate", "--config", str(cfg), "--out-dir", str(second)]) == EXIT_OK
+        assert (second / "metrics.csv").read_bytes() == (first / "metrics.csv").read_bytes()
+
     def test_preset_structure(self):
         assert PRESETS["table1"]["sample_sizes"] == (5, 10, 30)
         assert len(PRESETS["table1"]["methods"]) == 10
@@ -315,6 +356,15 @@ class TestWeightsCommand:
 
     def test_rejects_small_reps(self, capsys):
         assert run_cli(["weights", "--n", "5", "--reps", "10"]) == EXIT_USAGE
+
+    def test_malformed_cache_exits_64(self, tmp_path, capsys):
+        out = tmp_path / "w.txt"
+        out.write_text(f"{WEIGHT_TABLE_HEADER}\n48 0.99 x 100000 1729\n")
+        before = out.read_bytes()
+        assert run_cli(["weights", "--n", "5", "--reps", "2000", "--out", str(out)]) == EXIT_USAGE
+        assert f"{out}:2: " in capsys.readouterr().err
+        assert out.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [out]
 
     def test_env_var_default_path(self, tmp_path, monkeypatch, capsys):
         target = tmp_path / "env.txt"

@@ -185,6 +185,26 @@ class TestDrawSorted:
             draw_sorted(self.P, 30, [np.random.default_rng(0)], out=out)
 
 
+class TestSubstreams:
+    """core.substreams equals numpy's SeedSequence for every spawn-key prefix."""
+
+    # the last seed has more entropy words than the pool holds
+    @pytest.mark.parametrize("seed", [0, 1, 1729, 2**32, 2**64 + 5, 2**96 + 12345, 2**160 + 7])
+    def test_weight_family_equals_seed_sequence(self, seed):
+        for n in (2, 5, 30, 48, 1000, 2**32 - 1):
+            rng, = core.substreams(seed, (core.WEIGHTS,), range(n, n + 1))
+            oracle = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(core.WEIGHTS, n)))
+            assert rng.bit_generator.state == oracle.bit_generator.state, n
+            assert np.array_equal(rng.standard_exponential(8), oracle.standard_exponential(8))
+
+    @pytest.mark.parametrize("key", [(), (core.REPLICATIONS, 5), (3, 2**40)])
+    def test_any_key_prefix_equals_seed_sequence(self, key):
+        for seed in (0, 2**64 + 5, 2**160 + 7):
+            for i, rng in enumerate(core.substreams(seed, key, range(40))):
+                oracle = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key + (i,)))
+                assert rng.bit_generator.state == oracle.bit_generator.state, (seed, i)
+
+
 class TestScratch:
     def test_reused_per_tag_and_fresh_above_the_cap(self):
         a = core.scratch("test.a", (4, 5))

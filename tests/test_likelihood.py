@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import threading
 import time
@@ -389,6 +390,16 @@ class TestWeightTable:
         path.write_text("5 0.9 0.7\n")
         with pytest.raises(ValueError, match="expected 5 fields"):
             read_weight_table(path)
+        # every malformed record is named by file and line
+        for record, message in [
+            ("48 0.99 garbage", "expected 5 fields"),
+            ("48 0.99 x 100000 1729", "could not convert string to float: 'x'"),
+            ("48.5 0.99 0.97 100000 1729", "invalid literal for int"),
+            ("48 0.99 0.97 1e5 1729", "invalid literal for int"),
+        ]:
+            path.write_text(f"{WEIGHT_TABLE_HEADER}\n{record}\n")
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: .*{message}"):
+                read_weight_table(path)
 
     def test_older_rounded_layout_is_not_read(self, tmp_path):
         path = tmp_path / "weights.txt"

@@ -16,7 +16,8 @@ from weibull_estlab import (
     write_metric_csv,
 )
 from weibull_estlab import methods, simlab
-from weibull_estlab.core import BatchFit, draw_sorted
+from weibull_estlab.cli import PRESETS
+from weibull_estlab.core import REPLICATIONS, BatchFit, draw_sorted, substreams
 from weibull_estlab.methods import FitOptions
 from weibull_estlab.simlab import CSV_HEADER, default_replications
 
@@ -51,10 +52,6 @@ class TestConfigValidation:
     def test_small_sample_size_rejected(self):
         with pytest.raises(ValueError):
             tiny_config(sample_sizes=(1,))
-
-    def test_bad_metric_rejected(self):
-        with pytest.raises(ValueError):
-            tiny_config(metric="MAE")
 
     def test_negative_master_seed_rejected(self):
         with pytest.raises(ValueError, match="master_seed"):
@@ -95,6 +92,10 @@ class TestConfigValidation:
         assert counts == (10, 10_000, 2, 2000, 77)
         assert all(type(c) is int for c in counts)
 
+    def test_unknown_plotting_rule_rejected(self):
+        with pytest.raises(ValueError, match="unknown plotting rule 'bogus'"):
+            tiny_config(options=FitOptions(plotting_rule="bogus"))
+
     def test_levels_coerced_from_tuples(self):
         cfg = tiny_config(param_levels=((2.0, 3.0),))
         assert cfg.param_levels[0] == WeibullParams(2.0, 3.0)
@@ -103,6 +104,40 @@ class TestConfigValidation:
         assert default_replications(5) == 10_000
         assert default_replications(200) == 10_000
         assert default_replications(1000) == 2_000
+
+
+class TestConfigMapping:
+    """from_mapping and as_mapping are the config-file schema."""
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_preset_round_trip(self, preset):
+        cfg = SimulationConfig.from_mapping(PRESETS[preset])
+        assert SimulationConfig.from_mapping(cfg.as_mapping()) == cfg
+
+    def test_every_field_round_trip(self):
+        raw = {"methods": ["WMLE", "GLS1"], "sample_sizes": [7, 12],
+               "param_levels": [[0.5, 2.5], [3.0, 1.5]], "replications": 300,
+               "master_seed": 2**64 + 5, "workers": 2, "plotting_rule": "(i-0.3)/(n+0.4)",
+               "weight_replications": 5000}
+        cfg = SimulationConfig.from_mapping(raw)
+        assert cfg.as_mapping() == raw
+        assert SimulationConfig.from_mapping(cfg.as_mapping()) == cfg
+        assert cfg.options == FitOptions(plotting_rule="(i-0.3)/(n+0.4)")
+
+    def test_omitted_fields_take_constructor_defaults(self):
+        raw = {"methods": ["LM"], "sample_sizes": [10], "param_levels": [[2.0, 3.0]]}
+        assert SimulationConfig.from_mapping(raw) == SimulationConfig(
+            methods=("LM",), sample_sizes=(10,), param_levels=((2.0, 3.0),))
+
+    def test_unknown_field_named(self):
+        raw = {"methods": ["LM"], "sample_sizes": [10], "param_levels": [[2.0, 3.0]],
+               "metric": "BOTH"}
+        with pytest.raises(ValueError, match=r"unknown field\(s\) \['metric'\]"):
+            SimulationConfig.from_mapping(raw)
+
+    def test_missing_field_named(self):
+        with pytest.raises(ValueError, match=r"missing field\(s\) \['sample_sizes'\]"):
+            SimulationConfig.from_mapping({"methods": ["LM"], "param_levels": [[2.0, 3.0]]})
 
 
 class TestRunExperiment:
@@ -182,7 +217,8 @@ class TestRunExperiment:
 
 
 class TestBlockSeeding:
-    """Rows seeded a block at a time equal one SeedSequence per replication."""
+    """Rows seeded a block at a time by core.substreams equal one SeedSequence
+    per replication."""
 
     LEVEL = WeibullParams(2.0, 3.0)
 
@@ -190,7 +226,7 @@ class TestBlockSeeding:
         return draw_sorted(self.LEVEL, n, [replication_rng(master, cell, r) for r in reps])[0]
 
     def block_rows(self, master, cell, reps):
-        return draw_sorted(self.LEVEL, 3, simlab._block_rngs(master, cell, reps))[0]
+        return draw_sorted(self.LEVEL, 3, substreams(master, (REPLICATIONS, cell), reps))[0]
 
     @pytest.mark.parametrize("master", [0, 1, 1729, 2**32 - 1, 2**32, 2**64 + 5, 172900017])
     def test_rows_equal_per_replication_seeding(self, master):
@@ -207,11 +243,11 @@ class TestBlockSeeding:
 
     def test_index_beyond_one_entropy_word_rejected(self):
         with pytest.raises(ValueError):
-            simlab._block_rngs(1, 0, range(2**32 - 1, 2**32 + 1))
+            substreams(1, (REPLICATIONS, 0), range(2**32 - 1, 2**32 + 1))
 
     def test_negative_master_seed_rejected(self):
         with pytest.raises(ValueError):
-            simlab._block_rngs(-1, 0, range(3))
+            substreams(-1, (REPLICATIONS, 0), range(3))
 
     def test_chunk_split_into_row_blocks(self, monkeypatch):
         # at n = 4000 a chunk is one row block of _BLOCK_VALUES // n = 32 replications
@@ -294,14 +330,13 @@ class TestRankMethods:
 class TestEmission:
     def test_file_count_by_metric(self, tmp_path):
         table = run_experiment(tiny_config(replications=120))
-        both = emit_plot_data(table, tmp_path / "both")
-        assert len(both) == 4
-        rmse_only = MetricTable(rows=table.rows, metric="RMSE")
-        files = emit_plot_data(rmse_only, tmp_path / "rmse")
-        assert [f.name for f in files] == ["rmse_rmse_alpha.csv", "rmse_rmse_beta.csv"]
+        files = emit_plot_data(table, tmp_path / "plot")
+        assert [f.name for f in files] == ["plot_bias_alpha.csv", "plot_bias_beta.csv",
+                                           "plot_rmse_alpha.csv", "plot_rmse_beta.csv"]
 
     def test_empty_table_header_only(self, tmp_path):
-        files = emit_plot_data(MetricTable(rows=(), metric="RMSE"), tmp_path / "empty")
+        files = emit_plot_data(MetricTable(rows=()), tmp_path / "empty")
+        assert len(files) == 4
         for f in files:
             assert f.read_text() == "method,n,value\n"
 
