@@ -101,7 +101,7 @@ def fit_lm_batch(values: np.ndarray, logs: np.ndarray) -> BatchFit:
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ratio = m2 / m1
         fail_rows(errors, ~((ratio > 0.0) & (ratio < 1.0)), lambda r: InvalidRatioError(
-            f"m2/m1 = {ratio[r]!r} outside (0, 1); cannot invert the L-moment equation"))
+            f"m2/m1 = {float(ratio[r])} outside (0, 1); cannot invert the L-moment equation"))
         shape = -LOG_TWO / np.log1p(-ratio)
         scale = m1 / gamma(1.0 / shape + 1.0)
     return BatchFit.build("LM", shape, scale, errors)
@@ -146,7 +146,7 @@ def fit_pm_batch(values: np.ndarray, logs: np.ndarray,
     x_p, x_anchor = np.quantile(values, [cfg.p, _ANCHOR_P], axis=1, method=cfg.quantile_rule)
     errors: dict = {}
     fail_rows(errors, x_p == x_anchor, lambda r: DegenerateSampleError(
-        f"empirical quantiles at p={cfg.p} and {_ANCHOR_P:.4f} coincide ({x_p[r]!r})"))
+        f"empirical quantiles at p={cfg.p} and {_ANCHOR_P:.4f} coincide ({float(x_p[r])})"))
     with np.errstate(divide="ignore", invalid="ignore"):
         shape = math.log(-math.log1p(-cfg.p)) / (np.log(x_p) - np.log(x_anchor))
     return BatchFit.build("PM", shape, x_anchor, errors)

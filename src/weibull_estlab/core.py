@@ -140,7 +140,7 @@ def check_observations(values: np.ndarray) -> None:
     bad = np.flatnonzero(~np.isfinite(values) | (values <= 0.0))
     if bad.size:
         i = int(bad[0])
-        raise DataError(f"observation {i + 1} is not a positive finite real ({values[i]!r})")
+        raise DataError(f"observation {i + 1} is not a positive finite real ({float(values[i])})")
 
 
 @dataclass(frozen=True)
@@ -304,7 +304,8 @@ class BatchFit:
         good = (np.minimum(shape, scale) > 0.0) & (np.maximum(shape, scale) < math.inf)
         if errors or np.count_nonzero(good) < good.size:
             fail_rows(errors, ~good, lambda r: EstimationError(
-                f"{method} estimate ({shape[r]!r}, {scale[r]!r}) is not a finite positive pair"))
+                f"{method} estimate ({float(shape[r])}, {float(scale[r])}) "
+                "is not a finite positive pair"))
             failed = np.zeros(shape.size, dtype=bool)
             failed[list(errors)] = True
             shape = np.where(failed, np.nan, shape)

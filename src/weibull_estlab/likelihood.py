@@ -24,10 +24,12 @@ by simulating standard exponentials. n * W1 is Gamma(n, 1); both medians
 tend to 1 as n grows, which is why the weighted fit converges to the MLE.
 
 The simulation runs on up to two threads that take alternate blocks of
-draws: the generator goes to the blocks strictly in stream order, one
-thread reduces a block while the other draws the next, and each thread
-takes one of the two medians, so the medians are the same on one thread or
-two. The threads are started and joined within each call.
+draws. The calling thread is thread 0; the other runs on a thread pool
+opened and shut down within each call. One turn counter, the replications
+drawn so far, hands the generator to the blocks strictly in stream order,
+so one thread reduces a block while the other draws the next and the
+medians are the same on one thread or two. The caller takes the median of
+w1 while the pool takes that of w2.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+from concurrent.futures.thread import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -203,81 +206,6 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-class _Abandoned(Exception):
-    """Stops a weight-simulation thread once another one has failed."""
-
-
-class _WeightRun:
-    """One weight simulation, shared by the threads that run it.
-
-    Thread t of T draws and reduces blocks t, t + T, ... of ``rows``
-    replications each, into buffers of its own. The generator goes to the
-    blocks strictly in order (``_drawn`` counts the replications drawn so
-    far), so every block gets the same draws for any T. Once every block is
-    reduced, thread t takes the medians of w1 and w2 that fall to it. The
-    first exception in any thread is kept in ``error`` and wakes the others,
-    which then stop.
-    """
-
-    def __init__(self, n: int, replications: int, rows: int, threads: int,
-                 rng: np.random.Generator):
-        self.n, self.rows, self.threads, self.rng = n, rows, threads, rng
-        self.w = np.empty((2, replications))  # w1 and w2 of every replication
-        self.medians = [math.nan, math.nan]
-        self.error: BaseException | None = None
-        self._cond = threading.Condition()
-        self._drawn = 0
-        self._reduced = 0
-
-    def work(self, t: int) -> None:
-        """Thread t's share of the run; a failure is kept, not raised."""
-        try:
-            self._work(t)
-        except _Abandoned:
-            pass
-        except BaseException as exc:  # kept, and raised again by the caller
-            with self._cond:
-                self.error = self.error or exc
-                self._cond.notify_all()
-
-    def _until(self, ready) -> None:
-        """Wait until ready() holds, or stop if a thread has failed."""
-        with self._cond:
-            self._cond.wait_for(lambda: self.error is not None or ready())
-            if self.error is not None:
-                raise _Abandoned
-
-    def _work(self, t: int) -> None:
-        n, rows, (w1, w2) = self.n, self.rows, self.w
-        replications = w1.size
-        e = np.empty((rows, n))
-        log_e = np.empty((rows, n))
-        sums = np.empty((3, rows))  # per row: sum(e), sum(log e), sum(e log e)
-        for done in range(t * rows, replications, self.threads * rows):
-            k = min(rows, replications - done)
-            block, logs = e[:k], log_e[:k]
-            sum_e, sum_log, sum_elog = sums[:, :k]
-            self._until(lambda: self._drawn == done)
-            self.rng.standard_exponential(out=block)
-            with self._cond:
-                self._drawn += k
-                self._cond.notify_all()
-            np.add.reduce(block, axis=1, out=sum_e)
-            np.add.reduce(np.log(block, out=logs), axis=1, out=sum_log)
-            np.add.reduce(np.multiply(block, logs, out=logs), axis=1, out=sum_elog)
-            # means as np.mean takes them: the row sum divided by n
-            np.divide(sum_e, n, out=w1[done:done + k])
-            np.subtract(sum_elog / sum_e, sum_log / n, out=w2[done:done + k])
-            with self._cond:
-                self._reduced += k
-                if self._reduced == replications:
-                    self._cond.notify_all()
-        self._until(lambda: self._reduced == replications)
-        for i in range(t, 2, self.threads):
-            # in place: the same partition as on a copy, so the same median
-            self.medians[i] = float(np.median(self.w[i], overwrite_input=True))
-
-
 def simulate_weight_medians(n: int, replications: int, rng: np.random.Generator) -> WeightPair:
     """Estimate the median weights for sample size n from Exp(1) draws.
 
@@ -288,11 +216,14 @@ def simulate_weight_medians(n: int, replications: int, rng: np.random.Generator)
     not on the block size or the number of threads.
 
     Up to ``_WEIGHT_THREADS`` threads (no more than the CPUs this process may
-    run on, or the blocks) share the work: one draws the next block while
-    another reduces the block before it (numpy releases the interpreter lock
-    in both), and the two medians are taken one on each thread. The threads
-    are started and joined within the call, so none outlives it, and an
-    exception in any of them is raised here.
+    run on, or the blocks) share the work: thread t of T draws and reduces
+    blocks t, t + T, ... into buffers of its own, while the others reduce
+    theirs (numpy releases the interpreter lock in both steps). Thread 0 is
+    the caller; the others run on a pool opened and shut down within the
+    call, so none outlives it. One turn counter, the replications drawn so
+    far, hands the generator to the blocks strictly in order; a failing
+    thread sets it to a stop value that ends the others, and its exception
+    is raised here.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -300,21 +231,53 @@ def simulate_weight_medians(n: int, replications: int, rng: np.random.Generator)
         raise ValueError(f"need at least {MIN_WEIGHT_REPLICATIONS} replications, got {replications}")
     rows = min(max(1, _WEIGHT_BLOCK_VALUES // n), replications)
     threads = min(_WEIGHT_THREADS, _usable_cpus(), -(-replications // rows))
-    run = _WeightRun(n, replications, rows, threads, rng)
-    # daemon: joined below, but a helper that a fault left waiting must not
-    # also hold up the interpreter's exit
-    helpers = [threading.Thread(target=run.work, args=(t,), name=f"weight-medians-{t}",
-                                daemon=True) for t in range(1, threads)]
-    for helper in helpers:
-        helper.start()
-    try:
-        run.work(0)
-    finally:
+    w1, w2 = np.empty((2, replications))  # w1 and w2 of every replication
+    turn = threading.Condition()
+    drawn = 0  # replications drawn so far, or -1 once a thread has failed
+
+    def work(t: int) -> None:
+        nonlocal drawn
+        try:
+            e = np.empty((rows, n))
+            log_e = np.empty((rows, n))
+            sums = np.empty((3, rows))  # per row: sum(e), sum(log e), sum(e log e)
+            for done in range(t * rows, replications, threads * rows):
+                k = min(rows, replications - done)
+                block, logs = e[:k], log_e[:k]
+                sum_e, sum_log, sum_elog = sums[:, :k]
+                with turn:
+                    turn.wait_for(lambda: drawn in (done, -1))
+                    if drawn == -1:
+                        return
+                    rng.standard_exponential(out=block)
+                    drawn += k
+                    turn.notify_all()
+                np.add.reduce(block, axis=1, out=sum_e)
+                np.add.reduce(np.log(block, out=logs), axis=1, out=sum_log)
+                np.add.reduce(np.multiply(block, logs, out=logs), axis=1, out=sum_elog)
+                # means as np.mean takes them: the row sum divided by n
+                np.divide(sum_e, n, out=w1[done:done + k])
+                np.subtract(sum_elog / sum_e, sum_log / n, out=w2[done:done + k])
+        except BaseException:
+            with turn:
+                drawn = -1
+                turn.notify_all()
+            raise
+
+    def median(values: np.ndarray) -> float:
+        # in place: the same partition as on a copy, so the same median
+        return float(np.median(values, overwrite_input=True))
+
+    if threads == 1:
+        work(0)
+        return WeightPair(w1=median(w1), w2=median(w2), n=n, replications=replications)
+    with ThreadPoolExecutor(threads - 1) as pool:
+        helpers = [pool.submit(work, t) for t in range(1, threads)]
+        work(0)
         for helper in helpers:
-            helper.join()
-    if run.error is not None:
-        raise run.error
-    return WeightPair(w1=run.medians[0], w2=run.medians[1], n=n, replications=replications)
+            helper.result()
+        second = pool.submit(median, w2)
+        return WeightPair(w1=median(w1), w2=second.result(), n=n, replications=replications)
 
 
 def seeded_weight_medians(n: int, replications: int, seed: int) -> WeightPair:
@@ -347,7 +310,9 @@ def read_weight_table(path: Path) -> dict[WeightKey, WeightPair]:
     A file without :data:`WEIGHT_TABLE_HEADER` as its first line holds the
     older layout with floats rounded to 12 digits; its records are not
     returned, so they are simulated again and the file is rewritten. A
-    malformed record raises ValueError("<path>:<line>: ...").
+    malformed record, or one that cannot be weights (n < 1, replications
+    below the floor, a negative seed, w1 not finite and positive, w2 not
+    finite), raises ValueError("<path>:<line>: ...").
     """
     records: dict[WeightKey, WeightPair] = {}
     if not path.exists():
@@ -365,6 +330,14 @@ def read_weight_table(path: Path) -> dict[WeightKey, WeightPair]:
             w1, w2 = float(parts[1]), float(parts[2])
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
+        for ok, rule in ((n >= 1, "n must be >= 1"),
+                         (reps >= MIN_WEIGHT_REPLICATIONS,
+                          f"replications must be >= {MIN_WEIGHT_REPLICATIONS}"),
+                         (seed >= 0, "seed must be >= 0"),
+                         (0.0 < w1 < math.inf, "w1 must be finite and positive"),
+                         (math.isfinite(w2), "w2 must be finite")):
+            if not ok:
+                raise ValueError(f"{path}:{lineno}: {rule}, got {line!r}")
         records[(n, reps, seed)] = WeightPair(w1=w1, w2=w2, n=n, replications=reps)
     if records and lines[0].strip() != WEIGHT_TABLE_HEADER:
         return {}

@@ -203,11 +203,11 @@ def _solve_rows(method: str, values: np.ndarray, logs: np.ndarray, lhs: np.ndarr
         fail_rows(errors, np.ones(len(b), dtype=bool),
                   lambda r: SingularSystemError(f"{what}: {exc}"))
     fail_rows(errors, ~np.isfinite(b[:, 0] + b[:, 1]), lambda r: SingularSystemError(
-        f"{what}: non-finite solution {b[r]!r}"))
+        f"{what}: non-finite solution {b[r].tolist()}"))
     fail_rows(errors, logs[:, 0] == logs[:, -1], lambda r: DegenerateSampleError(
         "all observations equal; the fitted slope is zero"))
     fail_rows(errors, ~(b[:, 1] > 0.0), lambda r: DegenerateSampleError(
-        f"fitted slope {b[r, 1]!r} is not positive; shape undefined"))
+        f"fitted slope {float(b[r, 1])} is not positive; shape undefined"))
     residual = np.maximum.reduce(np.abs(b @ lhs.T - rhs), axis=1)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return BatchFit.build(method, 1.0 / b[:, 1], np.exp(b[:, 0]), errors,

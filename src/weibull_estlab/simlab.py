@@ -164,8 +164,12 @@ class SimulationConfig:
         return cls(**kwargs)
 
     def as_mapping(self) -> dict:
-        """The config-file fields as JSON values (of ``options``, only the
-        plotting rule is one), which :meth:`from_mapping` reads back."""
+        """The config-file fields as JSON values, which :meth:`from_mapping`
+        reads back to this config. Of ``options`` only the plotting rule is a
+        field, so a non-default ``options.percentile`` raises ValueError."""
+        if self.options != FitOptions(plotting_rule=self.options.plotting_rule):
+            raise ValueError(f"options.percentile {self.options.percentile} has no "
+                             "config-file field; only the default maps")
         return {
             "methods": list(self.methods),
             "sample_sizes": list(self.sample_sizes),

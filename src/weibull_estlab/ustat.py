@@ -140,7 +140,7 @@ def fit_ustat_batch(values: np.ndarray, logs: np.ndarray) -> BatchFit:
     fail_rows(errors, logs[:, 0] == logs[:, -1], lambda r: DegenerateSampleError(
         "all observations equal; pairwise kernel average is zero"))
     fail_rows(errors, ~(u_alpha > 0.0), lambda r: DegenerateSampleError(
-        f"nonpositive kernel average {u_alpha[r]!r}"))
+        f"nonpositive kernel average {float(u_alpha[r])}"))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return BatchFit.build("USTAT", 1.0 / u_alpha, np.exp(u_logbeta), errors)
 

@@ -21,6 +21,7 @@ from scipy.special import gamma, gammaln
 
 from weibull_estlab import (
     BracketError,
+    DataError,
     EstimationError,
     SortedSample,
     WeibullParams,
@@ -145,6 +146,40 @@ def test_constant_rows_fail_for_every_method():
     for name in METHOD_NAMES:
         batch = _fit(name, values[:2], logs[:2])
         assert batch.failed.all(), name
+
+
+def _row_error(name, values, logs, weights=None):
+    """The message of the one failed row of fit_batch(name, values, logs)."""
+    (error,) = fit_batch(name, values, logs, None, weights).errors.values()
+    return str(error)
+
+
+def _data_error(data):
+    with pytest.raises(DataError) as info:
+        SortedSample.from_data(data)
+    return str(info.value)
+
+
+_DECREASING = np.array([[3.0, 2.0, 1.0]])  # rows reach a batch unchecked
+_TIED = np.array([[1.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 3.0]])
+
+
+# each message's offending value, as a Python float prints it
+@pytest.mark.parametrize("message, value", [
+    (lambda: _data_error([1.0, -2.0]), "(-2.0)"),
+    (lambda: _row_error("WMLE", *_matrix([[1.0, 2.0, 4.0]]), WeightPair(math.nan, 1.0, 3, 0)),
+     ", nan) is not a finite positive pair"),
+    (lambda: _row_error("LM", np.array([[-5.0, -4.0, 1.0]]), np.zeros((1, 3))), "= -0.75 "),
+    (lambda: _row_error("PM", _TIED, np.log(_TIED)), "coincide (2.0)"),
+    (lambda: _row_error("GLS1", _TIED, np.array([[0.0, 1.0, math.nan] + [2.0] * 7])),
+     "solution [nan, nan]"),
+    (lambda: _row_error("GLS1", _DECREASING, np.log(_DECREASING)), "slope -0.51"),
+    (lambda: _row_error("USTAT", _DECREASING, np.log(_DECREASING)), "average -0.52"),
+], ids=["observation", "estimate", "lm-ratio", "pm-quantile", "solution", "slope", "kernel"])
+def test_messages_print_values_as_python_floats(message, value):
+    text = message()
+    assert value in text
+    assert "np." not in text
 
 
 # --- test-local oracles ---------------------------------------------------------

@@ -178,6 +178,15 @@ class TestWeightCache:
         assert f"{cache}:2: " in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [cache]
 
+    def test_cache_record_that_cannot_be_weights_exits_64(self, tmp_path, monkeypatch, capsys):
+        cache = tmp_path / "w.txt"
+        cache.write_text(f"{WEIGHT_TABLE_HEADER}\n48 nan -5.0 100000 1729\n")
+        monkeypatch.setenv("WEIBULL_ESTLAB_WEIGHTS", str(cache))
+        out = tmp_path / "r.json"
+        assert run_cli(["fit", "--methods", "WMLE,MLE", "--out", str(out)]) == EXIT_USAGE
+        assert f"{cache}:2: w1 must be finite and positive" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cache]
+
 
 class TestGofCommand:
     def test_prints_distances(self, capsys):
@@ -363,6 +372,15 @@ class TestWeightsCommand:
         before = out.read_bytes()
         assert run_cli(["weights", "--n", "5", "--reps", "2000", "--out", str(out)]) == EXIT_USAGE
         assert f"{out}:2: " in capsys.readouterr().err
+        assert out.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_cache_record_that_cannot_be_weights_exits_64(self, tmp_path, capsys):
+        out = tmp_path / "w.txt"
+        out.write_text(f"{WEIGHT_TABLE_HEADER}\n48 0.99 0.97 -3 1729\n")
+        before = out.read_bytes()
+        assert run_cli(["weights", "--n", "5", "--out", str(out)]) == EXIT_USAGE
+        assert f"{out}:2: replications must be >= 1000" in capsys.readouterr().err
         assert out.read_bytes() == before
         assert list(tmp_path.iterdir()) == [out]
 

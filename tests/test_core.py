@@ -256,7 +256,8 @@ class TestSortedSample:
             SortedSample.from_data([1.0])
 
     def test_rejects_nonpositive_with_indices(self):
-        with pytest.raises(DataError, match=r"observation 2 .*\(-2\.0\)"):
+        with pytest.raises(DataError,
+                           match=r"^observation 2 is not a positive finite real \(-2\.0\)$"):
             SortedSample.from_data([1.0, -2.0, 3.0, 0.0])
         with pytest.raises(DataError, match=r"observation 3 .*\(nan\)"):
             SortedSample.from_data([1.0, 2.0, math.nan])

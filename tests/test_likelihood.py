@@ -296,16 +296,21 @@ class TestWeightSimulationThreads:
         assert len(set(rng.threads)) == 2
         assert set(threading.enumerate()) == before
 
-    # call 3 draws a block of the calling thread, call 4 one of the other thread
-    @pytest.mark.parametrize("fail_on", [3, 4])
-    def test_failure_in_either_thread_reaches_the_caller(self, two_cpus, fail_on):
+    # on two threads call 3 draws a block of the calling thread and call 4 one
+    # of the other; on three, calls 4, 5 and 6 draw one of threads 0, 1 and 2,
+    # and the failure must wake both threads that wait for their turn
+    @pytest.mark.parametrize("threads, fail_on", [(2, 3), (2, 4), (3, 4), (3, 5), (3, 6)])
+    def test_failure_in_either_thread_reaches_the_caller(self, monkeypatch, threads, fail_on):
+        monkeypatch.setattr(likelihood, "_WEIGHT_THREADS", threads)
+        monkeypatch.setattr(likelihood, "_usable_cpus", lambda: threads)
         before = threading.active_count()
         rng = StubGenerator(3, fail_on=fail_on)
         box = call_with_timeout(simulate_weight_medians, 30, 10_000, rng)
         assert isinstance(box.get("error"), RuntimeError)
         assert str(box["error"]) == f"draw {fail_on} failed"
-        # the other thread drew nothing after the failure, and is gone
+        # no thread drew after the failure, and every helper is gone
         assert len(rng.threads) == fail_on
+        assert len(set(rng.threads)) == min(threads, fail_on)
         assert threading.active_count() == before
 
     def test_concurrent_callers_match_serial_calls(self, two_cpus):
@@ -396,6 +401,17 @@ class TestWeightTable:
             ("48 0.99 x 100000 1729", "could not convert string to float: 'x'"),
             ("48.5 0.99 0.97 100000 1729", "invalid literal for int"),
             ("48 0.99 0.97 1e5 1729", "invalid literal for int"),
+            # records that parse but cannot be weights
+            ("0 0.99 0.97 100000 1729", "n must be >= 1"),
+            ("48 0.99 0.97 999 1729", "replications must be >= 1000"),
+            ("48 0.99 0.97 -3 1729", "replications must be >= 1000"),
+            ("48 0.99 0.97 100000 -1", "seed must be >= 0"),
+            ("48 nan -5.0 100000 1729", "w1 must be finite and positive"),
+            ("48 0.0 0.97 100000 1729", "w1 must be finite and positive"),
+            ("48 -0.5 0.97 100000 1729", "w1 must be finite and positive"),
+            ("48 inf 0.97 100000 1729", "w1 must be finite and positive"),
+            ("48 0.99 nan 100000 1729", "w2 must be finite"),
+            ("48 0.99 -inf 100000 1729", "w2 must be finite"),
         ]:
             path.write_text(f"{WEIGHT_TABLE_HEADER}\n{record}\n")
             with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: .*{message}"):

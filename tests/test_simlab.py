@@ -8,6 +8,7 @@ from weibull_estlab import (
     EstimationError,
     MetricRow,
     MetricTable,
+    PercentileConfig,
     SimulationConfig,
     WeibullParams,
     emit_plot_data,
@@ -123,6 +124,12 @@ class TestConfigMapping:
         assert cfg.as_mapping() == raw
         assert SimulationConfig.from_mapping(cfg.as_mapping()) == cfg
         assert cfg.options == FitOptions(plotting_rule="(i-0.3)/(n+0.4)")
+
+    def test_non_default_percentile_has_no_mapping(self):
+        cfg = SimulationConfig(methods=("PM",), sample_sizes=(10,), param_levels=((2.0, 3.0),),
+                               options=FitOptions(percentile=PercentileConfig(p=0.2)))
+        with pytest.raises(ValueError, match=r"options\.percentile"):
+            cfg.as_mapping()
 
     def test_omitted_fields_take_constructor_defaults(self):
         raw = {"methods": ["LM"], "sample_sizes": [10], "param_levels": [[2.0, 3.0]]}
