@@ -41,6 +41,16 @@ __all__ = [
 # numpy.quantile interpolation conventions exposed for the percentile method
 QUANTILE_RULES = ("median_unbiased", "linear", "weibull", "hazen", "normal_unbiased")
 
+# (alpha, beta) of the continuous sample quantiles of Hyndman & Fan, "Sample
+# quantiles in statistical packages", Am. Stat. 50 (1996), for the rules other
+# than "linear" (their type 7, alpha = beta = 1)
+_PLOTTING_CONSTANTS = {
+    "weibull": (0.0, 0.0),
+    "hazen": (0.5, 0.5),
+    "median_unbiased": (1.0 / 3.0, 1.0 / 3.0),
+    "normal_unbiased": (3.0 / 8.0, 3.0 / 8.0),
+}
+
 _ANCHOR_P = 1.0 - math.exp(-1.0)  # the scale parameter is this percentile
 
 
@@ -135,15 +145,47 @@ def fit_mlm(s: SortedSample) -> EstimateResult:
     return fit_one(fit_mlm_batch, s)
 
 
+def _sorted_quantile(values: np.ndarray, p: float, rule: str) -> np.ndarray:
+    """The p-quantile of every row of ascending ``values`` under ``rule``, bit for
+    bit as ``np.quantile(values, p, axis=1, method=rule)``.
+
+    The quantile lies at the virtual 0-based index n p + (alpha + p (1 - alpha
+    - beta)) - 1, or (n - 1) p for "linear", evaluated in numpy's order (an
+    algebraically equal form such as (n + 1) p - 1 for "weibull" can round
+    across an integer). Below 0 it is the first column, from n - 1 up the
+    last; in between it is numpy's two-sided lerp of the two columns around
+    the index.
+    """
+    n = values.shape[1]
+    # the ends are copied: a result can become a BatchFit's scale, and values
+    # can be a reused work buffer
+    if rule == "linear":
+        index = (n - 1) * p
+    else:
+        alpha, beta = _PLOTTING_CONSTANTS[rule]
+        index = n * p + (alpha + p * (1.0 - alpha - beta)) - 1.0
+    if index < 0.0:
+        return values[:, 0].copy()
+    if index >= n - 1:
+        return values[:, -1].copy()
+    j = math.floor(index)
+    t = index - j
+    below, above = values[:, j], values[:, j + 1]
+    step = above - below
+    return below + step * t if t < 0.5 else above - step * (1.0 - t)
+
+
 def fit_pm_batch(values: np.ndarray, logs: np.ndarray,
                  cfg: PercentileConfig | None = None) -> BatchFit:
     """Percentile estimator at the configured lower percentile, on every row.
 
     scale = empirical quantile at 1 - e^-1;
-    shape = log(-log(1 - p)) / (log x_p - log x_0.632).
+    shape = log(-log(1 - p)) / (log x_p - log x_0.632), with both quantiles
+    read off the ascending rows by :func:`_sorted_quantile`.
     """
     cfg = cfg or PercentileConfig()
-    x_p, x_anchor = np.quantile(values, [cfg.p, _ANCHOR_P], axis=1, method=cfg.quantile_rule)
+    x_p = _sorted_quantile(values, cfg.p, cfg.quantile_rule)
+    x_anchor = _sorted_quantile(values, _ANCHOR_P, cfg.quantile_rule)
     errors: dict = {}
     fail_rows(errors, x_p == x_anchor, lambda r: DegenerateSampleError(
         f"empirical quantiles at p={cfg.p} and {_ANCHOR_P:.4f} coincide ({float(x_p[r])})"))

@@ -365,7 +365,7 @@ def cdf(p: WeibullParams, x):
 def quantile(p: WeibullParams, prob):
     """Inverse cdf: scale * (-log(1 - prob))^(1/shape), prob in (0, 1)."""
     arr = np.asarray(prob, dtype=float)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
+    if not np.all((arr > 0.0) & (arr < 1.0)):  # NaN fails both
         raise ValueError("prob must lie strictly inside (0, 1)")
     out = p.scale * (-np.log1p(-arr)) ** (1.0 / p.shape)
     return float(out) if np.isscalar(prob) else out

@@ -1,9 +1,17 @@
 """Bracketed root finding for a batch of scalar equations, one root per row.
 
 :func:`solve_rows` is the one place that widens a seed bracket and tests it
-for a sign change. It iterates safeguarded Newton on all rows at once; a row
-whose iteration does not settle goes to Brent's method on the bracket it
-already holds, and a row whose widened bracket holds no sign change goes to a
+for a sign change. It works in four steps:
+
+1. start: score every row at its starting point;
+2. Newton: iterate safeguarded Newton on all rows at once, each inside its
+   seed bracket;
+3. verify: score only the seed-bracket ends whose sign no iterate has shown;
+4. replay: a row whose seed bracket fails starts again from the same point
+   inside its widened bracket.
+
+A row whose iteration does not settle goes to Brent's method on the bracket
+it holds, and a row whose widened bracket holds no sign change goes to a
 ``no_root`` hook on that same bracket (by default :func:`no_sign_change`,
 which raises a BracketError naming it).
 """
@@ -89,19 +97,28 @@ def solve_rows(
 ) -> RowRoots:
     """One root per row of decreasing functions by safeguarded Newton.
 
-    ``score(x, rows)`` returns f and f' of the given batch rows at ``x``; f
-    is decreasing in x. ``lo``/``hi``/``start`` (positive, aligned with
-    ``rows``) are the seed brackets and starting points. A bracket without a
-    sign change (f(lo) >= 0 >= f(hi)) is widened by ``BRACKET_FACTOR`` at
-    both ends, at most ``MAX_EXPANSIONS`` times; this is the only widening.
-    Each Newton step that leaves the current bracket is replaced by its
-    geometric midpoint, the bracket shrinks around every iterate, and a row
-    stops once its step is below ``NEWTON_RTOL`` relative, so its iterates
-    depend only on that row.
+    ``score(x, rows)`` returns f and f' of the given batch rows at ``x``
+    (always a subsequence of ``rows``, in order and without repeats); f is
+    decreasing in x. ``lo``/``hi``/``start`` (positive, aligned with
+    ``rows``) are the seed brackets and starting points. Each Newton step
+    that leaves the current bracket is replaced by its geometric midpoint,
+    the bracket shrinks around every iterate, and a row stops once its step
+    is below ``NEWTON_RTOL`` relative, so its iterates depend only on that
+    row.
+
+    Every row first iterates inside its seed bracket, before any end is
+    scored. A row whose seed bracket holds a sign change (f(lo) >= 0 >=
+    f(hi)) never uses f(lo) or f(hi) while it iterates, so it only has to be
+    checked afterwards: an iterate with f > 0 shows f(lo) >= 0, one with
+    f <= 0 shows f(hi) <= 0 (a NaN shows neither), and the ends no iterate
+    vouches for are scored in one call. A row that fails the check replays
+    from the same start: its bracket is widened by ``BRACKET_FACTOR`` at both
+    ends, at most ``MAX_EXPANSIONS`` times (this is the only widening), and
+    a row with a sign change then iterates again inside it.
 
     Two kinds of row leave the iteration and are marked ``fallback``. A row
     with a sign change that does not settle within ``MAX_NEWTON_STEPS`` is
-    solved by Brent's method on its widened bracket. A row whose widened
+    solved by Brent's method on its (widened) bracket. A row whose widened
     bracket still holds no sign change goes to ``no_root(f, lo, hi)`` on that
     bracket, which returns (root, iterations, residual, notes) or raises; an
     EstimationError it raises is recorded in ``errors`` under the batch row.
@@ -115,32 +132,13 @@ def solve_rows(
     notes: dict[int, tuple[str, ...]] = {}
     if k == 0:
         return RowRoots(rows, x, iterations, residual, lo, hi, used_fallback, notes)
+    # each row's bracket when it left the iteration, and the rows that met a NaN score
+    last_lo, last_hi = np.empty(k), np.empty(k)
+    blind = np.zeros(k, dtype=bool)
 
-    with np.errstate(all="ignore"):
-        outside = ~((start > lo) & (start < hi))
-        xa = np.where(outside, np.sqrt(lo * hi), start) if np.count_nonzero(outside) else start
-        # whole-row-set calls, which a scorer can serve without gathering its rows
-        flo, fhi = score(lo, rows)[0], score(hi, rows)[0]
-        f, df = score(xa, rows)
-        pending = ~((flo >= 0.0) & (fhi <= 0.0))
-        if np.count_nonzero(pending):
-            pending = pending.nonzero()[0]
-            for _ in range(MAX_EXPANSIONS):
-                lo[pending] /= BRACKET_FACTOR
-                hi[pending] *= BRACKET_FACTOR
-                flo[pending] = score(lo[pending], rows[pending])[0]
-                fhi[pending] = score(hi[pending], rows[pending])[0]
-                pending = pending[~((flo[pending] >= 0.0) & (fhi[pending] <= 0.0))]
-                if not pending.size:
-                    break
-            searching = np.ones(k, dtype=bool)
-            searching[pending] = False
-            active = searching.nonzero()[0]
-            xa, f, df = xa[active], f[active], df[active]
-        else:
-            pending, active = np.arange(0), np.arange(k)
-        # state of the rows still iterating, compacted as rows finish
-        la, ha = lo[active], hi[active]  # shrinks around the iterates
+    def iterate(active, xa, f, df, la, ha):
+        """Newton on the rows at positions ``active`` from ``xa`` (f, df there)
+        inside [la, ha]; returns the positions that did not settle."""
         count = 0
         while active.size and count < MAX_NEWTON_STEPS:
             count += 1
@@ -154,22 +152,61 @@ def solve_rows(
                 x[finished] = np.minimum(np.maximum(newton, la), ha)[done]
                 iterations[finished] = count
                 residual[finished] = f[done]
+                last_lo[finished], last_hi[finished] = la[done], ha[done]
                 keep = ~done
                 active, la, ha, newton = active[keep], la[keep], ha[keep], newton[keep]
                 if not active.size:
                     break
-            # a Newton step that leaves the bracket is replaced by its geometric midpoint
+            # a Newton step that leaves the bracket is replaced by its geometric
+            # midpoint; a NaN score makes a NaN step, which always leaves it
             outside = ~((newton >= la) & (newton <= ha))
             xa = newton
             if np.count_nonzero(outside):
                 xa = np.where(outside, np.sqrt(la * ha), newton)
+                blind[active[np.isnan(newton)]] = True
             f, df = score(xa, rows[active])
+        last_lo[active], last_hi[active] = la, ha
+        return active
+
+    with np.errstate(all="ignore"):
+        outside = ~((start > lo) & (start < hi))
+        xa = np.where(outside, np.sqrt(lo * hi), start) if np.count_nonzero(outside) else start
+        # a whole-row-set call, which a scorer can serve without gathering its rows
+        f, df = score(xa, rows)
+        unsettled = iterate(np.arange(k), xa, f, df, lo, hi)
+
+        # the seed-bracket ends no iterate vouches for; a row with neither replays
+        need_lo = ~(last_lo > lo)
+        need_hi = ~(last_hi < hi) | blind
+        replay = need_lo & need_hi
+        one = (need_lo ^ need_hi).nonzero()[0]
+        if one.size:
+            at_lo = need_lo[one]
+            f_end = score(np.where(at_lo, lo[one], hi[one]), rows[one])[0]
+            replay[one[np.where(at_lo, ~(f_end >= 0.0), ~(f_end <= 0.0))]] = True
+        pending = replay = replay.nonzero()[0]
+        if replay.size:
+            # today's path from the same start: check the seed bracket, widen it, iterate
+            x[replay], iterations[replay], residual[replay] = math.nan, 0, 0.0
+            for expansion in range(MAX_EXPANSIONS + 1):
+                if expansion:
+                    lo[pending] /= BRACKET_FACTOR
+                    hi[pending] *= BRACKET_FACTOR
+                flo = score(lo[pending], rows[pending])[0]
+                fhi = score(hi[pending], rows[pending])[0]
+                pending = pending[~((flo >= 0.0) & (fhi <= 0.0))]
+                if not pending.size:
+                    break
+            again = np.setdiff1d(replay, pending, assume_unique=True)
+            unsettled = np.union1d(np.setdiff1d(unsettled, replay, assume_unique=True),
+                                   iterate(again, xa[again], f[again], df[again],
+                                           lo[again], hi[again]))
 
     def row_function(i):
         row = rows[i:i + 1]
         return lambda a: float(score(np.array([a]), row)[0][0])
 
-    used_fallback[pending] = used_fallback[active] = True
+    used_fallback[pending] = used_fallback[unsettled] = True
     for i in pending:  # no sign change in the widened bracket
         try:
             x[i], iterations[i], residual[i], row_notes = \
@@ -180,11 +217,11 @@ def solve_rows(
             continue
         if row_notes:
             notes[int(rows[i])] = row_notes
-    if active.size:  # a sign change, but Newton did not settle
+    if unsettled.size:  # a sign change, but Newton did not settle
         # imported here: few runs reach Brent, and scipy.optimize costs every
         # process about 20 MB and 0.25 s to load
         from scipy.optimize import brentq
-    for i in active:
+    for i in unsettled:
         f_row = row_function(i)
         root, info = brentq(f_row, float(lo[i]), float(hi[i]), xtol=1e-10, full_output=True)
         x[i], iterations[i], residual[i] = root, info.iterations, f_row(root)

@@ -1,10 +1,12 @@
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import pytest
 
-from weibull_estlab import SortedSample, build_positions, lifetime48
+from weibull_estlab import SortedSample, build_positions, lifetime48, roots
+from weibull_estlab.errors import EstimationError
 from weibull_estlab.regression import mean_corrected_transform, plot_transform
 
 
@@ -90,3 +92,124 @@ def dense_reference(design, instrument, v, y):
 def replication_rng(master_seed, cell, rep):
     """The generator of replication ``rep`` of cell ``cell``, one SeedSequence per row."""
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(0, cell, rep)))
+
+
+# --- the eager root-solver oracle ---------------------------------------------------
+# The package scores a seed bracket's ends only where no Newton iterate has
+# shown their signs. This oracle is the eager form of the same solver: it
+# scores both ends of every row and widens before it iterates. The solver
+# tests check every RowRoots field and recorded error of the package against
+# it. It reads the module constants of ``roots`` at call time, so a test that
+# patches them patches both solvers.
+
+def eager_solve_rows(
+    score: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
+    rows: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    start: np.ndarray,
+    errors: dict[int, EstimationError],
+    no_root=roots.no_sign_change,
+) -> roots.RowRoots:
+    """One root per row of decreasing functions by safeguarded Newton.
+
+    ``score(x, rows)`` returns f and f' of the given batch rows at ``x``; f
+    is decreasing in x. ``lo``/``hi``/``start`` (positive, aligned with
+    ``rows``) are the seed brackets and starting points. A bracket without a
+    sign change (f(lo) >= 0 >= f(hi)) is widened by ``roots.BRACKET_FACTOR`` at
+    both ends, at most ``roots.MAX_EXPANSIONS`` times; this is the only widening.
+    Each Newton step that leaves the current bracket is replaced by its
+    geometric midpoint, the bracket shrinks around every iterate, and a row
+    stops once its step is below ``roots.NEWTON_RTOL`` relative, so its iterates
+    depend only on that row.
+
+    Two kinds of row leave the iteration and are marked ``fallback``. A row
+    with a sign change that does not settle within ``roots.MAX_NEWTON_STEPS`` is
+    solved by Brent's method on its widened bracket. A row whose widened
+    bracket still holds no sign change goes to ``no_root(f, lo, hi)`` on that
+    bracket, which returns (root, iterations, residual, notes) or raises; an
+    EstimationError it raises is recorded in ``errors`` under the batch row.
+    """
+    k = rows.size
+    lo, hi = lo.copy(), hi.copy()  # widened where a row needs it
+    x = np.full(k, np.nan)
+    iterations = np.zeros(k, dtype=int)
+    residual = np.zeros(k)
+    used_fallback = np.zeros(k, dtype=bool)
+    notes: dict[int, tuple[str, ...]] = {}
+    if k == 0:
+        return roots.RowRoots(rows, x, iterations, residual, lo, hi, used_fallback, notes)
+
+    with np.errstate(all="ignore"):
+        outside = ~((start > lo) & (start < hi))
+        xa = np.where(outside, np.sqrt(lo * hi), start) if np.count_nonzero(outside) else start
+        # whole-row-set calls, which a scorer can serve without gathering its rows
+        flo, fhi = score(lo, rows)[0], score(hi, rows)[0]
+        f, df = score(xa, rows)
+        pending = ~((flo >= 0.0) & (fhi <= 0.0))
+        if np.count_nonzero(pending):
+            pending = pending.nonzero()[0]
+            for _ in range(roots.MAX_EXPANSIONS):
+                lo[pending] /= roots.BRACKET_FACTOR
+                hi[pending] *= roots.BRACKET_FACTOR
+                flo[pending] = score(lo[pending], rows[pending])[0]
+                fhi[pending] = score(hi[pending], rows[pending])[0]
+                pending = pending[~((flo[pending] >= 0.0) & (fhi[pending] <= 0.0))]
+                if not pending.size:
+                    break
+            searching = np.ones(k, dtype=bool)
+            searching[pending] = False
+            active = searching.nonzero()[0]
+            xa, f, df = xa[active], f[active], df[active]
+        else:
+            pending, active = np.arange(0), np.arange(k)
+        # state of the rows still iterating, compacted as rows finish
+        la, ha = lo[active], hi[active]  # shrinks around the iterates
+        count = 0
+        while active.size and count < roots.MAX_NEWTON_STEPS:
+            count += 1
+            below = f > 0.0
+            la = np.where(below, xa, la)
+            ha = np.where(below, ha, xa)
+            newton = xa - f / df
+            done = np.abs(newton - xa) <= roots.NEWTON_RTOL * xa
+            if np.count_nonzero(done):
+                finished = active[done]
+                x[finished] = np.minimum(np.maximum(newton, la), ha)[done]
+                iterations[finished] = count
+                residual[finished] = f[done]
+                keep = ~done
+                active, la, ha, newton = active[keep], la[keep], ha[keep], newton[keep]
+                if not active.size:
+                    break
+            # a Newton step that leaves the bracket is replaced by its geometric midpoint
+            outside = ~((newton >= la) & (newton <= ha))
+            xa = newton
+            if np.count_nonzero(outside):
+                xa = np.where(outside, np.sqrt(la * ha), newton)
+            f, df = score(xa, rows[active])
+
+    def row_function(i):
+        row = rows[i:i + 1]
+        return lambda a: float(score(np.array([a]), row)[0][0])
+
+    used_fallback[pending] = used_fallback[active] = True
+    for i in pending:  # no sign change in the widened bracket
+        try:
+            x[i], iterations[i], residual[i], row_notes = \
+                no_root(row_function(i), float(lo[i]), float(hi[i]))
+        except EstimationError as exc:
+            errors.setdefault(int(rows[i]), exc)
+            x[i] = math.nan
+            continue
+        if row_notes:
+            notes[int(rows[i])] = row_notes
+    if active.size:  # a sign change, but Newton did not settle
+        # imported here: few runs reach Brent, and scipy.optimize costs every
+        # process about 20 MB and 0.25 s to load
+        from scipy.optimize import brentq
+    for i in active:
+        f_row = row_function(i)
+        root, info = brentq(f_row, float(lo[i]), float(hi[i]), xtol=1e-10, full_output=True)
+        x[i], iterations[i], residual[i] = root, info.iterations, f_row(root)
+    return roots.RowRoots(rows, x, iterations, residual, lo, hi, used_fallback, notes)

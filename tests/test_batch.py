@@ -6,7 +6,8 @@ n = 2, near-constant samples, chunks of 1/255/256/257 rows) these tests check
 that each batch row equals its own R = 1 call with the same failure, that
 every row is a finite positive estimate or an EstimationError, that the root
 solvers agree with a test-local Brent oracle and the closed forms with the
-formulas they replaced, and how many rows need the scalar fallback.
+formulas they replaced, how many rows need the scalar fallback, and that
+the root solver matches the eager solver it replaced in every field.
 """
 
 import math
@@ -29,7 +30,7 @@ from weibull_estlab import (
     fit_method,
     simulate_weight_medians,
 )
-from weibull_estlab import likelihood, roots
+from weibull_estlab import classical, likelihood, roots
 from weibull_estlab.core import LOG_TWO, PSI_ONE, draw_sorted
 from weibull_estlab.methods import METHOD_NAMES, fit_batch
 from weibull_estlab.regression import (
@@ -39,7 +40,7 @@ from weibull_estlab.regression import (
     v_diagonal,
 )
 
-from conftest import dense_v
+from conftest import dense_v, eager_solve_rows
 
 ROOT_METHODS = ("MLE", "WMLE", "MM")
 CLOSED_FORMS = ("USTAT", "LM", "MLM", "PM", "GLS1", "GLS2", "WLS")
@@ -409,3 +410,95 @@ def test_threads_fitting_at_once_match_serial_fits():
             for got_fit, want_fit in zip(got, serial[i % len(batches)]):
                 for a, b in zip(got_fit, want_fit):
                     np.testing.assert_array_equal(a, b)
+
+
+# --- the root solver against the eager oracle ---------------------------------------
+
+def _same_roots(got, want, got_errors, want_errors):
+    """Every RowRoots field bit for bit, and the recorded errors by row, class and message."""
+    for field in ("rows", "x", "iterations", "residual", "lo", "hi", "fallback"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (field, a, b)
+    assert got.notes == want.notes
+    assert [(r, type(e), str(e)) for r, e in got_errors.items()] == \
+        [(r, type(e), str(e)) for r, e in want_errors.items()]
+
+
+def _both_solvers(score, rows, lo, hi, start, errors, no_root=roots.no_sign_change):
+    """solve_rows, checked against eager_solve_rows on the same arguments."""
+    want_errors = dict(errors)
+    want = eager_solve_rows(score, rows, lo, hi, start, want_errors, no_root)
+    got = roots.solve_rows(score, rows, lo, hi, start, errors, no_root)
+    _same_roots(got, want, errors, want_errors)
+    _both_solvers.calls += 1
+    return got
+
+
+_both_solvers.calls = 0
+
+
+@pytest.fixture
+def checked_solver(monkeypatch):
+    """Route the MLE, WMLE and MM fits through :func:`_both_solvers`."""
+    monkeypatch.setattr(likelihood, "solve_rows", _both_solvers)
+    monkeypatch.setattr(classical, "solve_rows", _both_solvers)
+    _both_solvers.calls = 0
+    return _both_solvers
+
+
+@pytest.mark.parametrize("name", ROOT_METHODS)
+def test_solver_matches_eager_oracle_on_corpus(name, checked_solver):
+    for label, values, logs in CORPUS:
+        _fit(name, values, logs)
+    assert checked_solver.calls == sum(1 for case in CORPUS if case[1].shape[0])
+
+
+@pytest.mark.parametrize("name", ROOT_METHODS)
+def test_solver_matches_eager_oracle_in_one_newton_step(name, checked_solver, monkeypatch):
+    monkeypatch.setattr(roots, "MAX_NEWTON_STEPS", 1)
+    for label, values, logs in CORPUS[::4] + [("drawn", *_drawn(2.0, 5.0, 12, 20, 3))]:
+        batch = _fit(name, values, logs)
+    assert batch.fallback.sum() > 10
+
+
+def test_solver_matches_eager_oracle_without_sign_change(checked_solver):
+    weights = WeightPair(w1=1.0, w2=-5.0, n=10, replications=1000)
+    values, logs = _drawn(2.0, 5.0, 10, 6, 5)
+    assert fit_batch("WMLE", values, logs, None, weights).fallback.all()
+    assert checked_solver.calls == 1
+
+
+def _log_scorer(root, slope, nan_at=None):
+    """f(x) = log(root/x) per row, decreasing, with the derivative overstated by
+    the row's ``slope`` factor, and NaN where x equals the row's ``nan_at``."""
+    def score(x, rows):
+        f = np.log(root[rows] / x)
+        if nan_at is not None:
+            f[x == nan_at[rows]] = math.nan
+        return f, -slope[rows] / x
+    return score
+
+
+# seed bracket [1, 100], start 10; roots inside, below lo and above hi by one to
+# three widenings, and beyond all three; the last row's overstated slope makes
+# its first Newton step settle although its root is out of reach
+_ROOTS = np.array([3.0, 0.5, 0.02, 0.003, 5e-5, 150.0, 2e3, 9e4, 3e5, 10.0, 99.0, 1.0, 1e-6])
+_SLOPES = np.array([1.0] * 12 + [1e12])
+
+
+@pytest.mark.parametrize("nan_at_start", [False, True], ids=["finite", "nan-at-start"])
+def test_solver_matches_eager_oracle_on_synthetic_scorers(nan_at_start):
+    k = _ROOTS.size
+    rows = np.arange(k) * 2  # batch rows need not be 0..k-1
+    root, slope = np.ones(2 * k), np.ones(2 * k)
+    root[rows], slope[rows] = _ROOTS, _SLOPES
+    nan_at = np.full(2 * k, 10.0) if nan_at_start else None
+    errors: dict = {}
+    got = _both_solvers(_log_scorer(root, slope, nan_at), rows, np.ones(k), np.full(k, 100.0),
+                        np.full(k, 10.0), errors)
+    beyond = (_ROOTS < 1e-3) | (_ROOTS > 1e5)
+    assert sorted(errors) == sorted(rows[beyond])
+    assert all(isinstance(e, BracketError) for e in errors.values())
+    assert np.all(got.iterations[beyond] == 0)
+    solved = ~beyond & ~(nan_at_start & (_ROOTS == 10.0))
+    np.testing.assert_allclose(got.x[solved], _ROOTS[solved], rtol=1e-9)

@@ -18,6 +18,8 @@ from weibull_estlab import (
     sample_lmoments,
 )
 
+from weibull_estlab.classical import _ANCHOR_P, QUANTILE_RULES, _sorted_quantile
+
 from conftest import random_positive_sample
 
 
@@ -104,6 +106,19 @@ class TestFitPM:
         r = fit_pm(s, cfg)
         assert r.shape == pytest.approx(2.0, abs=1e-6)
         assert r.scale == pytest.approx(3.0, abs=1e-6)
+
+    @pytest.mark.parametrize("rule", QUANTILE_RULES)
+    def test_sorted_quantile_is_numpy_quantile(self, rule):
+        # the virtual index is evaluated in numpy's order, so it rounds alike
+        # at every n, including where it lands next to an integer
+        rng = np.random.default_rng(31)
+        probs = (0.01, 0.1, 0.31, 0.5, 0.6, _ANCHOR_P)
+        for n in range(2, 1001):
+            values = np.sort(np.exp(rng.normal(0.0, 1.0, (3, n))), axis=1)
+            values[2] = np.round(values[2], 1)  # ties
+            got = np.array([_sorted_quantile(values, p, rule) for p in probs])
+            want = np.quantile(values, probs, axis=1, method=rule)
+            assert got.tobytes() == want.tobytes(), (rule, n)
 
     def test_lifetime_linear_rule(self, lifetime_sample):
         r = fit_pm(lifetime_sample, PercentileConfig(p=0.31, quantile_rule="linear"))

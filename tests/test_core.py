@@ -86,7 +86,7 @@ class TestQuantile:
     def test_exponential_median(self):
         assert quantile(WeibullParams(1, 1), 0.5) == pytest.approx(math.log(2), rel=1e-12)
 
-    @pytest.mark.parametrize("prob", [0.0, 1.0, -0.1, 1.1])
+    @pytest.mark.parametrize("prob", [0.0, 1.0, -0.1, 1.1, math.nan, [0.5, math.nan]])
     def test_domain_error(self, prob):
         with pytest.raises(ValueError):
             quantile(WeibullParams(1, 1), prob)

@@ -82,6 +82,11 @@ class TestProfileScore:
         with pytest.raises(ValueError):
             profile_score(lifetime_sample, 0.0)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_rejects_nonfinite_alpha(self, lifetime_sample, alpha):
+        with pytest.raises(ValueError, match="positive and finite"):
+            profile_score(lifetime_sample, alpha)
+
 
 class TestFitMLE:
     def test_lifetime_dataset(self, lifetime_sample):
