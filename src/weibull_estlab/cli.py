@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -161,6 +162,21 @@ def _load_data(spec: str, parser: _Parser) -> Dataset:
         parser.error(str(exc))
 
 
+def _check_writable(path: Path, parser: _Parser, directory: bool = False) -> None:
+    """Usage error unless ``path`` can later be written as a file (or made as a
+    directory): checked before any work, and creating nothing."""
+    if path.exists() and path.is_dir() != directory:
+        kind = "not a directory" if directory else "a directory"
+        parser.error(f"cannot write {path}: it is {kind}")
+    base = path if directory else path.parent
+    while not base.exists() and base != base.parent:  # the nearest existing ancestor
+        base = base.parent
+    if not base.is_dir():
+        parser.error(f"cannot write {path}: {base} is not a directory")
+    if not os.access(base, os.W_OK | os.X_OK):
+        parser.error(f"cannot write {path}: {base} is not writable")
+
+
 def _run_fit(args, parser: _Parser) -> int:
     dataset = _load_data(args.data, parser)
     methods = _parse_methods(args.methods, parser)
@@ -177,11 +193,13 @@ def _run_fit(args, parser: _Parser) -> int:
         s = SortedSample.from_data(dataset.observations)
     except DataError as exc:
         parser.error(str(exc))
+    if args.out is not None:
+        _check_writable(args.out, parser)
 
     try:
         weights = (WeightStore(replications=args.weight_reps, seed=args.seed).get(s.n)
                    if "WMLE" in methods else None)
-    except ValueError as exc:  # a malformed weight cache
+    except ValueError as exc:  # an unreadable or malformed weight cache
         parser.error(str(exc))
     results: dict[str, EstimateResult] = {}
     gofs: dict[str, GofReport] = {}
@@ -258,6 +276,8 @@ def _run_gof(args, parser: _Parser) -> int:
         params = WeibullParams(args.alpha, args.beta)
     except ValueError as exc:
         parser.error(str(exc))
+    if args.out is not None:
+        _check_writable(args.out, parser)
     report = gof_report(dataset.observations, params)
     print(f"dataset: {dataset.name} (n={report.n})")
     print(f"alpha={args.alpha:.6g} beta={args.beta:.6g}")
@@ -297,6 +317,7 @@ def _run_simulate(args, parser: _Parser) -> int:
         cfg = SimulationConfig.from_mapping(raw)
     except (TypeError, ValueError) as exc:
         parser.error(f"invalid experiment config: {exc}")
+    _check_writable(args.out_dir, parser, directory=True)
 
     started = time.perf_counter()
     table = run_experiment(cfg)
@@ -336,6 +357,7 @@ def _run_weights(args, parser: _Parser) -> int:
         records = read_weight_table(path)
     except ValueError as exc:
         parser.error(str(exc))
+    _check_writable(path, parser)
     for n in sizes:
         records[(n, args.reps, args.seed)] = seeded_weight_medians(n, args.reps, args.seed)
     write_weight_table(path, records)

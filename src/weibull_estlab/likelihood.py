@@ -23,11 +23,10 @@ so both medians depend on the sample size only and are estimated once per n
 by simulating standard exponentials. n * W1 is Gamma(n, 1); both medians
 tend to 1 as n grows, which is why the weighted fit converges to the MLE.
 
-The simulation runs on up to two threads that take alternate blocks of
-draws. The calling thread is thread 0; the other runs on a thread pool
-opened and shut down within each call. One turn counter, the replications
-drawn so far, hands the generator to the blocks strictly in stream order,
-so one thread reduces a block while the other draws the next and the
+The simulation runs on up to two threads, the caller and one on a pool
+opened within each call. Under one lock a thread claims the next block and
+draws it, then reduces it outside the lock while the other draws. Only the
+lock orders the draws, so they leave the generator in stream order and the
 medians are the same on one thread or two. The caller takes the median of
 w1 while the pool takes that of w2.
 """
@@ -218,14 +217,13 @@ def simulate_weight_medians(n: int, replications: int, rng: np.random.Generator)
     not on the block size or the number of threads.
 
     Up to ``_WEIGHT_THREADS`` threads (no more than the CPUs this process may
-    run on, or the blocks) share the work: thread t of T draws and reduces
-    blocks t, t + T, ... into buffers of its own, while the others reduce
-    theirs (numpy releases the interpreter lock in both steps). Thread 0 is
-    the caller; the others run on a pool opened and shut down within the
-    call, so none outlives it. One turn counter, the replications drawn so
-    far, hands the generator to the blocks strictly in order; a failing
-    thread sets it to a stop value that ends the others, and its exception
-    is raised here.
+    run on, or the blocks) share the work: the caller and helpers on a pool
+    opened and shut down within the call. Under one lock a thread claims the
+    next block and draws it into buffers of its own, then reduces it outside
+    the lock (numpy releases the interpreter lock in both steps). No thread
+    waits for a particular other, so a helper that gets no CPU just claims
+    fewer blocks. A failing thread sets the claimed count to the end, so no
+    thread draws after the failure, and its exception is raised here.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -234,26 +232,26 @@ def simulate_weight_medians(n: int, replications: int, rng: np.random.Generator)
     rows = min(max(1, _WEIGHT_BLOCK_VALUES // n), replications)
     threads = min(_WEIGHT_THREADS, _usable_cpus(), -(-replications // rows))
     w1, w2 = np.empty((2, replications))  # w1 and w2 of every replication
-    turn = threading.Condition()
-    drawn = 0  # replications drawn so far, or -1 once a thread has failed
+    lock = threading.Lock()
+    claimed = 0  # replications drawn so far; all of them once a thread has failed
 
-    def work(t: int) -> None:
-        nonlocal drawn
+    def work() -> None:
+        nonlocal claimed
         try:
             e = np.empty((rows, n))
             log_e = np.empty((rows, n))
             sums = np.empty((3, rows))  # per row: sum(e), sum(log e), sum(e log e)
-            for done in range(t * rows, replications, threads * rows):
-                k = min(rows, replications - done)
-                block, logs = e[:k], log_e[:k]
-                sum_e, sum_log, sum_elog = sums[:, :k]
-                with turn:
-                    turn.wait_for(lambda: drawn in (done, -1))
-                    if drawn == -1:
+            while True:
+                with lock:
+                    done = claimed
+                    k = min(rows, replications - done)
+                    if k == 0:
                         return
+                    block, logs = e[:k], log_e[:k]
+                    claimed = replications  # left so if the draw raises
                     rng.standard_exponential(out=block)
-                    drawn += k
-                    turn.notify_all()
+                    claimed = done + k
+                sum_e, sum_log, sum_elog = sums[:, :k]
                 np.add.reduce(block, axis=1, out=sum_e)
                 np.add.reduce(np.log(block, out=logs), axis=1, out=sum_log)
                 np.add.reduce(np.multiply(block, logs, out=logs), axis=1, out=sum_elog)
@@ -261,9 +259,8 @@ def simulate_weight_medians(n: int, replications: int, rng: np.random.Generator)
                 np.divide(sum_e, n, out=w1[done:done + k])
                 np.subtract(sum_elog / sum_e, sum_log / n, out=w2[done:done + k])
         except BaseException:
-            with turn:
-                drawn = -1
-                turn.notify_all()
+            with lock:
+                claimed = replications
             raise
 
     def median(values: np.ndarray) -> float:
@@ -271,11 +268,11 @@ def simulate_weight_medians(n: int, replications: int, rng: np.random.Generator)
         return float(np.median(values, overwrite_input=True))
 
     if threads == 1:
-        work(0)
+        work()
         return WeightPair(w1=median(w1), w2=median(w2), n=n, replications=replications)
     with ThreadPoolExecutor(threads - 1) as pool:
-        helpers = [pool.submit(work, t) for t in range(1, threads)]
-        work(0)
+        helpers = [pool.submit(work) for _ in range(threads - 1)]
+        work()
         for helper in helpers:
             helper.result()
         second = pool.submit(median, w2)
@@ -314,12 +311,16 @@ def read_weight_table(path: Path) -> dict[WeightKey, WeightPair]:
     returned, so they are simulated again and the file is rewritten. A
     malformed record, or one that cannot be weights (n < 1, replications
     below the floor, a negative seed, w1 not finite and positive, w2 not
-    finite), raises ValueError("<path>:<line>: ...").
+    finite), raises ValueError("<path>:<line>: ..."), and a file that cannot
+    be read or decoded ValueError("<path>: cannot read weight table: ...").
     """
     records: dict[WeightKey, WeightPair] = {}
     if not path.exists():
         return records
-    lines = path.read_text().splitlines()
+    try:
+        lines = path.read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: cannot read weight table: {exc}") from None
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):

@@ -13,6 +13,7 @@ from weibull_estlab import (
     load_dataset,
     parse_dataset,
 )
+from weibull_estlab import cli
 from weibull_estlab.cli import EXIT_METHOD_FAILED, EXIT_OK, EXIT_USAGE, PRESETS, main
 from weibull_estlab.likelihood import (WEIGHT_TABLE_HEADER, read_weight_table,
                                        seeded_weight_medians)
@@ -26,6 +27,15 @@ def run_cli(argv):
         return main(argv)
     except SystemExit as exc:  # argparse paths
         return int(exc.code or 0)
+
+
+def unreadable_cache(path, kind):
+    """A weight cache that cannot be read: a directory, or bytes that are not UTF-8."""
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff" + WEIGHT_TABLE_HEADER.encode() + b"\n")
+    return path
 
 
 class TestParseDataset:
@@ -185,6 +195,18 @@ class TestWeightCache:
         out = tmp_path / "r.json"
         assert run_cli(["fit", "--methods", "WMLE,MLE", "--out", str(out)]) == EXIT_USAGE
         assert f"{cache}:2: w1 must be finite and positive" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cache]
+
+    @pytest.mark.parametrize("kind", ["directory", "undecodable"])
+    def test_unreadable_cache_exits_64(self, kind, tmp_path, monkeypatch, capsys):
+        cache = unreadable_cache(tmp_path / "w.txt", kind)
+        monkeypatch.setenv("WEIBULL_ESTLAB_WEIGHTS", str(cache))
+        out = tmp_path / "r.json"
+        argv = ["fit", "--methods", "WMLE", "--weight-reps", "2000", "--out", str(out)]
+        assert run_cli(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert f"{cache}: cannot read weight table: " in captured.err
+        assert captured.out == ""
         assert list(tmp_path.iterdir()) == [cache]
 
 
@@ -384,8 +406,69 @@ class TestWeightsCommand:
         assert out.read_bytes() == before
         assert list(tmp_path.iterdir()) == [out]
 
+    @pytest.mark.parametrize("kind", ["directory", "undecodable"])
+    def test_unreadable_cache_exits_64(self, kind, tmp_path, capsys):
+        out = unreadable_cache(tmp_path / "w.txt", kind)
+        assert run_cli(["weights", "--n", "5", "--reps", "2000", "--out", str(out)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert f"{out}: cannot read weight table: " in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == [out]
+
     def test_env_var_default_path(self, tmp_path, monkeypatch, capsys):
         target = tmp_path / "env.txt"
         monkeypatch.setenv("WEIBULL_ESTLAB_WEIGHTS", str(target))
         run_cli(["weights", "--n", "5", "--reps", "2000"])
         assert target.exists()
+
+
+class TestUnwritableOutput:
+    """An output location that cannot be written is a usage error, found before any work."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, tmp_path, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started before the output location was checked")
+
+        for name in ("fit_method", "gof_report", "run_experiment", "seeded_weight_medians"):
+            monkeypatch.setattr(cli, name, forbidden)
+        monkeypatch.setenv("WEIBULL_ESTLAB_WEIGHTS", str(tmp_path / "w.txt"))
+
+    def assert_usage_error(self, argv, message, tmp_path, capsys, kept):
+        assert run_cli(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == [kept]
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--methods", "WMLE,LM", "--out"],
+        ["gof", "--alpha", "2", "--beta", "3", "--out"],
+        ["simulate", "--preset", "table1", "--reps", "100", "--out-dir"],
+        ["weights", "--n", "5", "--reps", "2000", "--out"],
+    ], ids=["fit", "gof", "simulate", "weights"])
+    def test_parent_is_a_file_exits_64(self, argv, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("x\n")
+        target = blocker / "sub" / "out"
+        self.assert_usage_error(argv + [str(target)],
+                                f"cannot write {target}: {blocker} is not a directory",
+                                tmp_path, capsys, kept=blocker)
+        assert blocker.read_text() == "x\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--methods", "LM", "--out"],
+        ["gof", "--alpha", "2", "--beta", "3", "--out"],
+    ], ids=["fit", "gof"])
+    def test_report_path_is_a_directory_exits_64(self, argv, tmp_path, capsys):
+        target = tmp_path / "out"
+        target.mkdir()
+        self.assert_usage_error(argv + [str(target)], f"cannot write {target}: it is a directory",
+                                tmp_path, capsys, kept=target)
+
+    def test_out_dir_is_a_file_exits_64(self, tmp_path, capsys):
+        target = tmp_path / "out"
+        target.write_text("x\n")
+        argv = ["simulate", "--preset", "table1", "--reps", "100", "--out-dir", str(target)]
+        self.assert_usage_error(argv, f"cannot write {target}: it is not a directory",
+                                tmp_path, capsys, kept=target)

@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -180,9 +181,9 @@ class TestWeightSimulation:
             simulate_weight_medians(5, 999, np.random.default_rng(1))
 
 
-def whole_block_weight_medians(n, replications, rng):
-    """The pivot simulation drawn in blocks of ~32 MB with whole-array
-    temporaries: the oracle for the buffered production version."""
+def whole_block_weight_pivots(n, replications, rng):
+    """W1 and W2 of every replication, drawn in blocks of ~32 MB with
+    whole-array temporaries."""
     w1 = np.empty(replications)
     w2 = np.empty(replications)
     chunk = max(1, (1 << 22) // n)
@@ -194,6 +195,13 @@ def whole_block_weight_medians(n, replications, rng):
         w1[done:done + k] = e.mean(axis=1)
         w2[done:done + k] = (e * log_e).sum(axis=1) / e.sum(axis=1) - log_e.mean(axis=1)
         done += k
+    return w1, w2
+
+
+def whole_block_weight_medians(n, replications, rng):
+    """The medians of :func:`whole_block_weight_pivots`: the oracle for the
+    buffered production version."""
+    w1, w2 = whole_block_weight_pivots(n, replications, rng)
     return float(np.median(w1)), float(np.median(w2))
 
 
@@ -223,19 +231,31 @@ class TestWeightSimulationOracle:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
+    @pytest.mark.parametrize("n", [2, 5, 10, 30, 100])
+    def test_w2_mean_is_one_minus_one_over_n(self, n):
+        # E[W2] = psi(2) - psi(n + 1) + psi(n) + gamma = 1 - 1/n exactly: a
+        # wrong statistic would still match the oracle bit for bit
+        reps = 20_000
+        _, w2 = whole_block_weight_pivots(n, reps, np.random.default_rng(100 + n))
+        se = w2.std(ddof=1) / math.sqrt(reps)
+        assert abs(w2.mean() - (1.0 - 1.0 / n)) < 4 * se
+
 
 class StubGenerator:
     """A seeded generator that records the thread of every standard_exponential
-    call and raises on call number ``fail_on``, late enough that the other
-    thread of the simulation is already waiting for its next turn."""
+    call, sleeps ``delay`` seconds in each, and raises on call number
+    ``fail_on`` after 0.2 s, late enough that the other threads of the
+    simulation are already waiting at the lock."""
 
-    def __init__(self, seed, fail_on=None):
+    def __init__(self, seed, fail_on=None, delay=0.0):
         self._rng = np.random.default_rng(seed)
         self.fail_on = fail_on
+        self.delay = delay
         self.threads = []
 
     def standard_exponential(self, out):
         self.threads.append(threading.get_ident())
+        time.sleep(self.delay)
         if len(self.threads) == self.fail_on:
             time.sleep(0.2)
             raise RuntimeError(f"draw {self.fail_on} failed")
@@ -259,6 +279,31 @@ def call_with_timeout(fn, *args, timeout=20.0):
     return box
 
 
+class LazyPool:
+    """A ThreadPoolExecutor stand-in that runs a task on the thread asking for
+    its result, and only then: a helper thread that never gets a CPU. It
+    notes how many draws ``rng`` had made when each task started."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.started_after = []
+
+    def __call__(self, max_workers):  # stands in for the executor class
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        def result():
+            self.started_after.append(len(self.rng.threads))
+            return fn(*args)
+        return SimpleNamespace(result=result)
+
+
 class TestWeightSimulationThreads:
     """Up to two threads share a weight simulation; the draws stay in stream order."""
 
@@ -271,7 +316,7 @@ class TestWeightSimulationThreads:
         monkeypatch.setattr(likelihood, "_usable_cpus", lambda: 2)
         rng = StubGenerator(n)
         two = simulate_weight_medians(n, reps, rng)
-        assert len(set(rng.threads)) == 2
+        assert len(set(rng.threads)) <= 2
         monkeypatch.setattr(likelihood, "_usable_cpus", lambda: 1)
         rng = StubGenerator(n)
         assert simulate_weight_medians(n, reps, rng) == two
@@ -287,7 +332,7 @@ class TestWeightSimulationThreads:
             monkeypatch.setattr(likelihood, "_usable_cpus", lambda: threads)
             rng = StubGenerator(5)
             assert simulate_weight_medians(n, reps, rng) == one_thread
-            assert len(set(rng.threads)) == threads
+            assert len(set(rng.threads)) <= threads
 
     def test_one_block_runs_on_the_calling_thread(self, two_cpus):
         rng = StubGenerator(1)
@@ -298,12 +343,32 @@ class TestWeightSimulationThreads:
         before = set(threading.enumerate())
         rng = StubGenerator(2)
         simulate_weight_medians(30, 10_000, rng)
-        assert len(set(rng.threads)) == 2
+        assert len(set(rng.threads)) <= 2
         assert set(threading.enumerate()) == before
 
-    # on two threads call 3 draws a block of the calling thread and call 4 one
-    # of the other; on three, calls 4, 5 and 6 draw one of threads 0, 1 and 2,
-    # and the failure must wake both threads that wait for their turn
+    def test_a_waiting_helper_draws(self, two_cpus):
+        # each draw holds the lock for 20 ms, so the helper is waiting at the
+        # lock each time the caller releases it and claims some of the ten
+        # blocks while the caller reduces its own
+        rng = StubGenerator(4, delay=0.02)
+        box = call_with_timeout(simulate_weight_medians, 30, 10_000, rng)
+        assert len(set(rng.threads)) == 2
+        assert box.get("result") == simulate_weight_medians(30, 10_000, np.random.default_rng(4))
+
+    def test_a_helper_that_never_starts_costs_no_blocks(self, monkeypatch, two_cpus):
+        expected = simulate_weight_medians(30, 10_000, np.random.default_rng(4))
+        rng = StubGenerator(4)
+        pool = LazyPool(rng)
+        monkeypatch.setattr(likelihood, "ThreadPoolExecutor", pool)
+        box = call_with_timeout(simulate_weight_medians, 30, 10_000, rng)
+        assert box.get("result") == expected
+        # the caller alone drew all ten blocks before the helper, then the w2
+        # median, ran, and the helper found nothing left to draw
+        assert len(rng.threads) == 10
+        assert pool.started_after == [10, 10]
+
+    # the failing draw may be any thread's; the failure must reach the caller
+    # and stop every thread waiting at the lock
     @pytest.mark.parametrize("threads, fail_on", [(2, 3), (2, 4), (3, 4), (3, 5), (3, 6)])
     def test_failure_in_either_thread_reaches_the_caller(self, monkeypatch, threads, fail_on):
         monkeypatch.setattr(likelihood, "_WEIGHT_THREADS", threads)
@@ -315,7 +380,7 @@ class TestWeightSimulationThreads:
         assert str(box["error"]) == f"draw {fail_on} failed"
         # no thread drew after the failure, and every helper is gone
         assert len(rng.threads) == fail_on
-        assert len(set(rng.threads)) == min(threads, fail_on)
+        assert len(set(rng.threads)) <= threads
         assert threading.active_count() == before
 
     def test_concurrent_callers_match_serial_calls(self, two_cpus):
