@@ -13,16 +13,15 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
 from .classical import QUANTILE_RULES, PercentileConfig
-from .core import EstimateResult, SortedSample, WeibullParams
+from .core import SortedSample, WeibullParams
 from .datasets import BUNDLED_LIFETIME, Dataset, load_dataset
 from .errors import DataError, EstimationError
-from .gof import GofReport, gof_report
+from .gof import gof_report
 from .likelihood import (
     DEFAULT_WEIGHT_REPLICATIONS,
     MIN_WEIGHT_REPLICATIONS,
@@ -60,22 +59,6 @@ PRESETS = {
 }
 
 
-@dataclass(frozen=True)
-class FitReport:
-    """Per-method estimates and distances for one dataset run."""
-
-    dataset: str
-    source: str
-    n: int
-    timestamp: str
-    version: str
-    seed: int
-    options: FitOptions
-    results: dict[str, EstimateResult]
-    gofs: dict[str, GofReport]
-    failures: dict[str, str]
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse with the usage-error exit code pinned to 64."""
 
@@ -95,16 +78,58 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _weight_reps(text: str) -> int:
+    """Type of fit --weight-reps and weights --reps: the weight simulation's floor."""
+    try:
+        reps = int(text)
+    except ValueError:
+        reps = -1
+    if reps < MIN_WEIGHT_REPLICATIONS:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= {MIN_WEIGHT_REPLICATIONS}, got {text!r}")
+    return reps
+
+
+def _methods(text: str) -> tuple[str, ...]:
+    """Type of fit --methods: 'all', or a comma-separated subset naming each method once."""
+    if text.strip().lower() == "all":
+        return METHOD_NAMES
+    names = tuple(tok.strip().upper() for tok in text.split(",") if tok.strip())
+    unknown = [m for m in names if m not in METHOD_NAMES]
+    if unknown or not names:
+        raise argparse.ArgumentTypeError(
+            f"unknown method name(s): {', '.join(unknown) or '(none given)'}; "
+            f"choose from {', '.join(METHOD_NAMES)}")
+    repeated = sorted({m for m in names if names.count(m) > 1})
+    if repeated:
+        raise argparse.ArgumentTypeError(f"method(s) named more than once: {', '.join(repeated)}")
+    return names
+
+
+def _sizes(text: str) -> list[int]:
+    """Type of weights --n: comma- or space-separated sample sizes, each >= 2."""
+    try:
+        sizes = sorted({int(tok) for tok in text.replace(",", " ").split()})
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse {text!r} as integers") from None
+    if not sizes or sizes[0] < 2:
+        raise argparse.ArgumentTypeError(f"every sample size must be an integer >= 2, got {text!r}")
+    return sizes
+
+
 @functools.cache  # parse_args leaves the parser unchanged, so one serves every call
 def _build_parser() -> _Parser:
+    """The root parser. Each sub-parser binds ``run``, its handler, and
+    ``parser``, itself, through which the handler reports usage errors."""
     parser = _Parser(prog="weibull-estlab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     fit = sub.add_parser("fit", help="fit estimators to a dataset and report KS/CVM")
+    fit.set_defaults(run=_run_fit, parser=fit)
     fit.add_argument("--data", default=BUNDLED_LIFETIME,
                      help=f"dataset path or '{BUNDLED_LIFETIME}' (default)")
-    fit.add_argument("--methods", default="all",
+    fit.add_argument("--methods", type=_methods, default="all",
                      help="comma-separated subset of " + ",".join(METHOD_NAMES) + " or 'all'")
     fit.add_argument("--out", type=Path, default=None, help="write a machine-readable report")
     fit.add_argument("--seed", type=_seed, default=DEFAULT_SEED,
@@ -114,16 +139,18 @@ def _build_parser() -> _Parser:
     fit.add_argument("--pm-p", type=float, default=0.31, help="lower percentile for PM")
     fit.add_argument("--pm-rule", choices=QUANTILE_RULES, default="median_unbiased",
                      help="empirical-quantile convention for PM")
-    fit.add_argument("--weight-reps", type=int, default=DEFAULT_WEIGHT_REPLICATIONS,
+    fit.add_argument("--weight-reps", type=_weight_reps, default=DEFAULT_WEIGHT_REPLICATIONS,
                      help="replications for the WMLE weight medians")
 
     gof = sub.add_parser("gof", help="KS/CVM distances for given parameters")
+    gof.set_defaults(run=_run_gof, parser=gof)
     gof.add_argument("--data", default=BUNDLED_LIFETIME)
     gof.add_argument("--alpha", type=float, required=True, help="shape parameter")
     gof.add_argument("--beta", type=float, required=True, help="scale parameter")
     gof.add_argument("--out", type=Path, default=None)
 
     sim = sub.add_parser("simulate", help="run a bias/RMSE Monte Carlo experiment")
+    sim.set_defaults(run=_run_simulate, parser=sim)
     source = sim.add_mutually_exclusive_group(required=True)
     source.add_argument("--config", type=Path, help="JSON experiment description")
     source.add_argument("--preset", choices=sorted(PRESETS))
@@ -135,24 +162,15 @@ def _build_parser() -> _Parser:
     sim.add_argument("--out-dir", type=Path, default=Path("simlab-out"))
 
     weights = sub.add_parser("weights", help="precompute WMLE weight medians")
-    weights.add_argument("--n", required=True, help="comma-separated sample sizes (each >= 2)")
-    weights.add_argument("--reps", type=int, default=DEFAULT_WEIGHT_REPLICATIONS)
+    weights.set_defaults(run=_run_weights, parser=weights)
+    weights.add_argument("--n", type=_sizes, required=True,
+                         help="comma-separated sample sizes (each >= 2)")
+    weights.add_argument("--reps", type=_weight_reps, default=DEFAULT_WEIGHT_REPLICATIONS)
     weights.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     weights.add_argument("--out", type=Path, default=None,
                          help="weight-table path (default: env override or user cache)")
 
     return parser
-
-
-def _parse_methods(spec: str, parser: _Parser) -> tuple[str, ...]:
-    if spec.strip().lower() == "all":
-        return METHOD_NAMES
-    names = tuple(tok.strip().upper() for tok in spec.split(",") if tok.strip())
-    unknown = [m for m in names if m not in METHOD_NAMES]
-    if unknown or not names:
-        parser.error(f"unknown method name(s): {', '.join(unknown) or '(none given)'}; "
-                     f"choose from {', '.join(METHOD_NAMES)}")
-    return names
 
 
 def _load_data(spec: str, parser: _Parser) -> Dataset:
@@ -177,11 +195,18 @@ def _check_writable(path: Path, parser: _Parser, directory: bool = False) -> Non
         parser.error(f"cannot write {path}: {base} is not writable")
 
 
-def _run_fit(args, parser: _Parser) -> int:
+def _write_document(path: Path | None, doc: dict) -> None:
+    """Write a flat key-value report to ``path``, if given. It holds no
+    timestamp, so identical runs write identical bytes."""
+    if path is not None:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+        print(f"wrote {path}")
+
+
+def _run_fit(args) -> int:
+    parser = args.parser
     dataset = _load_data(args.data, parser)
-    methods = _parse_methods(args.methods, parser)
-    if args.weight_reps < MIN_WEIGHT_REPLICATIONS:
-        parser.error(f"--weight-reps must be >= {MIN_WEIGHT_REPLICATIONS}")
     try:
         options = FitOptions(
             plotting_rule=args.rule,
@@ -195,82 +220,42 @@ def _run_fit(args, parser: _Parser) -> int:
         parser.error(str(exc))
     if args.out is not None:
         _check_writable(args.out, parser)
-
     try:
         weights = (WeightStore(replications=args.weight_reps, seed=args.seed).get(s.n)
-                   if "WMLE" in methods else None)
+                   if "WMLE" in args.methods else None)
     except ValueError as exc:  # an unreadable or malformed weight cache
         parser.error(str(exc))
-    results: dict[str, EstimateResult] = {}
-    gofs: dict[str, GofReport] = {}
+
+    stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    print(f"dataset: {dataset.name} (n={s.n}, source {dataset.source})")
+    print(f"run: {stamp}  tool {__version__}  seed {args.seed}")
+    print(f"{'method':8s} {'alpha':>9s} {'beta':>10s} {'KS':>8s} {'CVM':>8s}")
+    doc: dict[str, object] = {
+        "dataset": dataset.name, "source": dataset.source, "n": s.n,
+        "version": __version__, "seed": args.seed, "plotting_rule": options.plotting_rule,
+        "pm_p": options.percentile.p, "pm_rule": options.percentile.quantile_rule,
+    }
     failures: dict[str, str] = {}
-    for name in methods:
+    for name in args.methods:
         try:
-            fit = fit_method(name, s, options, weights)
+            r = fit_method(name, s, options, weights)
         except EstimationError as exc:
             failures[name] = f"{type(exc).__name__}: {exc}"
             continue
-        results[name] = fit
-        gofs[name] = gof_report(s, fit.params)
-
-    report = FitReport(
-        dataset=dataset.name,
-        source=dataset.source,
-        n=s.n,
-        timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        version=__version__,
-        seed=args.seed,
-        options=options,
-        results=results,
-        gofs=gofs,
-        failures=failures,
-    )
-    _print_fit_report(report)
-    if args.out is not None:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(_fit_report_document(report))
-        print(f"wrote {args.out}")
+        g = gof_report(s, r.params)
+        note = f"  ({'; '.join(r.notes)})" if r.notes else ""
+        print(f"{name:8s} {r.shape:9.4f} {r.scale:10.4f} {g.ks:8.4f} {g.cvm:8.4f}{note}")
+        doc.update({f"{name}.status": "ok", f"{name}.alpha": r.shape, f"{name}.beta": r.scale,
+                    f"{name}.ks": g.ks, f"{name}.cvm": g.cvm})
+    for name, reason in failures.items():
+        print(f"{name:8s} failed: {reason}")
+        doc.update({f"{name}.status": "failed", f"{name}.error": reason})
+    _write_document(args.out, doc)
     return EXIT_METHOD_FAILED if failures else EXIT_OK
 
 
-def _print_fit_report(report: FitReport) -> None:
-    print(f"dataset: {report.dataset} (n={report.n}, source {report.source})")
-    print(f"run: {report.timestamp}  tool {report.version}  seed {report.seed}")
-    print(f"{'method':8s} {'alpha':>9s} {'beta':>10s} {'KS':>8s} {'CVM':>8s}")
-    for name in report.results:
-        r = report.results[name]
-        g = report.gofs[name]
-        note = f"  ({'; '.join(r.notes)})" if r.notes else ""
-        print(f"{name:8s} {r.shape:9.4f} {r.scale:10.4f} {g.ks:8.4f} {g.cvm:8.4f}{note}")
-    for name, reason in report.failures.items():
-        print(f"{name:8s} failed: {reason}")
-
-
-def _fit_report_document(report: FitReport) -> str:
-    """Flat key-value document; no timestamp so identical runs match byte-for-byte."""
-    doc: dict[str, object] = {
-        "dataset": report.dataset,
-        "source": report.source,
-        "n": report.n,
-        "version": report.version,
-        "seed": report.seed,
-        "plotting_rule": report.options.plotting_rule,
-        "pm_p": report.options.percentile.p,
-        "pm_rule": report.options.percentile.quantile_rule,
-    }
-    for name, r in report.results.items():
-        doc[f"{name}.status"] = "ok"
-        doc[f"{name}.alpha"] = r.shape
-        doc[f"{name}.beta"] = r.scale
-        doc[f"{name}.ks"] = report.gofs[name].ks
-        doc[f"{name}.cvm"] = report.gofs[name].cvm
-    for name, reason in report.failures.items():
-        doc[f"{name}.status"] = "failed"
-        doc[f"{name}.error"] = reason
-    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
-
-
-def _run_gof(args, parser: _Parser) -> int:
+def _run_gof(args) -> int:
+    parser = args.parser
     dataset = _load_data(args.data, parser)
     try:
         params = WeibullParams(args.alpha, args.beta)
@@ -283,23 +268,14 @@ def _run_gof(args, parser: _Parser) -> int:
     print(f"alpha={args.alpha:.6g} beta={args.beta:.6g}")
     print(f"KS  = {report.ks:.4f}")
     print(f"CVM = {report.cvm:.4f}")
-    if args.out is not None:
-        doc = {
-            "dataset": dataset.name,
-            "n": report.n,
-            "alpha": args.alpha,
-            "beta": args.beta,
-            "ks": report.ks,
-            "cvm": report.cvm,
-            "version": __version__,
-        }
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
-        print(f"wrote {args.out}")
+    _write_document(args.out, {"dataset": dataset.name, "n": report.n, "alpha": args.alpha,
+                               "beta": args.beta, "ks": report.ks, "cvm": report.cvm,
+                               "version": __version__})
     return EXIT_OK
 
 
-def _run_simulate(args, parser: _Parser) -> int:
+def _run_simulate(args) -> int:
+    parser = args.parser
     if args.preset is not None:
         raw = dict(PRESETS[args.preset])
     else:
@@ -343,41 +319,26 @@ def _run_simulate(args, parser: _Parser) -> int:
     return EXIT_OK
 
 
-def _run_weights(args, parser: _Parser) -> int:
-    try:
-        sizes = sorted({int(tok) for tok in args.n.replace(",", " ").split()})
-    except ValueError:
-        parser.error(f"cannot parse --n {args.n!r} as integers")
-    if not sizes or any(n < 2 for n in sizes):
-        parser.error("every sample size must be an integer >= 2")
-    if args.reps < MIN_WEIGHT_REPLICATIONS:
-        parser.error(f"--reps must be >= {MIN_WEIGHT_REPLICATIONS}")
+def _run_weights(args) -> int:
     path = args.out or default_weights_path()
     try:
         records = read_weight_table(path)
     except ValueError as exc:
-        parser.error(str(exc))
-    _check_writable(path, parser)
-    for n in sizes:
+        args.parser.error(str(exc))
+    _check_writable(path, args.parser)
+    for n in args.n:
         records[(n, args.reps, args.seed)] = seeded_weight_medians(n, args.reps, args.seed)
     write_weight_table(path, records)
-    print(f"wrote {len(sizes)} record(s) to {path}")
-    for n in sizes:
+    print(f"wrote {len(args.n)} record(s) to {path}")
+    for n in args.n:
         pair = records[(n, args.reps, args.seed)]
         print(f"n={n}: w1={pair.w1:.6f} w2={pair.w2:.6f} ({pair.replications} replications)")
     return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handler = {
-        "fit": _run_fit,
-        "gof": _run_gof,
-        "simulate": _run_simulate,
-        "weights": _run_weights,
-    }[args.command]
-    return handler(args, parser)
+    args = _build_parser().parse_args(argv)
+    return args.run(args)
 
 
 if __name__ == "__main__":

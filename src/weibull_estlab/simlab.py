@@ -136,6 +136,12 @@ class SimulationConfig:
             raise ValueError("sample_sizes must be nonempty with every n >= 2")
         if not levels:
             raise ValueError("param_levels must be nonempty")
+        # a repeated entry would run, and be ranked, as a grid line of its own
+        for name in ("methods", "sample_sizes", "param_levels"):
+            entries = getattr(self, name)
+            repeated = [e for i, e in enumerate(entries) if e in entries[:i]]
+            if repeated:
+                raise ValueError(f"{name} repeats the entry {repeated[0]!r}")
         if self.replications is not None and self.replications < 100:
             raise ValueError(f"replications must be >= 100, got {self.replications}")
         if self.master_seed < 0:

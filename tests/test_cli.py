@@ -112,12 +112,21 @@ class TestFitCommand:
         code = run_cli(["fit", "--methods", "XYZ"])
         assert code == EXIT_USAGE
 
+    def test_repeated_method_exits_64(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert run_cli(["fit", "--methods", "MLE,LM,mle", "--out", str(out)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "argument --methods: method(s) named more than once: MLE" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_small_weight_reps_exits_64(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("WEIBULL_ESTLAB_WEIGHTS", str(tmp_path / "w.txt"))
         out = tmp_path / "r.json"
         argv = ["fit", "--methods", "WMLE", "--weight-reps", "10", "--out", str(out)]
         assert run_cli(argv) == EXIT_USAGE
-        assert "--weight-reps must be >= 1000" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "argument --weight-reps: must be an integer >= 1000, got '10'" in err
         assert list(tmp_path.iterdir()) == []
 
     def test_out_round_trip_and_determinism(self, tmp_path, capsys):
@@ -250,6 +259,19 @@ class TestSimulateCommand:
         cfg.write_text(json.dumps({"methods": ["LM"], "sample_sizes": [10],
                                    "param_levels": [[2, 3]], "bogus_field": 1}))
         assert run_cli(["simulate", "--config", str(cfg)]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("field, value, entry", [
+        ("methods", ["MLE", "MLE"], "'MLE'"), ("sample_sizes", [5, 10, 5], "5"),
+    ], ids=["methods", "sample_sizes"])
+    def test_repeated_grid_entry_in_config_exits_64(self, field, value, entry, tmp_path, capsys):
+        doc = {"methods": ["MLE"], "sample_sizes": [5], "param_levels": [[1, 1]],
+               "replications": 100, field: value}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out_dir = tmp_path / "out"
+        assert run_cli(["simulate", "--config", str(cfg), "--out-dir", str(out_dir)]) == EXIT_USAGE
+        assert f"{field} repeats the entry {entry}" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("field, value", [
         ("replications", 150.5), ("sample_sizes", [5.7]), ("master_seed", 1729.5),
@@ -472,3 +494,56 @@ class TestUnwritableOutput:
         argv = ["simulate", "--preset", "table1", "--reps", "100", "--out-dir", str(target)]
         self.assert_usage_error(argv, f"cannot write {target}: it is not a directory",
                                 tmp_path, capsys, kept=target)
+
+
+class TestUsageLine:
+    """Every usage error prints the usage line of its own subcommand, and writes nothing."""
+
+    @pytest.fixture
+    def files(self, tmp_path, monkeypatch):
+        """Inputs that each make one subcommand fail, in an otherwise empty directory."""
+        one_point = tmp_path / "one.txt"
+        one_point.write_text("3.0\n")
+        blocker = tmp_path / "blocker"
+        blocker.write_text("x\n")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"methods": ["LM"], "sample_sizes": [10],
+                                      "param_levels": [[2, 3]], "bogus_field": 1}))
+        cache = tmp_path / "cache.txt"
+        cache.write_text(f"{WEIGHT_TABLE_HEADER}\n48 0.99 x 100000 1729\n")
+        monkeypatch.setenv("WEIBULL_ESTLAB_WEIGHTS", str(cache))
+        monkeypatch.chdir(tmp_path)
+        return {"one_point": one_point, "blocker": blocker, "config": config, "cache": cache}
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--methods", "XYZ"],
+        ["fit", "--methods", "MLE,MLE"],
+        ["fit", "--weight-reps", "10"],
+        ["fit", "--methods", "PM", "--pm-p", "1.5"],
+        ["fit", "--data", "{one_point}"],
+        ["fit", "--data", "{blocker}/missing.txt"],
+        ["fit", "--methods", "WMLE"],
+        ["fit", "--methods", "LM", "--out", "{blocker}/r.json"],
+        ["gof", "--alpha", "-1", "--beta", "2"],
+        ["gof", "--alpha", "2", "--beta", "3", "--out", "{blocker}/g.json"],
+        ["simulate", "--config", "{config}"],
+        ["simulate", "--config", "{blocker}/missing.json"],
+        ["simulate", "--preset", "table1", "--out-dir", "{blocker}"],
+        ["weights", "--n", "1"],
+        ["weights", "--n", "5", "--reps", "10"],
+        ["weights", "--n", "5"],
+        ["weights", "--n", "5", "--out", "{blocker}/w.txt"],
+    ], ids=["fit-unknown-method", "fit-repeated-method", "fit-weight-reps", "fit-pm-p",
+            "fit-one-point", "fit-missing-data", "fit-malformed-cache", "fit-unwritable-out",
+            "gof-parameter", "gof-unwritable-out", "simulate-config-field",
+            "simulate-missing-config", "simulate-unwritable-out-dir", "weights-n",
+            "weights-reps", "weights-malformed-cache", "weights-unwritable-out"])
+    def test_usage_error_prints_subcommand_usage(self, argv, files, tmp_path, capsys):
+        argv = [arg.format(**files) for arg in argv]
+        before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+        assert run_cli(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"usage: weibull-estlab {argv[0]} ")
+        assert f"weibull-estlab {argv[0]}: error: " in captured.err
+        assert captured.out == ""
+        assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before

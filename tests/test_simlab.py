@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -84,6 +85,15 @@ class TestConfigValidation:
             tiny_config(param_levels=(2.0, 3.0))
         with pytest.raises(ValueError, match=r"param_levels\[1\] must be a \(shape, scale\) pair"):
             tiny_config(param_levels=((2.0, 3.0), (2.0, 3.0, 4.0)))
+
+    @pytest.mark.parametrize("field, value, entry", [
+        ("methods", ("LM", "USTAT", "LM"), "'LM'"),
+        ("sample_sizes", (5, 10, 5.0), "5"),
+        ("param_levels", ((2.0, 3.0), WeibullParams(2.0, 3.0)), "WeibullParams(shape=2.0"),
+    ], ids=["methods", "sample_sizes", "param_levels"])
+    def test_repeated_entry_rejected_by_name(self, field, value, entry):
+        with pytest.raises(ValueError, match=rf"{field} repeats the entry {re.escape(entry)}"):
+            tiny_config(**{field: value})
 
     def test_integral_floats_become_ints(self):
         cfg = tiny_config(sample_sizes=(10.0,), replications=1e4, workers=2.0,
