@@ -19,6 +19,7 @@ from .core import (
     open_rows,
     row_dot,
     row_var,
+    scratch,
 )
 from .errors import DegenerateSampleError, InvalidRatioError
 from .roots import solve_rows
@@ -80,12 +81,17 @@ class PercentileConfig:
             raise ValueError(f"unknown quantile rule {self.quantile_rule!r}; choose from {QUANTILE_RULES}")
 
 
-def _lmoment_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _lmoment_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """m1 and m2 of every ascending row times 2^-e, and e, the exponent that
+    brings the row's maximum into [0.5, 1): no sum overflows, and since a
+    power of two scales exactly, m * 2^e are the moments of the row itself."""
     n = values.shape[1]
-    m1 = values.sum(axis=1) / n
+    e = np.frexp(values[:, -1])[1]
+    scaled = np.ldexp(values, -e[:, None], out=scratch("classical.lmoments", values.shape))
+    m1 = scaled.sum(axis=1) / n
     ranks = np.arange(n, dtype=float)  # (i - 1) for 1-based i
-    m2 = 2.0 / (n * (n - 1)) * row_dot(values, ranks) - m1
-    return m1, m2
+    m2 = 2.0 / (n * (n - 1)) * row_dot(scaled, ranks) - m1
+    return m1, m2, e
 
 
 def sample_lmoments(s: SortedSample) -> LMomentSummary:
@@ -94,8 +100,8 @@ def sample_lmoments(s: SortedSample) -> LMomentSummary:
     m1 is the mean; m2 = [2/(n(n-1))] sum_i (i-1) x_(i) - m1 with 1-based
     ascending ranks, equal to half the mean absolute pairwise difference.
     """
-    m1, m2 = _lmoment_rows(s.values[None, :])
-    return LMomentSummary(m1=float(m1[0]), m2=float(m2[0]))
+    m1, m2, e = _lmoment_rows(s.values[None, :])
+    return LMomentSummary(m1=float(np.ldexp(m1[0], e[0])), m2=float(np.ldexp(m2[0], e[0])))
 
 
 def fit_lm_batch(values: np.ndarray, logs: np.ndarray) -> BatchFit:
@@ -103,7 +109,7 @@ def fit_lm_batch(values: np.ndarray, logs: np.ndarray) -> BatchFit:
 
     shape = -log 2 / log(1 - m2/m1), scale = m1 / Gamma(1/shape + 1).
     """
-    m1, m2 = _lmoment_rows(values)
+    m1, m2, e = _lmoment_rows(values)
     errors: dict = {}
     constant = (values[:, 0] == values[:, -1]) | (m2 == 0.0)
     fail_rows(errors, constant, lambda r: DegenerateSampleError(
@@ -113,7 +119,7 @@ def fit_lm_batch(values: np.ndarray, logs: np.ndarray) -> BatchFit:
         fail_rows(errors, ~((ratio > 0.0) & (ratio < 1.0)), lambda r: InvalidRatioError(
             f"m2/m1 = {float(ratio[r])} outside (0, 1); cannot invert the L-moment equation"))
         shape = -LOG_TWO / np.log1p(-ratio)
-        scale = m1 / gamma(1.0 / shape + 1.0)
+        scale = np.ldexp(m1 / gamma(1.0 / shape + 1.0), e)
     return BatchFit.build("LM", shape, scale, errors)
 
 

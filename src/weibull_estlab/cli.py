@@ -23,8 +23,6 @@ from .datasets import BUNDLED_LIFETIME, Dataset, load_dataset
 from .errors import DataError, EstimationError
 from .gof import gof_report
 from .likelihood import (
-    DEFAULT_WEIGHT_REPLICATIONS,
-    MIN_WEIGHT_REPLICATIONS,
     WeightStore,
     default_weights_path,
     read_weight_table,
@@ -78,18 +76,6 @@ def _seed(text: str) -> int:
     return seed
 
 
-def _weight_reps(text: str) -> int:
-    """Type of fit --weight-reps and weights --reps: the weight simulation's floor."""
-    try:
-        reps = int(text)
-    except ValueError:
-        reps = -1
-    if reps < MIN_WEIGHT_REPLICATIONS:
-        raise argparse.ArgumentTypeError(
-            f"must be an integer >= {MIN_WEIGHT_REPLICATIONS}, got {text!r}")
-    return reps
-
-
 def _methods(text: str) -> tuple[str, ...]:
     """Type of fit --methods: 'all', or a comma-separated subset naming each method once."""
     if text.strip().lower() == "all":
@@ -139,8 +125,6 @@ def _build_parser() -> _Parser:
     fit.add_argument("--pm-p", type=float, default=0.31, help="lower percentile for PM")
     fit.add_argument("--pm-rule", choices=QUANTILE_RULES, default="median_unbiased",
                      help="empirical-quantile convention for PM")
-    fit.add_argument("--weight-reps", type=_weight_reps, default=DEFAULT_WEIGHT_REPLICATIONS,
-                     help="replications for the WMLE weight medians")
 
     gof = sub.add_parser("gof", help="KS/CVM distances for given parameters")
     gof.set_defaults(run=_run_gof, parser=gof)
@@ -165,7 +149,6 @@ def _build_parser() -> _Parser:
     weights.set_defaults(run=_run_weights, parser=weights)
     weights.add_argument("--n", type=_sizes, required=True,
                          help="comma-separated sample sizes (each >= 2)")
-    weights.add_argument("--reps", type=_weight_reps, default=DEFAULT_WEIGHT_REPLICATIONS)
     weights.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     weights.add_argument("--out", type=Path, default=None,
                          help="weight-table path (default: env override or user cache)")
@@ -221,8 +204,7 @@ def _run_fit(args) -> int:
     if args.out is not None:
         _check_writable(args.out, parser)
     try:
-        weights = (WeightStore(replications=args.weight_reps, seed=args.seed).get(s.n)
-                   if "WMLE" in args.methods else None)
+        weights = WeightStore(seed=args.seed).get(s.n) if "WMLE" in args.methods else None
     except ValueError as exc:  # an unreadable or malformed weight cache
         parser.error(str(exc))
 
@@ -326,18 +308,19 @@ def _run_weights(args) -> int:
     except ValueError as exc:
         args.parser.error(str(exc))
     _check_writable(path, args.parser)
-    for n in args.n:
-        records[(n, args.reps, args.seed)] = seeded_weight_medians(n, args.reps, args.seed)
+    pairs = [seeded_weight_medians(n, args.seed) for n in args.n]
+    records.update({(pair.n, pair.replications, args.seed): pair for pair in pairs})
     write_weight_table(path, records)
-    print(f"wrote {len(args.n)} record(s) to {path}")
-    for n in args.n:
-        pair = records[(n, args.reps, args.seed)]
-        print(f"n={n}: w1={pair.w1:.6f} w2={pair.w2:.6f} ({pair.replications} replications)")
+    print(f"wrote {len(pairs)} record(s) to {path}")
+    for pair in pairs:
+        print(f"n={pair.n}: w1={pair.w1:.6f} w2={pair.w2:.6f} ({pair.replications} replications)")
     return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args, extra = _build_parser().parse_known_args(argv)
+    if extra:  # reported by the subcommand, with its own usage line
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     return args.run(args)
 
 

@@ -107,21 +107,21 @@ class SortedSample:
     n: int
 
     @classmethod
-    def from_data(cls, data, min_size: int = 2) -> "SortedSample":
+    def from_data(cls, data) -> "SortedSample":
         """Validate, sort ascending and attach the log transform.
 
         Raises
         ------
         DataError
-            If fewer than ``min_size`` observations are given, or any
+            If fewer than two observations are given, or any
             observation is non-positive or non-finite (see
             :func:`check_observations`).
         """
         values = np.asarray(data, dtype=float)
         if values.ndim != 1:
             values = values.reshape(-1)
-        if values.size < min_size:
-            raise DataError(f"need at least {min_size} observations, got {values.size}")
+        if values.size < 2:
+            raise DataError(f"need at least 2 observations, got {values.size}")
         check_observations(values)
         values = np.sort(values)
         values.flags.writeable = False

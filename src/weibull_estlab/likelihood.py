@@ -279,14 +279,15 @@ def simulate_weight_medians(n: int, replications: int, rng: np.random.Generator)
         return WeightPair(w1=median(w1), w2=second.result(), n=n, replications=replications)
 
 
-def seeded_weight_medians(n: int, replications: int, seed: int) -> WeightPair:
-    """The weight medians for ``n`` simulated from the substream (WEIGHTS, n) of ``seed``.
+def seeded_weight_medians(n: int, seed: int) -> WeightPair:
+    """The weight medians for ``n`` simulated from the substream (WEIGHTS, n)
+    of ``seed``, :data:`DEFAULT_WEIGHT_REPLICATIONS` replications long.
 
     The one place that picks the weight stream, so the lab, the weight cache
     and the ``weights`` command agree on it.
     """
     rng, = substreams(seed, (WEIGHTS,), range(n, n + 1))
-    return simulate_weight_medians(n, replications, rng)
+    return simulate_weight_medians(n, DEFAULT_WEIGHT_REPLICATIONS, rng)
 
 
 # --- weight-table cache file: this header line, then one record per line,
@@ -364,27 +365,26 @@ def write_weight_table(path: Path, records: dict[WeightKey, WeightPair]) -> None
 class WeightStore:
     """Memoized weight lookup backed by the cache file.
 
-    Records are keyed by (n, replications, seed). Missing ones are simulated
-    on demand by :func:`seeded_weight_medians` and added to the cache (best
-    effort; a read-only location just skips the write).
+    Records are keyed by (n, replications, seed); only those of
+    :data:`DEFAULT_WEIGHT_REPLICATIONS` are looked up. Missing ones are
+    simulated on demand by :func:`seeded_weight_medians` and added to the
+    cache (best effort; a read-only location just skips the write).
     """
 
-    def __init__(self, path: Path | None = None, replications: int = DEFAULT_WEIGHT_REPLICATIONS,
-                 seed: int = 0):
+    def __init__(self, path: Path | None = None, seed: int = 0):
         self.path = path or default_weights_path()
-        self.replications = replications
         self.seed = seed
         self._memo: dict[int, WeightPair] = {}
 
     def get(self, n: int) -> WeightPair:
         if n in self._memo:
             return self._memo[n]
-        key = (n, self.replications, self.seed)
+        key = (n, DEFAULT_WEIGHT_REPLICATIONS, self.seed)
         records = read_weight_table(self.path)
         if key in records:
             pair = records[key]
         else:
-            pair = seeded_weight_medians(n, self.replications, self.seed)
+            pair = seeded_weight_medians(n, self.seed)
             records[key] = pair
             try:
                 write_weight_table(self.path, records)

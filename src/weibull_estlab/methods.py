@@ -27,9 +27,6 @@ from .ustat import fit_ustat_batch
 
 __all__ = ["METHOD_NAMES", "FitOptions", "fit_method", "fit_batch"]
 
-METHOD_NAMES = ("USTAT", "MLE", "WMLE", "GLS1", "GLS2", "WLS", "LM", "MLM", "PM", "MM")
-
-
 @dataclass(frozen=True)
 class FitOptions:
     """Per-run knobs for the methods that take configuration."""
@@ -69,9 +66,8 @@ _REGISTRY: dict[str, BatchFunction] = {
     "MM": lambda v, lg, o, w: fit_mm_batch(v, lg),
 }
 
-
-def known_methods() -> tuple[str, ...]:
-    return tuple(_REGISTRY)
+# the registry is the one list of methods: what fit and simulate accept
+METHOD_NAMES = tuple(_REGISTRY)
 
 
 def _lookup(name: str) -> BatchFunction:

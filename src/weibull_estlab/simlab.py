@@ -24,7 +24,7 @@ it counts as a failure of every method.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -32,14 +32,9 @@ import numpy as np
 # sample, fit_method and simulate_weight_medians are the single-replication
 # steps of the lab, re-exported here next to their batched forms
 from .core import REPLICATIONS, WeibullParams, draw_sorted, sample, scratch, substreams  # noqa: F401
-from .likelihood import (  # noqa: F401
-    DEFAULT_WEIGHT_REPLICATIONS,
-    MIN_WEIGHT_REPLICATIONS,
-    WeightPair,
-    seeded_weight_medians,
-    simulate_weight_medians,
-)
-from .methods import FitOptions, fit_batch, fit_method, known_methods  # noqa: F401
+from .likelihood import WeightPair, seeded_weight_medians, simulate_weight_medians  # noqa: F401
+from .methods import METHOD_NAMES, FitOptions, fit_batch, fit_method  # noqa: F401
+from .regression import DEFAULT_RULE
 
 __all__ = [
     "RANK_TARGETS",
@@ -97,15 +92,10 @@ def _level(name: str, value) -> WeibullParams:
     return WeibullParams(*pair)
 
 
-# the config-file fields of SimulationConfig.from_mapping and as_mapping: the
-# first three are required, the others default as the constructor's do
-_FILE_FIELDS = ("methods", "sample_sizes", "param_levels", "replications", "master_seed",
-                "workers", "plotting_rule", "weight_replications")
-
-
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Experiment grid: methods x sample sizes x parameter levels."""
+    """Experiment grid: methods x sample sizes x parameter levels. Each field
+    is one key of the config file that :meth:`from_mapping` reads."""
 
     methods: tuple[str, ...]
     sample_sizes: tuple[int, ...]
@@ -113,8 +103,7 @@ class SimulationConfig:
     replications: int | None = None  # None: per-n default_replications rule
     master_seed: int = DEFAULT_SEED
     workers: int = 1
-    options: FitOptions = field(default_factory=FitOptions)
-    weight_replications: int = DEFAULT_WEIGHT_REPLICATIONS
+    plotting_rule: str = DEFAULT_RULE
 
     def __post_init__(self):
         object.__setattr__(self, "methods", _entries("methods", self.methods))
@@ -122,16 +111,16 @@ class SimulationConfig:
             _whole("sample_sizes", n) for n in _entries("sample_sizes", self.sample_sizes)))
         if self.replications is not None:
             object.__setattr__(self, "replications", _whole("replications", self.replications))
-        for name in ("master_seed", "workers", "weight_replications"):
+        for name in ("master_seed", "workers"):
             object.__setattr__(self, name, _whole(name, getattr(self, name)))
         levels = tuple(_level(f"param_levels[{i}]", lv)
                        for i, lv in enumerate(_entries("param_levels", self.param_levels)))
         object.__setattr__(self, "param_levels", levels)
         if not self.methods:
             raise ValueError("methods must be nonempty")
-        unknown = [m for m in self.methods if m not in known_methods()]
+        unknown = [m for m in self.methods if m not in METHOD_NAMES]
         if unknown:
-            raise ValueError(f"unknown methods: {unknown}; known: {known_methods()}")
+            raise ValueError(f"unknown methods: {unknown}; known: {METHOD_NAMES}")
         if not self.sample_sizes or any(n < 2 for n in self.sample_sizes):
             raise ValueError("sample_sizes must be nonempty with every n >= 2")
         if not levels:
@@ -148,34 +137,31 @@ class SimulationConfig:
             raise ValueError(f"master_seed must be a non-negative integer, got {self.master_seed}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.weight_replications < MIN_WEIGHT_REPLICATIONS:
-            raise ValueError(f"weight_replications must be >= {MIN_WEIGHT_REPLICATIONS}")
+        self.options  # FitOptions rejects an unknown plotting rule
+
+    @property
+    def options(self) -> FitOptions:
+        """The fit options of every replication: the plotting rule, and PM's defaults."""
+        return FitOptions(plotting_rule=self.plotting_rule)
 
     @classmethod
     def from_mapping(cls, raw: Mapping) -> SimulationConfig:
         """The config of a config-file mapping such as :meth:`as_mapping` writes.
 
-        A field left out takes the constructor's default, and ``plotting_rule``
-        sets that of ``options``. ValueError names an unknown or missing field.
+        A field left out takes the constructor's default. ValueError names an
+        unknown field, or a missing one that has no default.
         """
-        unknown = sorted(set(raw) - set(_FILE_FIELDS))
+        names = [f.name for f in fields(cls)]
+        unknown = sorted(set(raw) - set(names))
         if unknown:
-            raise ValueError(f"unknown field(s) {unknown}; known: {list(_FILE_FIELDS)}")
-        missing = [name for name in _FILE_FIELDS[:3] if name not in raw]
+            raise ValueError(f"unknown field(s) {unknown}; known: {names}")
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in raw]
         if missing:
             raise ValueError(f"missing field(s) {missing}")
-        kwargs = {name: value for name, value in raw.items() if name != "plotting_rule"}
-        if "plotting_rule" in raw:
-            kwargs["options"] = FitOptions(plotting_rule=raw["plotting_rule"])
-        return cls(**kwargs)
+        return cls(**raw)
 
     def as_mapping(self) -> dict:
-        """The config-file fields as JSON values, which :meth:`from_mapping`
-        reads back to this config. Of ``options`` only the plotting rule is a
-        field, so a non-default ``options.percentile`` raises ValueError."""
-        if self.options != FitOptions(plotting_rule=self.options.plotting_rule):
-            raise ValueError(f"options.percentile {self.options.percentile} has no "
-                             "config-file field; only the default maps")
+        """The fields as JSON values, which :meth:`from_mapping` reads back to this config."""
         return {
             "methods": list(self.methods),
             "sample_sizes": list(self.sample_sizes),
@@ -183,8 +169,7 @@ class SimulationConfig:
             "replications": self.replications,
             "master_seed": self.master_seed,
             "workers": self.workers,
-            "plotting_rule": self.options.plotting_rule,
-            "weight_replications": self.weight_replications,
+            "plotting_rule": self.plotting_rule,
         }
 
     def cells(self) -> list[tuple[int, int, WeibullParams]]:
@@ -253,13 +238,13 @@ def _run_chunk(args) -> tuple[int, int, np.ndarray]:
 def _weight_medians_for(cfg: SimulationConfig) -> dict[int, WeightPair]:
     if "WMLE" not in cfg.methods:
         return {}
-    return {n: seeded_weight_medians(n, cfg.weight_replications, cfg.master_seed)
-            for n in cfg.sample_sizes}
+    return {n: seeded_weight_medians(n, cfg.master_seed) for n in cfg.sample_sizes}
 
 
 def run_experiment(cfg: SimulationConfig) -> MetricTable:
     """Run the full grid and reduce to bias/RMSE per (method, cell)."""
     weights_by_n = _weight_medians_for(cfg)
+    options = cfg.options
     cells = cfg.cells()
     estimates: dict[int, np.ndarray] = {}
     tasks = []
@@ -267,16 +252,18 @@ def run_experiment(cfg: SimulationConfig) -> MetricTable:
         reps = cfg.replications or default_replications(n)
         estimates[cell] = np.empty((reps, len(cfg.methods), 2))
         for chunk in _chunks(n, reps):
-            tasks.append((cell, n, level.shape, level.scale, cfg.methods, cfg.options,
+            tasks.append((cell, n, level.shape, level.scale, cfg.methods, options,
                           weights_by_n.get(n), cfg.master_seed, chunk.start, chunk.stop))
 
-    if cfg.workers == 1:
+    # no more processes than tasks: a fork start opens every worker at once
+    workers = min(cfg.workers, len(tasks))
+    if workers == 1:
         results = map(_run_chunk, tasks)
     else:
         # imported here: at one worker the process pool's modules
         # (multiprocessing, socket, ...) would be loaded for nothing
         from concurrent.futures import ProcessPoolExecutor
-        pool = ProcessPoolExecutor(max_workers=cfg.workers)
+        pool = ProcessPoolExecutor(max_workers=workers)
         try:
             results = list(pool.map(_run_chunk, tasks, chunksize=1))
         finally:

@@ -71,6 +71,15 @@ class TestFitLM:
         with pytest.raises(DegenerateSampleError):
             fit_lm(SortedSample.from_data([2.0, 2.0, 2.0]))
 
+    def test_sums_that_overflow(self, lifetime_sample):
+        # the sum of these 48 values overflows; a power of two scales exactly
+        big = lifetime_sample.scaled(2.0 ** 1017)
+        r, r_big = fit_lm(lifetime_sample), fit_lm(big)
+        assert r_big.shape == r.shape
+        assert r_big.scale == r.scale * 2.0 ** 1017
+        lm, lm_big = sample_lmoments(lifetime_sample), sample_lmoments(big)
+        assert (lm_big.m1, lm_big.m2) == (lm.m1 * 2.0 ** 1017, lm.m2 * 2.0 ** 1017)
+
     def test_consistency_large_sample(self):
         s = sample(WeibullParams(2.5, 2.5), 100_000, np.random.default_rng(99))
         r = fit_lm(s)

@@ -94,7 +94,7 @@ class TestBundledDataset:
 class TestFitCommand:
     def test_all_methods_on_bundled(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("WEIBULL_ESTLAB_WEIGHTS", str(tmp_path / "w.txt"))
-        code = run_cli(["fit", "--methods", "all", "--weight-reps", "2000"])
+        code = run_cli(["fit", "--methods", "all"])
         out = capsys.readouterr().out
         assert code == EXIT_OK
         for name in ("USTAT", "MLE", "WMLE", "GLS1", "GLS2", "WLS", "LM", "MLM", "PM", "MM"):
@@ -121,12 +121,13 @@ class TestFitCommand:
         assert list(tmp_path.iterdir()) == []
 
     def test_small_weight_reps_exits_64(self, tmp_path, monkeypatch, capsys):
+        # the weight precision is fixed: --weight-reps is no flag of fit
         monkeypatch.setenv("WEIBULL_ESTLAB_WEIGHTS", str(tmp_path / "w.txt"))
         out = tmp_path / "r.json"
         argv = ["fit", "--methods", "WMLE", "--weight-reps", "10", "--out", str(out)]
         assert run_cli(argv) == EXIT_USAGE
         err = capsys.readouterr().err
-        assert "argument --weight-reps: must be an integer >= 1000, got '10'" in err
+        assert "fit: error: unrecognized arguments: --weight-reps 10" in err
         assert list(tmp_path.iterdir()) == []
 
     def test_out_round_trip_and_determinism(self, tmp_path, capsys):
@@ -154,8 +155,7 @@ class TestFitCommand:
 class TestWeightCache:
     def fit_wmle(self, seed, out, cache, monkeypatch):
         monkeypatch.setenv("WEIBULL_ESTLAB_WEIGHTS", str(cache))
-        argv = ["fit", "--methods", "WMLE", "--seed", str(seed), "--weight-reps", "2000",
-                "--out", str(out)]
+        argv = ["fit", "--methods", "WMLE", "--seed", str(seed), "--out", str(out)]
         assert run_cli(argv) == EXIT_OK
         return out.read_bytes()
 
@@ -180,11 +180,11 @@ class TestWeightCache:
         cold = self.fit_wmle(1, tmp_path / "cold.json", tmp_path / "fresh.txt", monkeypatch)
         # the record a warm fit would use, in the header-less layout with
         # floats rounded to 12 significant digits
-        pair = seeded_weight_medians(48, 2000, 1)
+        pair = seeded_weight_medians(48, 1)
         cache = tmp_path / "w.txt"
-        cache.write_text(f"48 {pair.w1:.12g} {pair.w2:.12g} 2000 1\n")
+        cache.write_text(f"48 {pair.w1:.12g} {pair.w2:.12g} 100000 1\n")
         assert self.fit_wmle(1, tmp_path / "warm.json", cache, monkeypatch) == cold
-        assert read_weight_table(cache) == {(48, 2000, 1): pair}
+        assert read_weight_table(cache) == {(48, 100000, 1): pair}
 
     @pytest.mark.parametrize("record", ["48 0.99 garbage", "48 0.99 x 100000 1729"])
     def test_malformed_cache_exits_64(self, record, tmp_path, monkeypatch, capsys):
@@ -192,7 +192,7 @@ class TestWeightCache:
         cache.write_text(f"{WEIGHT_TABLE_HEADER}\n{record}\n")
         monkeypatch.setenv("WEIBULL_ESTLAB_WEIGHTS", str(cache))
         out = tmp_path / "r.json"
-        argv = ["fit", "--methods", "WMLE", "--weight-reps", "2000", "--out", str(out)]
+        argv = ["fit", "--methods", "WMLE", "--out", str(out)]
         assert run_cli(argv) == EXIT_USAGE
         assert f"{cache}:2: " in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [cache]
@@ -211,7 +211,7 @@ class TestWeightCache:
         cache = unreadable_cache(tmp_path / "w.txt", kind)
         monkeypatch.setenv("WEIBULL_ESTLAB_WEIGHTS", str(cache))
         out = tmp_path / "r.json"
-        argv = ["fit", "--methods", "WMLE", "--weight-reps", "2000", "--out", str(out)]
+        argv = ["fit", "--methods", "WMLE", "--out", str(out)]
         assert run_cli(argv) == EXIT_USAGE
         captured = capsys.readouterr()
         assert f"{cache}: cannot read weight table: " in captured.err
@@ -275,7 +275,7 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("field, value", [
         ("replications", 150.5), ("sample_sizes", [5.7]), ("master_seed", 1729.5),
-        ("workers", 1.5), ("weight_replications", 2000.5),
+        ("workers", 1.5),
     ])
     def test_non_integral_count_in_config_exits_64(self, field, value, tmp_path, capsys):
         doc = {"methods": ["USTAT"], "sample_sizes": [10], "param_levels": [[2.0, 3.0]],
@@ -358,7 +358,7 @@ class TestSeedValidation:
     @pytest.mark.parametrize("argv", [
         ["simulate", "--preset", "table1", "--reps", "100", "--seed", "-1"],
         ["fit", "--methods", "WMLE", "--seed", "-1"],
-        ["weights", "--n", "5", "--reps", "2000", "--seed", "-1"],
+        ["weights", "--n", "5", "--seed", "-1"],
     ], ids=["simulate", "fit", "weights"])
     def test_negative_seed_exits_64(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("WEIBULL_ESTLAB_WEIGHTS", str(tmp_path / "w.txt"))
@@ -380,7 +380,7 @@ class TestSeedValidation:
 class TestWeightsCommand:
     def test_writes_records(self, tmp_path, capsys):
         out = tmp_path / "w.txt"
-        code = run_cli(["weights", "--n", "5,10", "--reps", "2000", "--out", str(out)])
+        code = run_cli(["weights", "--n", "5,10", "--out", str(out)])
         assert code == EXIT_OK
         header, *lines = out.read_text().splitlines()
         assert header == WEIGHT_TABLE_HEADER
@@ -389,8 +389,7 @@ class TestWeightsCommand:
 
     def test_reference_grid_writes_seven_records(self, tmp_path, capsys):
         out = tmp_path / "w.txt"
-        code = run_cli(["weights", "--n", "5,10,15,30,50,100,200", "--reps", "2000",
-                        "--out", str(out)])
+        code = run_cli(["weights", "--n", "5,10,15,30,50,100,200", "--out", str(out)])
         assert code == EXIT_OK
         header, *lines = out.read_text().splitlines()
         assert header == WEIGHT_TABLE_HEADER
@@ -399,13 +398,13 @@ class TestWeightsCommand:
 
     def test_rerun_identical_bytes(self, tmp_path, capsys):
         out = tmp_path / "w.txt"
-        run_cli(["weights", "--n", "5,7", "--reps", "2000", "--seed", "3", "--out", str(out)])
+        run_cli(["weights", "--n", "5,7", "--seed", "3", "--out", str(out)])
         first = out.read_bytes()
-        run_cli(["weights", "--n", "5,7", "--reps", "2000", "--seed", "3", "--out", str(out)])
+        run_cli(["weights", "--n", "5,7", "--seed", "3", "--out", str(out)])
         assert out.read_bytes() == first
 
     def test_rejects_n1(self, capsys):
-        assert run_cli(["weights", "--n", "1,5", "--reps", "2000"]) == EXIT_USAGE
+        assert run_cli(["weights", "--n", "1,5"]) == EXIT_USAGE
 
     def test_rejects_small_reps(self, capsys):
         assert run_cli(["weights", "--n", "5", "--reps", "10"]) == EXIT_USAGE
@@ -414,7 +413,7 @@ class TestWeightsCommand:
         out = tmp_path / "w.txt"
         out.write_text(f"{WEIGHT_TABLE_HEADER}\n48 0.99 x 100000 1729\n")
         before = out.read_bytes()
-        assert run_cli(["weights", "--n", "5", "--reps", "2000", "--out", str(out)]) == EXIT_USAGE
+        assert run_cli(["weights", "--n", "5", "--out", str(out)]) == EXIT_USAGE
         assert f"{out}:2: " in capsys.readouterr().err
         assert out.read_bytes() == before
         assert list(tmp_path.iterdir()) == [out]
@@ -431,7 +430,7 @@ class TestWeightsCommand:
     @pytest.mark.parametrize("kind", ["directory", "undecodable"])
     def test_unreadable_cache_exits_64(self, kind, tmp_path, capsys):
         out = unreadable_cache(tmp_path / "w.txt", kind)
-        assert run_cli(["weights", "--n", "5", "--reps", "2000", "--out", str(out)]) == EXIT_USAGE
+        assert run_cli(["weights", "--n", "5", "--out", str(out)]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert f"{out}: cannot read weight table: " in captured.err
         assert captured.out == ""
@@ -440,7 +439,7 @@ class TestWeightsCommand:
     def test_env_var_default_path(self, tmp_path, monkeypatch, capsys):
         target = tmp_path / "env.txt"
         monkeypatch.setenv("WEIBULL_ESTLAB_WEIGHTS", str(target))
-        run_cli(["weights", "--n", "5", "--reps", "2000"])
+        run_cli(["weights", "--n", "5"])
         assert target.exists()
 
 
@@ -467,7 +466,7 @@ class TestUnwritableOutput:
         ["fit", "--methods", "WMLE,LM", "--out"],
         ["gof", "--alpha", "2", "--beta", "3", "--out"],
         ["simulate", "--preset", "table1", "--reps", "100", "--out-dir"],
-        ["weights", "--n", "5", "--reps", "2000", "--out"],
+        ["weights", "--n", "5", "--out"],
     ], ids=["fit", "gof", "simulate", "weights"])
     def test_parent_is_a_file_exits_64(self, argv, tmp_path, capsys):
         blocker = tmp_path / "file"
@@ -518,7 +517,7 @@ class TestUsageLine:
     @pytest.mark.parametrize("argv", [
         ["fit", "--methods", "XYZ"],
         ["fit", "--methods", "MLE,MLE"],
-        ["fit", "--weight-reps", "10"],
+        ["fit", "--methods", "LM", "--weight-reps", "2000"],
         ["fit", "--methods", "PM", "--pm-p", "1.5"],
         ["fit", "--data", "{one_point}"],
         ["fit", "--data", "{blocker}/missing.txt"],
@@ -529,15 +528,16 @@ class TestUsageLine:
         ["simulate", "--config", "{config}"],
         ["simulate", "--config", "{blocker}/missing.json"],
         ["simulate", "--preset", "table1", "--out-dir", "{blocker}"],
+        ["simulate", "--preset", "table1", "--bogus"],
         ["weights", "--n", "1"],
-        ["weights", "--n", "5", "--reps", "10"],
+        ["weights", "--n", "5", "--reps", "1000", "--out", "w.txt"],
         ["weights", "--n", "5"],
         ["weights", "--n", "5", "--out", "{blocker}/w.txt"],
     ], ids=["fit-unknown-method", "fit-repeated-method", "fit-weight-reps", "fit-pm-p",
             "fit-one-point", "fit-missing-data", "fit-malformed-cache", "fit-unwritable-out",
             "gof-parameter", "gof-unwritable-out", "simulate-config-field",
-            "simulate-missing-config", "simulate-unwritable-out-dir", "weights-n",
-            "weights-reps", "weights-malformed-cache", "weights-unwritable-out"])
+            "simulate-missing-config", "simulate-unwritable-out-dir", "simulate-unknown-flag",
+            "weights-n", "weights-reps", "weights-malformed-cache", "weights-unwritable-out"])
     def test_usage_error_prints_subcommand_usage(self, argv, files, tmp_path, capsys):
         argv = [arg.format(**files) for arg in argv]
         before = {p: p.read_bytes() for p in tmp_path.iterdir()}

@@ -492,23 +492,32 @@ class TestWeightTable:
         path.write_text("5 0.935058123456 0.705061234567 100000 42\n")
         assert read_weight_table(path) == {}
         # the store simulates the record again and rewrites the file in the new layout
-        pair = WeightStore(path=path, replications=1000, seed=42).get(5)
-        assert pair == seeded_weight_medians(5, 1000, 42)
+        pair = WeightStore(path=path, seed=42).get(5)
+        assert pair == seeded_weight_medians(5, 42)
         assert path.read_text().splitlines()[0] == WEIGHT_TABLE_HEADER
-        assert read_weight_table(path) == {(5, 1000, 42): pair}
+        assert read_weight_table(path) == {(5, 100000, 42): pair}
 
     def test_store_simulates_then_caches(self, tmp_path):
         path = tmp_path / "weights.txt"
-        store = WeightStore(path=path, replications=1000, seed=9)
+        store = WeightStore(path=path, seed=9)
         pair = store.get(6)
         assert path.exists()
         # a second store reads the file instead of re-simulating, exactly
-        other = WeightStore(path=path, replications=1000, seed=9)
+        other = WeightStore(path=path, seed=9)
         assert other.get(6) == pair
+
+    def test_store_looks_up_only_the_fixed_replication_count(self, tmp_path):
+        path = tmp_path / "weights.txt"
+        other = WeightPair(w1=0.9, w2=0.7, n=5, replications=2000)
+        write_weight_table(path, {(5, 2000, 9): other})
+        pair = WeightStore(path=path, seed=9).get(5)
+        assert pair == seeded_weight_medians(5, 9)
+        # the record of the other count stays in the file
+        assert read_weight_table(path) == {(5, 2000, 9): other, (5, 100000, 9): pair}
 
     def test_store_respects_env_default(self, tmp_path, monkeypatch):
         target = tmp_path / "env-weights.txt"
         monkeypatch.setenv("WEIBULL_ESTLAB_WEIGHTS", str(target))
-        store = WeightStore(replications=1000, seed=3)
+        store = WeightStore(seed=3)
         store.get(5)
         assert target.exists()

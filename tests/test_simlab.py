@@ -1,3 +1,5 @@
+import concurrent.futures
+import dataclasses
 import re
 import tracemalloc
 
@@ -9,7 +11,6 @@ from weibull_estlab import (
     EstimationError,
     MetricRow,
     MetricTable,
-    PercentileConfig,
     SimulationConfig,
     WeibullParams,
     emit_plot_data,
@@ -65,8 +66,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("field, value", [
         ("sample_sizes", (5.7,)), ("replications", 150.5), ("workers", 1.5),
-        ("weight_replications", 2000.5), ("master_seed", 77.5), ("master_seed", "77"),
-        ("workers", True),
+        ("master_seed", 77.5), ("master_seed", "77"), ("workers", True),
     ])
     def test_non_integral_count_rejected_by_name(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
@@ -96,16 +96,14 @@ class TestConfigValidation:
             tiny_config(**{field: value})
 
     def test_integral_floats_become_ints(self):
-        cfg = tiny_config(sample_sizes=(10.0,), replications=1e4, workers=2.0,
-                          weight_replications=2e3, master_seed=77.0)
-        counts = (cfg.sample_sizes[0], cfg.replications, cfg.workers,
-                  cfg.weight_replications, cfg.master_seed)
-        assert counts == (10, 10_000, 2, 2000, 77)
+        cfg = tiny_config(sample_sizes=(10.0,), replications=1e4, workers=2.0, master_seed=77.0)
+        counts = (cfg.sample_sizes[0], cfg.replications, cfg.workers, cfg.master_seed)
+        assert counts == (10, 10_000, 2, 77)
         assert all(type(c) is int for c in counts)
 
     def test_unknown_plotting_rule_rejected(self):
         with pytest.raises(ValueError, match="unknown plotting rule 'bogus'"):
-            tiny_config(options=FitOptions(plotting_rule="bogus"))
+            tiny_config(plotting_rule="bogus")
 
     def test_levels_coerced_from_tuples(self):
         cfg = tiny_config(param_levels=((2.0, 3.0),))
@@ -128,18 +126,11 @@ class TestConfigMapping:
     def test_every_field_round_trip(self):
         raw = {"methods": ["WMLE", "GLS1"], "sample_sizes": [7, 12],
                "param_levels": [[0.5, 2.5], [3.0, 1.5]], "replications": 300,
-               "master_seed": 2**64 + 5, "workers": 2, "plotting_rule": "(i-0.3)/(n+0.4)",
-               "weight_replications": 5000}
+               "master_seed": 2**64 + 5, "workers": 2, "plotting_rule": "(i-0.3)/(n+0.4)"}
         cfg = SimulationConfig.from_mapping(raw)
         assert cfg.as_mapping() == raw
         assert SimulationConfig.from_mapping(cfg.as_mapping()) == cfg
         assert cfg.options == FitOptions(plotting_rule="(i-0.3)/(n+0.4)")
-
-    def test_non_default_percentile_has_no_mapping(self):
-        cfg = SimulationConfig(methods=("PM",), sample_sizes=(10,), param_levels=((2.0, 3.0),),
-                               options=FitOptions(percentile=PercentileConfig(p=0.2)))
-        with pytest.raises(ValueError, match=r"options\.percentile"):
-            cfg.as_mapping()
 
     def test_omitted_fields_take_constructor_defaults(self):
         raw = {"methods": ["LM"], "sample_sizes": [10], "param_levels": [[2.0, 3.0]]}
@@ -147,10 +138,11 @@ class TestConfigMapping:
             methods=("LM",), sample_sizes=(10,), param_levels=((2.0, 3.0),))
 
     def test_unknown_field_named(self):
-        raw = {"methods": ["LM"], "sample_sizes": [10], "param_levels": [[2.0, 3.0]],
-               "metric": "BOTH"}
-        with pytest.raises(ValueError, match=r"unknown field\(s\) \['metric'\]"):
-            SimulationConfig.from_mapping(raw)
+        for name, value in (("metric", "BOTH"), ("weight_replications", 100_000)):
+            raw = {"methods": ["LM"], "sample_sizes": [10], "param_levels": [[2.0, 3.0]],
+                   name: value}
+            with pytest.raises(ValueError, match=rf"unknown field\(s\) \['{name}'\]"):
+                SimulationConfig.from_mapping(raw)
 
     def test_missing_field_named(self):
         with pytest.raises(ValueError, match=r"missing field\(s\) \['sample_sizes'\]"):
@@ -176,6 +168,29 @@ class TestRunExperiment:
         t2 = run_experiment(tiny_config(workers=2))
         assert t1 == t2
 
+    def test_process_pool_no_larger_than_task_list(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:  # starts no process: the tasks run in this one
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def map(self, fn, tasks, chunksize):
+                return map(fn, tasks)
+
+            def shutdown(self):
+                pass
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        one_chunk = tiny_config(sample_sizes=(5,), replications=100, workers=8)
+        assert run_experiment(one_chunk) == run_experiment(
+            dataclasses.replace(one_chunk, workers=1))
+        assert sizes == []  # one task runs in-process
+        three_chunks = tiny_config(sample_sizes=(5, 10, 20), replications=100, workers=8)
+        assert run_experiment(three_chunks) == run_experiment(
+            dataclasses.replace(three_chunks, workers=1))
+        assert sizes == [3]
+
     def test_common_random_numbers_stability(self):
         # the short run is a prefix of the long one under the same seed,
         # so the bias estimates move by less than a few standard errors
@@ -192,6 +207,7 @@ class TestRunExperiment:
             return BatchFit.build("FAIL", nan, nan, errors)
 
         monkeypatch.setitem(methods._REGISTRY, "FAIL", all_rows_fail)
+        monkeypatch.setattr(simlab, "METHOD_NAMES", (*METHOD_NAMES, "FAIL"))
         table = run_experiment(tiny_config(methods=("FAIL", "LM"), replications=150))
         assert all(r.method != "FAIL" for r in table.rows)
         assert table.skipped == (("FAIL", 10, 2.0, 3.0, 150),)
@@ -202,7 +218,7 @@ class TestRunExperiment:
         # at shape 0.01 a draw can underflow to 0; that replication is a
         # failure of every method instead of an error out of the run
         cfg = SimulationConfig(methods=METHOD_NAMES, param_levels=((0.01, 1.0),),
-                               sample_sizes=(30,), replications=100, weight_replications=2000)
+                               sample_sizes=(30,), replications=100)
         table = run_experiment(cfg)
         assert {r.method for r in table.rows} | {s[0] for s in table.skipped} == set(METHOD_NAMES)
         for r in table.rows:
@@ -210,7 +226,7 @@ class TestRunExperiment:
             assert r.failures >= 1
 
     def test_wmle_runs_with_precomputed_weights(self):
-        cfg = tiny_config(methods=("WMLE",), replications=150, weight_replications=2000)
+        cfg = tiny_config(methods=("WMLE",), replications=150)
         table = run_experiment(cfg)
         assert len(table.rows) == 1
         assert table.rows[0].reps > 0
@@ -225,7 +241,6 @@ class TestRunExperiment:
             param_levels=(WeibullParams(0.5, 0.5),),
             replications=200,
             master_seed=606,
-            weight_replications=2000,
         )
         table = run_experiment(cfg)
         assert len(table.rows) == 10
