@@ -44,8 +44,8 @@ import numpy as np
 
 from .core import (WEIGHTS, BatchFit, EstimateResult, SortedSample, fail_rows, fit_one, open_rows,
                    row_var, scratch, substreams)
-from .errors import DegenerateSampleError, EstimationError
-from .roots import no_sign_change, solve_rows
+from .errors import DegenerateSampleError
+from .roots import solve_rows
 
 __all__ = [
     "WeightPair",
@@ -124,20 +124,6 @@ def profile_score(s: SortedSample, alpha: float) -> float:
     return float(_score_rows(dd, mean_d, np.array([alpha]), 1.0)[0][0])
 
 
-def _minimize_row(f, lo: float, hi: float):
-    """WMLE's ``no_root`` hook: the squared score minimized over the searched bracket."""
-    # imported here: few runs reach this hook, and scipy.optimize costs every
-    # process about 20 MB and 0.25 s to load
-    from scipy.optimize import minimize_scalar
-    opt = minimize_scalar(lambda a: f(a) ** 2, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-10})
-    if not opt.success:
-        raise EstimationError(f"weighted-likelihood minimization failed: {opt.message}")
-    shape = float(opt.x)
-    return shape, int(opt.nfev), float(f(shape)), (
-        "no sign change; squared objective minimized over the expanded bracket",)
-
-
 def _likelihood_batch(method: str, logs: np.ndarray, w1: float, w2: float) -> BatchFit:
     """Shape root of the (weighted) profile score and scale (sum x^a / (n w1))^(1/a)
     on every row; the root is bracketed around the log-moment estimate."""
@@ -160,8 +146,7 @@ def _likelihood_batch(method: str, logs: np.ndarray, w1: float, w2: float) -> Ba
                            out=scratch("likelihood.dd_rows", (2, rows.size, n)))
         return _score_rows(gathered, mean_d[rows], alpha, w2)
 
-    roots = solve_rows(score, rows, _BRACKET_SEED[0] * seed, _BRACKET_SEED[1] * seed, seed,
-                       errors, no_root=_minimize_row if method == "WMLE" else no_sign_change)
+    roots = solve_rows(score, rows, _BRACKET_SEED[0] * seed, _BRACKET_SEED[1] * seed, seed, errors)
     shape = np.full(logs.shape[0], np.nan)
     shape[rows] = roots.x
     with np.errstate(invalid="ignore", over="ignore", under="ignore"):
@@ -178,11 +163,11 @@ def fit_mle_batch(values: np.ndarray, logs: np.ndarray) -> BatchFit:
 def fit_wmle_batch(values: np.ndarray, logs: np.ndarray, weights: WeightPair) -> BatchFit:
     """Median-weighted maximum likelihood on every row.
 
-    The shape minimizes (w2/a + mean(log x) - sum(x^a log x)/sum(x^a))^2;
-    when the inner expression changes sign (it always does for w2 > 0) the
-    minimizer is its root and is found by the same bracketed scheme,
-    otherwise a bounded scalar minimization over the expanded bracket is
-    used. The scale is (sum(x^a) / (n w1))^(1/a).
+    The shape is the root of the weighted score w2/a + mean(log x) -
+    sum(x^a log x)/sum(x^a), found as the MLE's is. For w2 > 0 (every simulated
+    w2 is) it falls from +inf to mean(log x) - max(log x) < 0, so the root
+    exists; a row whose widened bracket holds no sign change fails with a
+    BracketError, as an MLE row does. The scale is (sum(x^a) / (n w1))^(1/a).
     """
     if weights.n != logs.shape[1]:
         raise ValueError(f"weights were simulated for n={weights.n}, sample has n={logs.shape[1]}")
@@ -311,9 +296,10 @@ def read_weight_table(path: Path) -> dict[WeightKey, WeightPair]:
     older layout with floats rounded to 12 digits; its records are not
     returned, so they are simulated again and the file is rewritten. A
     malformed record, or one that cannot be weights (n < 1, replications
-    below the floor, a negative seed, w1 not finite and positive, w2 not
-    finite), raises ValueError("<path>:<line>: ..."), and a file that cannot
-    be read or decoded ValueError("<path>: cannot read weight table: ...").
+    below the floor, a negative seed, w1 or w2 not finite and positive: no
+    simulation makes w2 <= 0), raises ValueError("<path>:<line>: ..."), and a
+    file that cannot be read or decoded ValueError("<path>: cannot read
+    weight table: ...").
     """
     records: dict[WeightKey, WeightPair] = {}
     if not path.exists():
@@ -339,7 +325,7 @@ def read_weight_table(path: Path) -> dict[WeightKey, WeightPair]:
                           f"replications must be >= {MIN_WEIGHT_REPLICATIONS}"),
                          (seed >= 0, "seed must be >= 0"),
                          (0.0 < w1 < math.inf, "w1 must be finite and positive"),
-                         (math.isfinite(w2), "w2 must be finite")):
+                         (0.0 < w2 < math.inf, "w2 must be finite and positive")):
             if not ok:
                 raise ValueError(f"{path}:{lineno}: {rule}, got {line!r}")
         records[(n, reps, seed)] = WeightPair(w1=w1, w2=w2, n=n, replications=reps)

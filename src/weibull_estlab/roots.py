@@ -11,22 +11,22 @@ for a sign change. It works in four steps:
    inside its widened bracket.
 
 A row whose iteration does not settle goes to Brent's method on the bracket
-it holds, and a row whose widened bracket holds no sign change goes to a
-``no_root`` hook on that same bracket (by default :func:`no_sign_change`,
-which raises a BracketError naming it).
+it holds, and a row whose widened bracket holds no sign change fails with a
+BracketError that names that bracket. Every row thus ends with a root inside
+its (widened) bracket or with that error.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import BracketError, EstimationError
 
-__all__ = ["RowRoots", "no_sign_change", "solve_rows"]
+__all__ = ["RowRoots", "solve_rows"]
 
 # a bracket without a sign change is widened by this factor at both ends, at
 # most this many times, before the solver gives up on it
@@ -38,10 +38,10 @@ MAX_NEWTON_STEPS = 60
 NEWTON_RTOL = 1e-8
 
 
-def no_sign_change(f: Callable[[float], float], lo: float, hi: float):
-    """The default ``no_root`` hook of :func:`solve_rows`: raise a BracketError
-    naming the searched bracket and the function values at its ends."""
-    raise BracketError(
+def _no_sign_change(f: Callable[[float], float], lo: float, hi: float) -> BracketError:
+    """The error of a row whose widened bracket holds no sign change: it names
+    the searched bracket and the function values at its ends."""
+    return BracketError(
         f"no sign change in [{lo}, {hi}] after {MAX_EXPANSIONS} expansions "
         f"(f(lo)={f(lo):.6g}, f(hi)={f(hi):.6g})"
     )
@@ -65,7 +65,6 @@ class RowRoots:
     lo: np.ndarray
     hi: np.ndarray
     fallback: np.ndarray
-    notes: dict[int, tuple[str, ...]] = field(default_factory=dict)
 
     def diagnostics(self, size: int) -> dict:
         """Per-row diagnostics for all ``size`` rows of the batch (keyword
@@ -82,7 +81,6 @@ class RowRoots:
             residual=full(self.residual, 0.0),
             bracket=(full(self.lo, np.nan), full(self.hi, np.nan)),
             fallback=full(self.fallback, False, bool),
-            notes=self.notes,
         )
 
 
@@ -93,7 +91,6 @@ def solve_rows(
     hi: np.ndarray,
     start: np.ndarray,
     errors: dict[int, EstimationError],
-    no_root=no_sign_change,
 ) -> RowRoots:
     """One root per row of decreasing functions by safeguarded Newton.
 
@@ -119,9 +116,8 @@ def solve_rows(
     Two kinds of row leave the iteration and are marked ``fallback``. A row
     with a sign change that does not settle within ``MAX_NEWTON_STEPS`` is
     solved by Brent's method on its (widened) bracket. A row whose widened
-    bracket still holds no sign change goes to ``no_root(f, lo, hi)`` on that
-    bracket, which returns (root, iterations, residual, notes) or raises; an
-    EstimationError it raises is recorded in ``errors`` under the batch row.
+    bracket still holds no sign change keeps a NaN root, and a BracketError
+    naming that bracket is recorded in ``errors`` under the batch row.
     """
     k = rows.size
     lo, hi = lo.copy(), hi.copy()  # widened where a row needs it
@@ -129,9 +125,8 @@ def solve_rows(
     iterations = np.zeros(k, dtype=int)
     residual = np.zeros(k)
     used_fallback = np.zeros(k, dtype=bool)
-    notes: dict[int, tuple[str, ...]] = {}
     if k == 0:
-        return RowRoots(rows, x, iterations, residual, lo, hi, used_fallback, notes)
+        return RowRoots(rows, x, iterations, residual, lo, hi, used_fallback)
     # each row's bracket when it left the iteration, and the rows that met a NaN score
     last_lo, last_hi = np.empty(k), np.empty(k)
     blind = np.zeros(k, dtype=bool)
@@ -208,15 +203,8 @@ def solve_rows(
 
     used_fallback[pending] = used_fallback[unsettled] = True
     for i in pending:  # no sign change in the widened bracket
-        try:
-            x[i], iterations[i], residual[i], row_notes = \
-                no_root(row_function(i), float(lo[i]), float(hi[i]))
-        except EstimationError as exc:
-            errors.setdefault(int(rows[i]), exc)
-            x[i] = math.nan
-            continue
-        if row_notes:
-            notes[int(rows[i])] = row_notes
+        error = _no_sign_change(row_function(i), float(lo[i]), float(hi[i]))
+        errors.setdefault(int(rows[i]), error)
     if unsettled.size:  # a sign change, but Newton did not settle
         # imported here: few runs reach Brent, and scipy.optimize costs every
         # process about 20 MB and 0.25 s to load
@@ -225,4 +213,4 @@ def solve_rows(
         f_row = row_function(i)
         root, info = brentq(f_row, float(lo[i]), float(hi[i]), xtol=1e-10, full_output=True)
         x[i], iterations[i], residual[i] = root, info.iterations, f_row(root)
-    return RowRoots(rows, x, iterations, residual, lo, hi, used_fallback, notes)
+    return RowRoots(rows, x, iterations, residual, lo, hi, used_fallback)

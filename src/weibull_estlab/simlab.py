@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from dataclasses import MISSING, dataclass, fields
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -83,13 +84,19 @@ def _entries(name: str, value) -> tuple:
 
 
 def _level(name: str, value) -> WeibullParams:
-    """``value`` as WeibullParams if it is one or a (shape, scale) pair."""
+    """``value`` as WeibullParams if it is one or a (shape, scale) pair of real
+    numbers (a boolean is not one), else a ValueError naming the level ``name``."""
     if isinstance(value, WeibullParams):
         return value
     pair = _entries(name, value)
     if len(pair) != 2:
         raise ValueError(f"{name} must be a (shape, scale) pair, got {value!r}")
-    return WeibullParams(*pair)
+    if not all(isinstance(v, Real) and not isinstance(v, bool) for v in pair):
+        raise ValueError(f"{name} must be a (shape, scale) pair of real numbers, got {value!r}")
+    try:
+        return WeibullParams(*pair)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from weibull_estlab import SortedSample, build_positions, lifetime48, roots
-from weibull_estlab.errors import EstimationError
+from weibull_estlab.errors import BracketError, EstimationError
 from weibull_estlab.regression import mean_corrected_transform, plot_transform
 
 
@@ -109,7 +109,6 @@ def eager_solve_rows(
     hi: np.ndarray,
     start: np.ndarray,
     errors: dict[int, EstimationError],
-    no_root=roots.no_sign_change,
 ) -> roots.RowRoots:
     """One root per row of decreasing functions by safeguarded Newton.
 
@@ -126,9 +125,8 @@ def eager_solve_rows(
     Two kinds of row leave the iteration and are marked ``fallback``. A row
     with a sign change that does not settle within ``roots.MAX_NEWTON_STEPS`` is
     solved by Brent's method on its widened bracket. A row whose widened
-    bracket still holds no sign change goes to ``no_root(f, lo, hi)`` on that
-    bracket, which returns (root, iterations, residual, notes) or raises; an
-    EstimationError it raises is recorded in ``errors`` under the batch row.
+    bracket still holds no sign change keeps a NaN root, and a BracketError
+    naming that bracket is recorded in ``errors`` under the batch row.
     """
     k = rows.size
     lo, hi = lo.copy(), hi.copy()  # widened where a row needs it
@@ -136,9 +134,8 @@ def eager_solve_rows(
     iterations = np.zeros(k, dtype=int)
     residual = np.zeros(k)
     used_fallback = np.zeros(k, dtype=bool)
-    notes: dict[int, tuple[str, ...]] = {}
     if k == 0:
-        return roots.RowRoots(rows, x, iterations, residual, lo, hi, used_fallback, notes)
+        return roots.RowRoots(rows, x, iterations, residual, lo, hi, used_fallback)
 
     with np.errstate(all="ignore"):
         outside = ~((start > lo) & (start < hi))
@@ -195,15 +192,10 @@ def eager_solve_rows(
 
     used_fallback[pending] = used_fallback[active] = True
     for i in pending:  # no sign change in the widened bracket
-        try:
-            x[i], iterations[i], residual[i], row_notes = \
-                no_root(row_function(i), float(lo[i]), float(hi[i]))
-        except EstimationError as exc:
-            errors.setdefault(int(rows[i]), exc)
-            x[i] = math.nan
-            continue
-        if row_notes:
-            notes[int(rows[i])] = row_notes
+        f_row, a, b = row_function(i), float(lo[i]), float(hi[i])
+        errors.setdefault(int(rows[i]), BracketError(
+            f"no sign change in [{a}, {b}] after {roots.MAX_EXPANSIONS} expansions "
+            f"(f(lo)={f_row(a):.6g}, f(hi)={f_row(b):.6g})"))
     if active.size:  # a sign change, but Newton did not settle
         # imported here: few runs reach Brent, and scipy.optimize costs every
         # process about 20 MB and 0.25 s to load
@@ -212,4 +204,4 @@ def eager_solve_rows(
         f_row = row_function(i)
         root, info = brentq(f_row, float(lo[i]), float(hi[i]), xtol=1e-10, full_output=True)
         x[i], iterations[i], residual[i] = root, info.iterations, f_row(root)
-    return roots.RowRoots(rows, x, iterations, residual, lo, hi, used_fallback, notes)
+    return roots.RowRoots(rows, x, iterations, residual, lo, hi, used_fallback)

@@ -344,16 +344,24 @@ def test_bracket_error_names_the_searched_bracket(monkeypatch):
     assert f"no sign change in [{lo}, {hi}] after 3 expansions" in str(batch.errors[0])
 
 
-def test_wmle_without_sign_change_minimizes_the_squared_score():
+def test_wmle_without_sign_change_raises_a_bracket_error():
+    # with w2 <= 0 (no simulation makes one) the weighted score is negative
+    # everywhere, so every row fails as an MLE row without a sign change does:
+    # in the batch and in the batch of one, naming the widened seed bracket
     values, logs = _drawn(2.0, 5.0, 10, 4, 5)
     weights = WeightPair(w1=1.0, w2=-5.0, n=10, replications=1000)
     batch = fit_batch("WMLE", values, logs, None, weights)
-    assert batch.fallback.all()
+    assert batch.fallback.all() and np.isnan(batch.shape).all()
     for r in range(values.shape[0]):
-        single = fit_method("WMLE", SortedSample.from_data(values[r]), None, weights)
-        assert single.notes and "minimized" in single.notes[0]
-        assert single.shape == pytest.approx(batch.shape[r], rel=1e-12)
-        assert math.isfinite(single.shape) and single.shape > 0
+        lo, hi = batch.bracket[0][r], batch.bracket[1][r]
+        seed = math.sqrt(math.pi ** 2 / (6.0 * np.var(logs[r], ddof=1)))
+        assert lo == pytest.approx(0.2 * seed / 1000, rel=1e-12)
+        assert hi == pytest.approx(5.0 * seed * 1000, rel=1e-12)
+        assert isinstance(batch.errors[r], BracketError)
+        assert f"no sign change in [{lo}, {hi}] after 3 expansions" in str(batch.errors[r])
+        with pytest.raises(BracketError) as single:
+            fit_method("WMLE", SortedSample.from_data(values[r]), None, weights)
+        assert str(single.value) == str(batch.errors[r])
 
 
 def _diagnostics(fit):
@@ -419,16 +427,15 @@ def _same_roots(got, want, got_errors, want_errors):
     for field in ("rows", "x", "iterations", "residual", "lo", "hi", "fallback"):
         a, b = getattr(got, field), getattr(want, field)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (field, a, b)
-    assert got.notes == want.notes
     assert [(r, type(e), str(e)) for r, e in got_errors.items()] == \
         [(r, type(e), str(e)) for r, e in want_errors.items()]
 
 
-def _both_solvers(score, rows, lo, hi, start, errors, no_root=roots.no_sign_change):
+def _both_solvers(score, rows, lo, hi, start, errors):
     """solve_rows, checked against eager_solve_rows on the same arguments."""
     want_errors = dict(errors)
-    want = eager_solve_rows(score, rows, lo, hi, start, want_errors, no_root)
-    got = roots.solve_rows(score, rows, lo, hi, start, errors, no_root)
+    want = eager_solve_rows(score, rows, lo, hi, start, want_errors)
+    got = roots.solve_rows(score, rows, lo, hi, start, errors)
     _same_roots(got, want, errors, want_errors)
     _both_solvers.calls += 1
     return got

@@ -206,6 +206,16 @@ class TestWeightCache:
         assert f"{cache}:2: w1 must be finite and positive" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [cache]
 
+    def test_cache_record_with_negative_w2_exits_64(self, tmp_path, monkeypatch, capsys):
+        # the record names the file and line, rather than failing the WMLE fit
+        cache = tmp_path / "w.txt"
+        cache.write_text(f"{WEIGHT_TABLE_HEADER}\n48 0.98 -0.5 100000 1729\n")
+        monkeypatch.setenv("WEIBULL_ESTLAB_WEIGHTS", str(cache))
+        out = tmp_path / "r.json"
+        assert run_cli(["fit", "--methods", "WMLE,MLE", "--out", str(out)]) == EXIT_USAGE
+        assert f"{cache}:2: w2 must be finite and positive" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cache]
+
     @pytest.mark.parametrize("kind", ["directory", "undecodable"])
     def test_unreadable_cache_exits_64(self, kind, tmp_path, monkeypatch, capsys):
         cache = unreadable_cache(tmp_path / "w.txt", kind)
@@ -298,6 +308,21 @@ class TestSimulateCommand:
         out_dir = tmp_path / "out"
         assert run_cli(["simulate", "--config", str(cfg), "--out-dir", str(out_dir)]) == EXIT_USAGE
         assert f"{field} must be a list" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("levels, message", [
+        ([["2.5", 1]], "param_levels[0] must be a (shape, scale) pair of real numbers"),
+        ([[2.0, 3.0], [True, 2.5]], "param_levels[1] must be a (shape, scale) pair of real"),
+        ([[2.0, 3.0], [2.0, -1.0]], "param_levels[1]: scale must be a positive finite real"),
+    ], ids=["string", "boolean", "negative"])
+    def test_bad_level_in_config_exits_64_naming_it(self, levels, message, tmp_path, capsys):
+        doc = {"methods": ["USTAT"], "sample_sizes": [10], "param_levels": levels,
+               "replications": 120}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out_dir = tmp_path / "out"
+        assert run_cli(["simulate", "--config", str(cfg), "--out-dir", str(out_dir)]) == EXIT_USAGE
+        assert f"invalid experiment config: {message}" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_integral_float_counts_in_config_run(self, tmp_path, capsys):
@@ -426,6 +451,14 @@ class TestWeightsCommand:
         assert f"{out}:2: replications must be >= 1000" in capsys.readouterr().err
         assert out.read_bytes() == before
         assert list(tmp_path.iterdir()) == [out]
+
+    def test_cache_record_with_negative_w2_exits_64(self, tmp_path, capsys):
+        out = tmp_path / "w.txt"
+        out.write_text(f"{WEIGHT_TABLE_HEADER}\n48 0.98 -0.5 100000 1729\n")
+        before = out.read_bytes()
+        assert run_cli(["weights", "--n", "5", "--out", str(out)]) == EXIT_USAGE
+        assert f"{out}:2: w2 must be finite and positive" in capsys.readouterr().err
+        assert out.read_bytes() == before
 
     @pytest.mark.parametrize("kind", ["directory", "undecodable"])
     def test_unreadable_cache_exits_64(self, kind, tmp_path, capsys):

@@ -1,6 +1,6 @@
 """What a fresh process imports.
 
-The package imports scipy.optimize (for the fallback solvers) and the process
+The package imports scipy.optimize (for the Brent fallback) and the process
 pool (for workers > 1) only in the branch that uses each. Other test modules
 import scipy.optimize themselves, so these tests run their code in a fresh
 interpreter, where ``sys.modules`` shows what the package alone loaded.
@@ -14,9 +14,8 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import pytest
 
-from weibull_estlab import WeibullParams, WeightPair, fit_batch, roots
+from weibull_estlab import WeibullParams, fit_batch, roots
 from weibull_estlab.core import draw_sorted
 
 TESTS = Path(__file__).resolve().parent
@@ -48,42 +47,36 @@ print(json.dumps([name for name in {DEFERRED!r} if name in sys.modules]))
     assert loaded == []
 
 
-def forced_fallback(kind: str) -> dict:
-    """Every result of a 20 x 12 batch whose rows leave the Newton iteration:
-    ``brent``, MLE cut off after one Newton step (rows go to Brent);
-    ``minimize``, WMLE with w2 <= 0 (no sign change: the bounded minimization)."""
+def forced_fallback() -> dict:
+    """Every result of a 20 x 12 MLE batch cut off after one Newton step, so
+    that its rows leave the iteration for Brent's method."""
     rngs = [np.random.default_rng([3, r]) for r in range(20)]
     values, logs = draw_sorted(WeibullParams(2.0, 5.0), 12, rngs)
-    if kind == "brent":
-        steps, roots.MAX_NEWTON_STEPS = roots.MAX_NEWTON_STEPS, 1
-        try:
-            fit = fit_batch("MLE", values, logs)
-        finally:
-            roots.MAX_NEWTON_STEPS = steps
-    else:
-        weights = WeightPair(w1=1.0, w2=-5.0, n=12, replications=1000)
-        fit = fit_batch("WMLE", values, logs, None, weights)
+    steps, roots.MAX_NEWTON_STEPS = roots.MAX_NEWTON_STEPS, 1
+    try:
+        fit = fit_batch("MLE", values, logs)
+    finally:
+        roots.MAX_NEWTON_STEPS = steps
     return dict(shape=fit.shape, scale=fit.scale, iterations=fit.iterations,
                 residual=fit.residual, lo=fit.bracket[0], hi=fit.bracket[1],
                 fallback=fit.fallback, notes=fit.notes,
                 errors={r: repr(exc) for r, exc in fit.errors.items()})
 
 
-@pytest.mark.parametrize("kind", ["brent", "minimize"])
-def test_fallback_in_a_fresh_process_loads_scipy_optimize_and_matches(kind, tmp_path):
+def test_fallback_in_a_fresh_process_loads_scipy_optimize_and_matches(tmp_path):
     out = tmp_path / "fit.pickle"
     loaded = run_fresh(f"""
 import json, pickle, sys
 from test_deferred_imports import forced_fallback
 before = "scipy.optimize" in sys.modules
-fit = forced_fallback({kind!r})
+fit = forced_fallback()
 with open({str(out)!r}, "wb") as f:
     pickle.dump(fit, f)
 print(json.dumps([before, "scipy.optimize" in sys.modules]))
 """, tmp_path)
     assert loaded == [False, True]  # imported by the fallback, and only there
 
-    fresh, here = pickle.loads(out.read_bytes()), forced_fallback(kind)
+    fresh, here = pickle.loads(out.read_bytes()), forced_fallback()
     assert fresh["fallback"].sum() > 10 and not fresh["errors"]
     assert fresh.keys() == here.keys()
     for key, value in here.items():

@@ -480,8 +480,12 @@ class TestWeightTable:
             ("48 0.0 0.97 100000 1729", "w1 must be finite and positive"),
             ("48 -0.5 0.97 100000 1729", "w1 must be finite and positive"),
             ("48 inf 0.97 100000 1729", "w1 must be finite and positive"),
-            ("48 0.99 nan 100000 1729", "w2 must be finite"),
-            ("48 0.99 -inf 100000 1729", "w2 must be finite"),
+            ("48 0.99 nan 100000 1729", "w2 must be finite and positive"),
+            ("48 0.99 -inf 100000 1729", "w2 must be finite and positive"),
+            # W2 >= 0 for every draw, equal to 0 only if all n draws are equal,
+            # so no simulation makes a median w2 <= 0
+            ("48 0.98 0.0 100000 1729", "w2 must be finite and positive"),
+            ("48 0.98 -0.5 100000 1729", "w2 must be finite and positive"),
         ]:
             path.write_text(f"{WEIGHT_TABLE_HEADER}\n{record}\n")
             with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: .*{message}"):

@@ -7,6 +7,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from weibull_estlab import (
     DegenerateSampleError,
+    PlottingPositions,
     SortedSample,
     WeibullParams,
     build_positions,
@@ -197,6 +198,17 @@ class TestFitProperties:
     def test_position_size_mismatch(self, lifetime_sample):
         with pytest.raises(ValueError):
             fit_gls1(lifetime_sample, build_positions(10))
+
+    @pytest.mark.parametrize("fitter", [fit_gls1, fit_gls2, fit_wls])
+    def test_hand_rolled_positions_are_refused(self, fitter, lifetime_sample):
+        # the fits use the columns cached for the declared rule, so values that
+        # are not that rule's would be silently ignored
+        hand_rolled = PlottingPositions(rule="i/(n+1)", values=np.linspace(0.01, 0.99, 48))
+        with pytest.raises(ValueError, match="do not match their declared rule"):
+            fitter(lifetime_sample, hand_rolled)
+        # equal values built by hand are accepted
+        same = PlottingPositions(rule="i/(n+1)", values=np.arange(1, 49) / 49.0)
+        assert fitter(lifetime_sample, same) == fitter(lifetime_sample, build_positions(48))
 
 
 class TestBuildSystem:

@@ -86,6 +86,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=r"param_levels\[1\] must be a \(shape, scale\) pair"):
             tiny_config(param_levels=((2.0, 3.0), (2.0, 3.0, 4.0)))
 
+    @pytest.mark.parametrize("level, message", [
+        (("2.5", 1.0), r"param_levels\[1\] must be a \(shape, scale\) pair of real numbers"),
+        ((True, 2.5), r"param_levels\[1\] must be a \(shape, scale\) pair of real numbers"),
+        ((2.5, np.bool_(True)), r"param_levels\[1\] must be a \(shape, scale\) pair of real"),
+        ((0.0, 1.0), r"param_levels\[1\]: shape must be a positive finite real"),
+        ((2.5, float("nan")), r"param_levels\[1\]: scale must be a positive finite real"),
+    ], ids=["string", "boolean", "numpy-boolean", "zero-shape", "nan-scale"])
+    def test_bad_level_is_named(self, level, message):
+        with pytest.raises(ValueError, match=message):
+            tiny_config(param_levels=((2.0, 3.0), level))
+
     @pytest.mark.parametrize("field, value, entry", [
         ("methods", ("LM", "USTAT", "LM"), "'LM'"),
         ("sample_sizes", (5, 10, 5.0), "5"),
