@@ -16,7 +16,6 @@ from .core import (
     SortedSample,
     fail_rows,
     fit_one,
-    open_rows,
     row_dot,
     row_var,
     scratch,
@@ -240,14 +239,11 @@ def fit_mm_batch(values: np.ndarray, logs: np.ndarray) -> BatchFit:
         g, dg = _mm_log_ratio(a)
         return g - log_target[rows], dg
 
-    rows = open_rows(values.shape[0], errors)
-    shape = np.full(values.shape[0], np.nan)
-    roots = solve_rows(score, rows, np.full(rows.size, 0.05), np.full(rows.size, 100.0),
-                       start[rows], errors)
-    shape[rows] = roots.x
+    size = values.shape[0]
+    shape, diagnostics = solve_rows(score, np.full(size, 0.05), np.full(size, 100.0), start, errors)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         scale = top * xbar / gamma(1.0 / shape + 1.0)
-    return BatchFit.build("MM", shape, scale, errors, **roots.diagnostics(values.shape[0]))
+    return BatchFit.build("MM", shape, scale, errors, **diagnostics)
 
 
 def fit_mm(s: SortedSample) -> EstimateResult:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -43,7 +44,6 @@ __all__ = [
     "row_dot",
     "row_var",
     "fail_rows",
-    "open_rows",
     "fit_one",
     "pdf",
     "cdf",
@@ -83,14 +83,21 @@ _SHIFT = np.uint32(16)
 
 @dataclass(frozen=True)
 class WeibullParams:
-    """Shape/scale parameter pair, both strictly positive and finite."""
+    """Shape/scale parameter pair, both strictly positive finite real numbers
+    (a boolean is not one)."""
 
     shape: float
     scale: float
 
     def __post_init__(self):
         for name, value in (("shape", self.shape), ("scale", self.scale)):
-            if not (math.isfinite(value) and value > 0.0):
+            # numpy's bool is no Real; isfinite overflows on an int beyond the largest float
+            try:
+                ok = isinstance(value, Real) and not isinstance(value, bool) and \
+                    math.isfinite(value) and value > 0.0
+            except OverflowError:
+                ok = False
+            if not ok:
                 raise ValueError(f"{name} must be a positive finite real, got {value!r}")
 
 
@@ -268,13 +275,6 @@ def fail_rows(errors: dict[int, EstimationError], mask: np.ndarray, make) -> Non
     if np.count_nonzero(mask):
         for row in mask.nonzero()[0]:
             errors.setdefault(int(row), make(int(row)))
-
-
-def open_rows(size: int, errors: dict[int, EstimationError]) -> np.ndarray:
-    """Indices of the rows of a batch of ``size`` that have no error yet."""
-    if not errors:
-        return np.arange(size)
-    return np.setdiff1d(np.arange(size), list(errors))
 
 
 @dataclass(slots=True)

@@ -42,8 +42,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (WEIGHTS, BatchFit, EstimateResult, SortedSample, fail_rows, fit_one, open_rows,
-                   row_var, scratch, substreams)
+from .core import (WEIGHTS, BatchFit, EstimateResult, SortedSample, fail_rows, fit_one, row_var,
+                   scratch, substreams)
 from .errors import DegenerateSampleError
 from .roots import solve_rows
 
@@ -134,8 +134,8 @@ def _likelihood_batch(method: str, logs: np.ndarray, w1: float, w2: float) -> Ba
     constant = (logs[:, 0] == logs[:, -1]) | (var_log == 0.0)
     fail_rows(errors, constant, lambda r: DegenerateSampleError(
         "all observations equal; likelihood has no interior maximum"))
-    rows = open_rows(logs.shape[0], errors)
-    seed = np.sqrt(math.pi ** 2 / (6.0 * var_log[rows]))
+    with np.errstate(divide="ignore"):  # a failed row has var_log == 0
+        seed = np.sqrt(math.pi ** 2 / (6.0 * var_log))
 
     def score(alpha, rows):
         if rows.size == logs.shape[0]:  # every row, in order: score them without a copy
@@ -146,13 +146,12 @@ def _likelihood_batch(method: str, logs: np.ndarray, w1: float, w2: float) -> Ba
                            out=scratch("likelihood.dd_rows", (2, rows.size, n)))
         return _score_rows(gathered, mean_d[rows], alpha, w2)
 
-    roots = solve_rows(score, rows, _BRACKET_SEED[0] * seed, _BRACKET_SEED[1] * seed, seed, errors)
-    shape = np.full(logs.shape[0], np.nan)
-    shape[rows] = roots.x
+    shape, diagnostics = solve_rows(score, _BRACKET_SEED[0] * seed, _BRACKET_SEED[1] * seed, seed,
+                                    errors)
     with np.errstate(invalid="ignore", over="ignore", under="ignore"):
         log_sum = np.log(_powers(shape, dd[0]).sum(axis=1))
         scale = np.exp(logs[:, -1] + (log_sum - math.log(n * w1)) / shape)
-    return BatchFit.build(method, shape, scale, errors, **roots.diagnostics(logs.shape[0]))
+    return BatchFit.build(method, shape, scale, errors, **diagnostics)
 
 
 def fit_mle_batch(values: np.ndarray, logs: np.ndarray) -> BatchFit:

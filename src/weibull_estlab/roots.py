@@ -1,7 +1,8 @@
 """Bracketed root finding for a batch of scalar equations, one root per row.
 
 :func:`solve_rows` is the one place that widens a seed bracket and tests it
-for a sign change. It works in four steps:
+for a sign change. It takes one bracket and start per batch row, skips the
+rows that already have an error, and works in four steps:
 
 1. start: score every row at its starting point;
 2. Newton: iterate safeguarded Newton on all rows at once, each inside its
@@ -12,21 +13,21 @@ for a sign change. It works in four steps:
 
 A row whose iteration does not settle goes to Brent's method on the bracket
 it holds, and a row whose widened bracket holds no sign change fails with a
-BracketError that names that bracket. Every row thus ends with a root inside
-its (widened) bracket or with that error.
+BracketError that names that bracket. Every solved row thus ends with a root
+inside its (widened) bracket or with that error, and the roots and solver
+diagnostics come back for the whole batch.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import BracketError, EstimationError
 
-__all__ = ["RowRoots", "solve_rows"]
+__all__ = ["solve_rows"]
 
 # a bracket without a sign change is widened by this factor at both ends, at
 # most this many times, before the solver gives up on it
@@ -47,61 +48,24 @@ def _no_sign_change(f: Callable[[float], float], lo: float, hi: float) -> Bracke
     )
 
 
-@dataclass(frozen=True)
-class RowRoots:
-    """Roots of a batch of scalar equations, aligned with ``rows``.
-
-    ``x`` is NaN where a row failed (its exception is in the caller's error
-    map). ``iterations`` counts Newton steps, or the fallback solver's
-    iterations where ``fallback`` is set; ``residual`` is the function value
-    at the last iterate evaluated; ``lo``/``hi`` is the (expanded) seed
-    bracket the root was found in.
-    """
-
-    rows: np.ndarray
-    x: np.ndarray
-    iterations: np.ndarray
-    residual: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    fallback: np.ndarray
-
-    def diagnostics(self, size: int) -> dict:
-        """Per-row diagnostics for all ``size`` rows of the batch (keyword
-        arguments of :meth:`BatchFit.build`)."""
-        def full(values, fill, dtype=float):
-            if self.rows.size == size:  # every row of the batch was solved
-                return values
-            out = np.full(size, fill, dtype=dtype)
-            out[self.rows] = values
-            return out
-
-        return dict(
-            iterations=full(self.iterations, 0, int),
-            residual=full(self.residual, 0.0),
-            bracket=(full(self.lo, np.nan), full(self.hi, np.nan)),
-            fallback=full(self.fallback, False, bool),
-        )
-
-
 def solve_rows(
     score: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
-    rows: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
     start: np.ndarray,
     errors: dict[int, EstimationError],
-) -> RowRoots:
+) -> tuple[np.ndarray, dict]:
     """One root per row of decreasing functions by safeguarded Newton.
 
-    ``score(x, rows)`` returns f and f' of the given batch rows at ``x``
-    (always a subsequence of ``rows``, in order and without repeats); f is
-    decreasing in x. ``lo``/``hi``/``start`` (positive, aligned with
-    ``rows``) are the seed brackets and starting points. Each Newton step
-    that leaves the current bracket is replaced by its geometric midpoint,
-    the bracket shrinks around every iterate, and a row stops once its step
-    is below ``NEWTON_RTOL`` relative, so its iterates depend only on that
-    row.
+    ``lo``/``hi``/``start`` hold one seed bracket and starting point per
+    batch row; a row already in ``errors`` is not solved, and the others
+    must have positive ones. ``score(x, rows)`` returns f and f' of the
+    given batch rows at ``x`` (always a subsequence of the rows being
+    solved, in order and without repeats); f is decreasing in x. Each Newton
+    step that leaves the current bracket is replaced by its geometric
+    midpoint, the bracket shrinks around every iterate, and a row stops once
+    its step is below ``NEWTON_RTOL`` relative, so its iterates depend only
+    on that row.
 
     Every row first iterates inside its seed bracket, before any end is
     scored. A row whose seed bracket holds a sign change (f(lo) >= 0 >=
@@ -118,15 +82,36 @@ def solve_rows(
     solved by Brent's method on its (widened) bracket. A row whose widened
     bracket still holds no sign change keeps a NaN root, and a BracketError
     naming that bracket is recorded in ``errors`` under the batch row.
+
+    Returns the root of every batch row, NaN where it failed, and the
+    keyword arguments of :meth:`BatchFit.build`: ``iterations`` (Newton
+    steps, or Brent's where ``fallback`` is set), ``residual`` (f at the
+    last iterate scored) and ``bracket`` (the widened seed bracket). A row
+    not solved has 0 iterations, residual 0.0, a NaN bracket, no fallback.
     """
+    size = start.size
+    rows = np.setdiff1d(np.arange(size), list(errors)) if errors else np.arange(size)
+    lo, hi, start = lo[rows], hi[rows], start[rows]  # lo and hi are widened where a row needs it
     k = rows.size
-    lo, hi = lo.copy(), hi.copy()  # widened where a row needs it
     x = np.full(k, np.nan)
     iterations = np.zeros(k, dtype=int)
     residual = np.zeros(k)
     used_fallback = np.zeros(k, dtype=bool)
+
+    def whole_batch():  # the solved rows' results, scattered into the batch
+        def full(values, fill):
+            if k == size:  # every row of the batch was solved
+                return values
+            out = np.full(size, fill, dtype=values.dtype)
+            out[rows] = values
+            return out
+
+        return full(x, np.nan), dict(iterations=full(iterations, 0), residual=full(residual, 0.0),
+                                     bracket=(full(lo, np.nan), full(hi, np.nan)),
+                                     fallback=full(used_fallback, False))
+
     if k == 0:
-        return RowRoots(rows, x, iterations, residual, lo, hi, used_fallback)
+        return whole_batch()
     # each row's bracket when it left the iteration, and the rows that met a NaN score
     last_lo, last_hi = np.empty(k), np.empty(k)
     blind = np.zeros(k, dtype=bool)
@@ -213,4 +198,4 @@ def solve_rows(
         f_row = row_function(i)
         root, info = brentq(f_row, float(lo[i]), float(hi[i]), xtol=1e-10, full_output=True)
         x[i], iterations[i], residual[i] = root, info.iterations, f_row(root)
-    return RowRoots(rows, x, iterations, residual, lo, hi, used_fallback)
+    return whole_batch()

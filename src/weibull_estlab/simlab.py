@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from dataclasses import MISSING, dataclass, fields
-from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -84,15 +83,13 @@ def _entries(name: str, value) -> tuple:
 
 
 def _level(name: str, value) -> WeibullParams:
-    """``value`` as WeibullParams if it is one or a (shape, scale) pair of real
-    numbers (a boolean is not one), else a ValueError naming the level ``name``."""
+    """``value`` as WeibullParams if it is one or a (shape, scale) pair that
+    WeibullParams accepts, else a ValueError naming the level ``name``."""
     if isinstance(value, WeibullParams):
         return value
     pair = _entries(name, value)
     if len(pair) != 2:
         raise ValueError(f"{name} must be a (shape, scale) pair, got {value!r}")
-    if not all(isinstance(v, Real) and not isinstance(v, bool) for v in pair):
-        raise ValueError(f"{name} must be a (shape, scale) pair of real numbers, got {value!r}")
     try:
         return WeibullParams(*pair)
     except ValueError as exc:

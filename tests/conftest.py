@@ -98,25 +98,25 @@ def replication_rng(master_seed, cell, rep):
 # The package scores a seed bracket's ends only where no Newton iterate has
 # shown their signs. This oracle is the eager form of the same solver: it
 # scores both ends of every row and widens before it iterates. The solver
-# tests check every RowRoots field and recorded error of the package against
-# it. It reads the module constants of ``roots`` at call time, so a test that
-# patches them patches both solvers.
+# tests check the root, every diagnostic and every recorded error of the
+# package against it. It reads the module constants of ``roots`` at call
+# time, so a test that patches them patches both solvers.
 
 def eager_solve_rows(
     score: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
-    rows: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
     start: np.ndarray,
     errors: dict[int, EstimationError],
-) -> roots.RowRoots:
+) -> tuple[np.ndarray, dict]:
     """One root per row of decreasing functions by safeguarded Newton.
 
-    ``score(x, rows)`` returns f and f' of the given batch rows at ``x``; f
-    is decreasing in x. ``lo``/``hi``/``start`` (positive, aligned with
-    ``rows``) are the seed brackets and starting points. A bracket without a
-    sign change (f(lo) >= 0 >= f(hi)) is widened by ``roots.BRACKET_FACTOR`` at
-    both ends, at most ``roots.MAX_EXPANSIONS`` times; this is the only widening.
+    ``lo``/``hi``/``start`` hold one seed bracket and starting point per
+    batch row; a row already in ``errors`` is not solved. ``score(x, rows)``
+    returns f and f' of the given batch rows at ``x``; f is decreasing in
+    x. A bracket without a sign change (f(lo) >= 0 >= f(hi)) is widened by
+    ``roots.BRACKET_FACTOR`` at both ends, at most ``roots.MAX_EXPANSIONS``
+    times; this is the only widening.
     Each Newton step that leaves the current bracket is replaced by its
     geometric midpoint, the bracket shrinks around every iterate, and a row
     stops once its step is below ``roots.NEWTON_RTOL`` relative, so its iterates
@@ -127,15 +127,30 @@ def eager_solve_rows(
     solved by Brent's method on its widened bracket. A row whose widened
     bracket still holds no sign change keeps a NaN root, and a BracketError
     naming that bracket is recorded in ``errors`` under the batch row.
+
+    Returns the root of every batch row and the keyword arguments of
+    ``BatchFit.build``; a row not solved has a NaN root, 0 iterations,
+    residual 0.0, a NaN bracket and no fallback.
     """
+    size = start.size
+    rows = np.array([r for r in range(size) if r not in errors], dtype=int)
+    lo, hi, start = lo[rows], hi[rows], start[rows]  # lo and hi are widened where a row needs it
     k = rows.size
-    lo, hi = lo.copy(), hi.copy()  # widened where a row needs it
     x = np.full(k, np.nan)
     iterations = np.zeros(k, dtype=int)
     residual = np.zeros(k)
     used_fallback = np.zeros(k, dtype=bool)
+
+    def whole_batch():
+        batch = [np.full(size, np.nan), np.zeros(size, dtype=int), np.zeros(size),
+                 np.full(size, np.nan), np.full(size, np.nan), np.zeros(size, dtype=bool)]
+        for out, solved in zip(batch, (x, iterations, residual, lo, hi, used_fallback)):
+            out[rows] = solved
+        return batch[0], dict(iterations=batch[1], residual=batch[2], bracket=(batch[3], batch[4]),
+                              fallback=batch[5])
+
     if k == 0:
-        return roots.RowRoots(rows, x, iterations, residual, lo, hi, used_fallback)
+        return whole_batch()
 
     with np.errstate(all="ignore"):
         outside = ~((start > lo) & (start < hi))
@@ -204,4 +219,4 @@ def eager_solve_rows(
         f_row = row_function(i)
         root, info = brentq(f_row, float(lo[i]), float(hi[i]), xtol=1e-10, full_output=True)
         x[i], iterations[i], residual[i] = root, info.iterations, f_row(root)
-    return roots.RowRoots(rows, x, iterations, residual, lo, hi, used_fallback)
+    return whole_batch()

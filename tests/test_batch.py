@@ -422,20 +422,29 @@ def test_threads_fitting_at_once_match_serial_fits():
 
 # --- the root solver against the eager oracle ---------------------------------------
 
+def _solver_arrays(solved):
+    """The root and every diagnostic array of a solve_rows result, by name."""
+    root, diagnostics = solved
+    lo, hi = diagnostics["bracket"]
+    return dict(root=root, iterations=diagnostics["iterations"], residual=diagnostics["residual"],
+                lo=lo, hi=hi, fallback=diagnostics["fallback"])
+
+
 def _same_roots(got, want, got_errors, want_errors):
-    """Every RowRoots field bit for bit, and the recorded errors by row, class and message."""
-    for field in ("rows", "x", "iterations", "residual", "lo", "hi", "fallback"):
-        a, b = getattr(got, field), getattr(want, field)
+    """The root and every diagnostic bit for bit, and the recorded errors by row,
+    class and message."""
+    assert sorted(got[1]) == sorted(want[1]) == ["bracket", "fallback", "iterations", "residual"]
+    for (field, a), b in zip(_solver_arrays(got).items(), _solver_arrays(want).values()):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (field, a, b)
     assert [(r, type(e), str(e)) for r, e in got_errors.items()] == \
         [(r, type(e), str(e)) for r, e in want_errors.items()]
 
 
-def _both_solvers(score, rows, lo, hi, start, errors):
+def _both_solvers(score, lo, hi, start, errors):
     """solve_rows, checked against eager_solve_rows on the same arguments."""
     want_errors = dict(errors)
-    want = eager_solve_rows(score, rows, lo, hi, start, want_errors)
-    got = roots.solve_rows(score, rows, lo, hi, start, errors)
+    want = eager_solve_rows(score, lo, hi, start, want_errors)
+    got = roots.solve_rows(score, lo, hi, start, errors)
     _same_roots(got, want, errors, want_errors)
     _both_solvers.calls += 1
     return got
@@ -496,16 +505,49 @@ _SLOPES = np.array([1.0] * 12 + [1e12])
 @pytest.mark.parametrize("nan_at_start", [False, True], ids=["finite", "nan-at-start"])
 def test_solver_matches_eager_oracle_on_synthetic_scorers(nan_at_start):
     k = _ROOTS.size
-    rows = np.arange(k) * 2  # batch rows need not be 0..k-1
+    rows, skipped = np.arange(k) * 2, np.arange(k) * 2 + 1  # the skipped rows already failed
     root, slope = np.ones(2 * k), np.ones(2 * k)
     root[rows], slope[rows] = _ROOTS, _SLOPES
     nan_at = np.full(2 * k, 10.0) if nan_at_start else None
-    errors: dict = {}
-    got = _both_solvers(_log_scorer(root, slope, nan_at), rows, np.ones(k), np.full(k, 100.0),
-                        np.full(k, 10.0), errors)
+    failed = {int(r): EstimationError(f"row {r} failed its own checks") for r in skipped}
+    errors = dict(failed)
+    seen = []
+    log_score = _log_scorer(root, slope, nan_at)
+
+    def score(x, batch_rows):
+        seen.extend(batch_rows.tolist())
+        return log_score(x, batch_rows)
+
+    got, diagnostics = _both_solvers(score, np.ones(2 * k), np.full(2 * k, 100.0),
+                                     np.full(2 * k, 10.0), errors)
     beyond = (_ROOTS < 1e-3) | (_ROOTS > 1e5)
-    assert sorted(errors) == sorted(rows[beyond])
-    assert all(isinstance(e, BracketError) for e in errors.values())
-    assert np.all(got.iterations[beyond] == 0)
+    assert sorted(errors) == sorted(failed.keys() | set(rows[beyond].tolist()))
+    assert all(errors[r] is e for r, e in failed.items())
+    assert all(isinstance(errors[r], BracketError) for r in rows[beyond])
+    assert diagnostics["iterations"][rows[beyond]].tolist() == [0] * int(beyond.sum())
     solved = ~beyond & ~(nan_at_start & (_ROOTS == 10.0))
-    np.testing.assert_allclose(got.x[solved], _ROOTS[solved], rtol=1e-9)
+    np.testing.assert_allclose(got[rows[solved]], _ROOTS[solved], rtol=1e-9)
+    assert seen and not set(seen) & failed.keys()
+    _assert_unsolved(got, diagnostics, skipped)
+
+
+def _assert_unsolved(root, diagnostics, rows):
+    """The fill values of rows the solver skipped: a NaN root, 0 iterations,
+    residual 0.0, a NaN bracket and no fallback."""
+    assert np.isnan(root[rows]).all()
+    assert not diagnostics["iterations"][rows].any()
+    assert diagnostics["residual"][rows].tolist() == [0.0] * len(rows)
+    assert all(np.isnan(end[rows]).all() for end in diagnostics["bracket"])
+    assert not diagnostics["fallback"][rows].any()
+
+
+def test_solver_skips_a_batch_whose_rows_all_failed():
+    def score(x, rows):
+        raise AssertionError(f"scored rows {rows} of a batch with no open row")
+
+    failed = {r: EstimationError(f"row {r} failed its own checks") for r in range(3)}
+    errors = dict(failed)
+    root, diagnostics = _both_solvers(score, np.ones(3), np.full(3, 100.0), np.full(3, 10.0),
+                                      errors)
+    assert errors.keys() == failed.keys() and all(errors[r] is e for r, e in failed.items())
+    _assert_unsolved(root, diagnostics, np.arange(3))

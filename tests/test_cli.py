@@ -311,10 +311,12 @@ class TestSimulateCommand:
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("levels, message", [
-        ([["2.5", 1]], "param_levels[0] must be a (shape, scale) pair of real numbers"),
-        ([[2.0, 3.0], [True, 2.5]], "param_levels[1] must be a (shape, scale) pair of real"),
+        ([["2.5", 1]], "param_levels[0]: shape must be a positive finite real, got '2.5'"),
+        ([[2.0, 3.0], [True, 2.5]], "param_levels[1]: shape must be a positive finite real, got True"),
         ([[2.0, 3.0], [2.0, -1.0]], "param_levels[1]: scale must be a positive finite real"),
-    ], ids=["string", "boolean", "negative"])
+        # a JSON integer too large for a float
+        ([[10 ** 400, 1]], "param_levels[0]: shape must be a positive finite real, got 1000"),
+    ], ids=["string", "boolean", "negative", "oversized-integer"])
     def test_bad_level_in_config_exits_64_naming_it(self, levels, message, tmp_path, capsys):
         doc = {"methods": ["USTAT"], "sample_sizes": [10], "param_levels": levels,
                "replications": 120}

@@ -26,6 +26,15 @@ class TestWeibullParams:
         with pytest.raises(ValueError):
             WeibullParams(shape, scale)
 
+    @pytest.mark.parametrize("shape,scale,bad", [
+        (True, 2.5, "shape"), (2.5, np.bool_(True), "scale"), ("2.5", 1, "shape"),
+        (10 ** 400, 1, "shape"),
+    ], ids=["boolean", "numpy-boolean", "string", "oversized-integer"])
+    def test_rejects_what_is_not_a_finite_real(self, shape, scale, bad):
+        # a boolean or a string is no real number, and 10**400 has no float value
+        with pytest.raises(ValueError, match=f"{bad} must be a positive finite real, got "):
+            WeibullParams(shape, scale)
+
 
 class TestSpecialConstants:
     def test_values(self):

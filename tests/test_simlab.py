@@ -87,9 +87,9 @@ class TestConfigValidation:
             tiny_config(param_levels=((2.0, 3.0), (2.0, 3.0, 4.0)))
 
     @pytest.mark.parametrize("level, message", [
-        (("2.5", 1.0), r"param_levels\[1\] must be a \(shape, scale\) pair of real numbers"),
-        ((True, 2.5), r"param_levels\[1\] must be a \(shape, scale\) pair of real numbers"),
-        ((2.5, np.bool_(True)), r"param_levels\[1\] must be a \(shape, scale\) pair of real"),
+        (("2.5", 1.0), r"param_levels\[1\]: shape must be a positive finite real, got '2.5'"),
+        ((True, 2.5), r"param_levels\[1\]: shape must be a positive finite real, got True"),
+        ((2.5, np.bool_(True)), r"param_levels\[1\]: scale must be a positive finite real"),
         ((0.0, 1.0), r"param_levels\[1\]: shape must be a positive finite real"),
         ((2.5, float("nan")), r"param_levels\[1\]: scale must be a positive finite real"),
     ], ids=["string", "boolean", "numpy-boolean", "zero-shape", "nan-scale"])
