@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma, gamma, gammaln
 
 from .core import (
     LOG_TWO,
@@ -21,6 +21,7 @@ from .core import (
     scratch,
 )
 from .errors import DegenerateSampleError, InvalidRatioError
+from .gammafn import gamma, loggamma, loggamma_digamma
 from .roots import solve_rows
 
 __all__ = [
@@ -204,12 +205,33 @@ def fit_pm(s: SortedSample, cfg: PercentileConfig | None = None) -> EstimateResu
     return fit_one(fit_pm_batch, s, cfg)
 
 
+_ONE_TWO = np.array([[1.0], [2.0]])
+# shapes of the MM start table, geometrically spaced: between its ends, linear
+# interpolation in it inverts the MM equation to within 3e-6, from below
+_MM_TABLE_SHAPES = (0.01, 1000.0, 1001)
+# the start is raised past that, so it lies above the root, and Newton's first
+# step lands below it: the two iterates vouch for both ends of the bracket
+_MM_START_RAISE = 1.0 + 1e-5
+
+
 def _mm_log_ratio(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """log(Gamma(1 + 2/a) / Gamma(1 + 1/a)^2) and its derivative in a."""
-    u = 1.0 / a
-    g = gammaln(1.0 + 2.0 * u) - 2.0 * gammaln(1.0 + u)
-    dg = 2.0 * u * u * (digamma(1.0 + u) - digamma(1.0 + 2.0 * u))
-    return g, dg
+    """log(Gamma(1 + 2/a) / Gamma(1 + 1/a)^2) and its derivative in a, from
+    one log-gamma/digamma call on 1 + 1/a and 1 + 2/a stacked."""
+    u = _ONE_TWO / a
+    lg, psi = loggamma_digamma(1.0 + u)
+    return lg[1] - 2.0 * lg[0], u[0] * u[1] * (psi[0] - psi[1])
+
+
+@functools.cache
+def _mm_start_table() -> tuple[np.ndarray, np.ndarray]:
+    """log g(a) (increasing) and log a on the table's shapes, g being the left
+    side of the MM equation; built once per process."""
+    a = np.geomspace(*_MM_TABLE_SHAPES)[::-1]
+    g = loggamma(1.0 + 2.0 / a) - 2.0 * loggamma(1.0 + 1.0 / a)
+    table = np.log(g), np.log(a)
+    for column in table:  # shared by every caller
+        column.flags.writeable = False
+    return table
 
 
 def fit_mm_batch(values: np.ndarray, logs: np.ndarray) -> BatchFit:
@@ -218,8 +240,11 @@ def fit_mm_batch(values: np.ndarray, logs: np.ndarray) -> BatchFit:
     The shape solves log(Gamma(1 + 2/a) / Gamma(1 + 1/a)^2) = log(1 + S^2 / Xbar^2)
     (a strictly decreasing left side, so the root is unique) by safeguarded
     Newton inside the bracket [0.05, 100], widened geometrically where it
-    holds no sign change; the scale is Xbar / Gamma(1/shape + 1). The moments
-    are taken of the data over its maximum, so large values cannot overflow.
+    holds no sign change; the scale is Xbar / Gamma(1/shape + 1). Newton
+    starts just above the root, from the equation inverted by interpolation
+    in a table of its left side, so a row inside the bracket settles after
+    two steps with no bracket end scored. The moments are taken of the data
+    over its maximum, so large values cannot overflow.
     """
     top = values[:, -1]
     unit = values / top[:, None]
@@ -232,8 +257,7 @@ def fit_mm_batch(values: np.ndarray, logs: np.ndarray) -> BatchFit:
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         cv2 = s2 / xbar ** 2
         log_target = np.log1p(cv2)
-        # Justus' approximation a ~ CV^-1.086 starts Newton near the root
-        start = cv2 ** (-1.086 / 2.0)
+        start = np.exp(np.interp(np.log(log_target), *_mm_start_table())) * _MM_START_RAISE
 
     def score(a, rows):
         g, dg = _mm_log_ratio(a)

@@ -23,8 +23,6 @@ from numbers import Real
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
-from scipy.special import digamma
-from scipy.special import gammaln, polygamma
 
 from .errors import DataError, EstimationError
 
@@ -54,10 +52,10 @@ __all__ = [
 ]
 
 LOG_TWO = math.log(2.0)
-PSI_ONE = float(digamma(1.0))           # -0.5772156649015329
-TRIGAMMA_ONE = float(polygamma(1, 1))   # pi^2 / 6
+PSI_ONE = -0.5772156649015329      # digamma(1), minus Euler's constant
+TRIGAMMA_ONE = 1.6449340668482266  # trigamma(1) = pi^2/6, one ulp above math.pi ** 2 / 6
 
-# gammaln is finite well beyond this, but exp(gammaln(x)) overflows a double
+# log-gamma is finite well beyond this, but exp(lgamma(x)) overflows a double
 # for x > ~171.62
 _GAMMA_OVERFLOW_ARG = 171.61447887182298
 
@@ -436,7 +434,7 @@ def raw_moment(p: WeibullParams, r: int) -> float:
     g = r / p.shape + 1.0
     if g > _GAMMA_OVERFLOW_ARG:
         raise OverflowError(f"gamma argument {g} exceeds the representable range")
-    log_val = r * math.log(p.scale) + float(gammaln(g))
+    log_val = r * math.log(p.scale) + math.lgamma(g)
     value = math.exp(log_val) if log_val < 709.0 else math.inf
     if not math.isfinite(value):
         raise OverflowError(f"moment of order {r} overflows double precision")

@@ -189,7 +189,7 @@ def solve_rows(
     used_fallback[pending] = used_fallback[unsettled] = True
     for i in pending:  # no sign change in the widened bracket
         error = _no_sign_change(row_function(i), float(lo[i]), float(hi[i]))
-        errors.setdefault(int(rows[i]), error)
+        errors[int(rows[i])] = error
     if unsettled.size:  # a sign change, but Newton did not settle
         # imported here: few runs reach Brent, and scipy.optimize costs every
         # process about 20 MB and 0.25 s to load

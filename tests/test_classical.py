@@ -18,7 +18,8 @@ from weibull_estlab import (
     sample_lmoments,
 )
 
-from weibull_estlab.classical import _ANCHOR_P, QUANTILE_RULES, _sorted_quantile
+from weibull_estlab.classical import _ANCHOR_P, QUANTILE_RULES, _sorted_quantile, fit_mm_batch
+from weibull_estlab.core import draw_sorted
 
 from conftest import random_positive_sample
 
@@ -185,6 +186,18 @@ class TestFitMM:
     def test_degenerate(self):
         with pytest.raises(DegenerateSampleError):
             fit_mm(SortedSample.from_data([1.0, 1.0, 1.0]))
+
+    @pytest.mark.parametrize("shape", [0.1, 0.5, 2.5, 20.0, 60.0])
+    def test_newton_settles_in_two_steps_from_the_tabled_start(self, shape):
+        # inside the seed bracket [0.05, 100] the start lies just above the
+        # root, and Newton's first step from it lands just below: two scores
+        # vouch for both bracket ends, and the second step is below the
+        # solver's tolerance
+        rngs = [np.random.default_rng([4, r]) for r in range(40)]
+        values, logs = draw_sorted(WeibullParams(shape, 1.0), 30, rngs)
+        fit = fit_mm_batch(values, logs)
+        assert not fit.errors and not np.any(fit.fallback)
+        assert np.all(fit.iterations == 2)
 
 
 class TestScaleEquivariance:

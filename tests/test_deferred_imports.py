@@ -1,9 +1,11 @@
 """What a fresh process imports.
 
-The package imports scipy.optimize (for the Brent fallback) and the process
-pool (for workers > 1) only in the branch that uses each. Other test modules
-import scipy.optimize themselves, so these tests run their code in a fresh
-interpreter, where ``sys.modules`` shows what the package alone loaded.
+The package computes log-gamma, gamma and digamma itself (``gammafn``), so
+no module of it imports scipy.special, and it imports scipy.optimize (for
+the Brent fallback) and the process pool (for workers > 1) only in the
+branch that uses each: the CLI commands load no scipy module at all. Other
+test modules import scipy themselves, so these tests run their code in a
+fresh interpreter, where ``sys.modules`` shows what the package alone loaded.
 """
 
 import json
@@ -20,7 +22,7 @@ from weibull_estlab.core import draw_sorted
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
-DEFERRED = ("scipy.optimize", "concurrent.futures.process")
+DEFERRED = ("scipy.optimize", "scipy.special", "concurrent.futures.process")
 
 
 def run_fresh(code: str, tmp_path: Path):
@@ -45,6 +47,25 @@ assert cli.main(["simulate", "--preset", "table1", "--reps", "100", "--workers",
 print(json.dumps([name for name in {DEFERRED!r} if name in sys.modules]))
 """, tmp_path)
     assert loaded == []
+
+
+def test_cli_import_and_commands_load_no_scipy_module(tmp_path):
+    loaded = run_fresh("""
+import json, sys
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+loaded = {}
+from weibull_estlab import cli
+loaded["import weibull_estlab.cli"] = scipy_modules()
+for argv in (["fit", "--methods", "all"], ["gof", "--alpha", "2", "--beta", "25"],
+             ["weights", "--n", "5"],
+             ["simulate", "--preset", "table3", "--reps", "100", "--workers", "1"]):
+    assert cli.main(argv) == 0
+    loaded[" ".join(argv)] = scipy_modules()
+print(json.dumps(loaded))
+""", tmp_path)
+    assert len(loaded) == 5
+    assert all(names == [] for names in loaded.values()), loaded
 
 
 def forced_fallback() -> dict:
