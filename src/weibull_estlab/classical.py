@@ -239,12 +239,12 @@ def fit_mm_batch(values: np.ndarray, logs: np.ndarray) -> BatchFit:
 
     The shape solves log(Gamma(1 + 2/a) / Gamma(1 + 1/a)^2) = log(1 + S^2 / Xbar^2)
     (a strictly decreasing left side, so the root is unique) by safeguarded
-    Newton inside the bracket [0.05, 100], widened geometrically where it
-    holds no sign change; the scale is Xbar / Gamma(1/shape + 1). Newton
-    starts just above the root, from the equation inverted by interpolation
-    in a table of its left side, so a row inside the bracket settles after
-    two steps with no bracket end scored. The moments are taken of the data
-    over its maximum, so large values cannot overflow.
+    Newton; the scale is Xbar / Gamma(1/shape + 1). Newton starts just
+    above the root, from the equation inverted by interpolation in a table
+    of its left side, and the root solver's seed bracket follows that
+    start, so a row settles after two steps with no bracket end scored. The
+    moments are taken of the data over its maximum, so large values cannot
+    overflow.
     """
     top = values[:, -1]
     unit = values / top[:, None]
@@ -263,8 +263,7 @@ def fit_mm_batch(values: np.ndarray, logs: np.ndarray) -> BatchFit:
         g, dg = _mm_log_ratio(a)
         return g - log_target[rows], dg
 
-    size = values.shape[0]
-    shape, diagnostics = solve_rows(score, np.full(size, 0.05), np.full(size, 100.0), start, errors)
+    shape, diagnostics = solve_rows(score, start, errors)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         scale = top * xbar / gamma(1.0 / shape + 1.0)
     return BatchFit.build("MM", shape, scale, errors, **diagnostics)

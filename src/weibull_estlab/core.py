@@ -281,8 +281,8 @@ class BatchFit:
 
     Failed rows hold NaN and have their exception in ``errors``. The solver
     diagnostics are None for methods that have none; ``fallback`` marks rows
-    whose root came from the scalar bracketed solver instead of the batched
-    Newton iteration, and ``notes`` holds per-row remarks such as ties.
+    that left the Newton iteration, by bisecting after its last step or by
+    a BracketError, and ``notes`` holds per-row remarks such as ties.
     """
 
     method: str

@@ -9,8 +9,9 @@ scale follows as (sum(x^a)/n)^(1/a). Powers are evaluated as
 exp(a * (log x - max log x)) so samples spanning many orders of magnitude
 cannot overflow. Every row of a batch of samples gets its root from
 safeguarded Newton iteration (with the exact derivative, minus the
-x^a-weighted variance of log x) inside a bracket around the log-moment
-estimate; a row the iteration cannot settle falls back to bracketed Brent.
+x^a-weighted variance of log x) started from the log-moment estimate, inside
+the root solver's bracket around it; a row the iteration cannot settle goes
+on by bisection.
 
 The weighted variant replaces 1/a by w2/a and rescales the scale equation by
 1/w1, where (w1, w2) are medians of two pivotal statistics. Writing
@@ -73,9 +74,6 @@ _WEIGHT_BLOCK_VALUES = 1 << 15
 # threads of the weight simulation at most: one draws a block while the
 # other reduces the block before it
 _WEIGHT_THREADS = 2
-
-# bracket seeded from the closed-form log-moment estimate, then widened
-_BRACKET_SEED = (0.2, 5.0)
 
 
 @dataclass(frozen=True)
@@ -146,8 +144,7 @@ def _likelihood_batch(method: str, logs: np.ndarray, w1: float, w2: float) -> Ba
                            out=scratch("likelihood.dd_rows", (2, rows.size, n)))
         return _score_rows(gathered, mean_d[rows], alpha, w2)
 
-    shape, diagnostics = solve_rows(score, _BRACKET_SEED[0] * seed, _BRACKET_SEED[1] * seed, seed,
-                                    errors)
+    shape, diagnostics = solve_rows(score, seed, errors)
     with np.errstate(invalid="ignore", over="ignore", under="ignore"):
         log_sum = np.log(_powers(shape, dd[0]).sum(axis=1))
         scale = np.exp(logs[:, -1] + (log_sum - math.log(n * w1)) / shape)

@@ -104,29 +104,29 @@ def replication_rng(master_seed, cell, rep):
 
 def eager_solve_rows(
     score: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
-    lo: np.ndarray,
-    hi: np.ndarray,
     start: np.ndarray,
     errors: dict[int, EstimationError],
 ) -> tuple[np.ndarray, dict]:
     """One root per row of decreasing functions by safeguarded Newton.
 
-    ``lo``/``hi``/``start`` hold one seed bracket and starting point per
-    batch row; a row already in ``errors`` is not solved. ``score(x, rows)``
-    returns f and f' of the given batch rows at ``x``; f is decreasing in
-    x. A bracket without a sign change (f(lo) >= 0 >= f(hi)) is widened by
-    ``roots.BRACKET_FACTOR`` at both ends, at most ``roots.MAX_EXPANSIONS``
-    times; this is the only widening.
+    ``start`` holds one starting point per batch row; a row already in
+    ``errors`` is not solved. A row's seed bracket is ``roots.SEED_BRACKET``
+    times its start. ``score(x, rows)`` returns f and f' of the given batch
+    rows at ``x``; f is decreasing in x. A bracket without a sign change
+    (f(lo) >= 0 >= f(hi)) is widened by ``roots.BRACKET_FACTOR`` at both
+    ends, at most ``roots.MAX_EXPANSIONS`` times; this is the only widening.
     Each Newton step that leaves the current bracket is replaced by its
     geometric midpoint, the bracket shrinks around every iterate, and a row
-    stops once its step is below ``roots.NEWTON_RTOL`` relative, so its iterates
-    depend only on that row.
+    stops once its step is below ``roots.NEWTON_RTOL`` relative, so its
+    iterates depend only on that row. A row that has not stopped after
+    ``roots.MAX_NEWTON_STEPS`` steps is marked ``fallback`` and bisects in
+    log until its step or its bracket is below ``roots.NEWTON_RTOL``
+    relative.
 
-    Two kinds of row leave the iteration and are marked ``fallback``. A row
-    with a sign change that does not settle within ``roots.MAX_NEWTON_STEPS`` is
-    solved by Brent's method on its widened bracket. A row whose widened
-    bracket still holds no sign change keeps a NaN root, and a BracketError
-    naming that bracket is recorded in ``errors`` under the batch row.
+    A row whose widened bracket still holds no sign change is marked
+    ``fallback`` and keeps a NaN root, and a BracketError naming that
+    bracket and the scores at its ends is recorded in ``errors`` under the
+    batch row.
 
     Returns the root of every batch row and the keyword arguments of
     ``BatchFit.build``; a row not solved has a NaN root, 0 iterations,
@@ -134,7 +134,8 @@ def eager_solve_rows(
     """
     size = start.size
     rows = np.array([r for r in range(size) if r not in errors], dtype=int)
-    lo, hi, start = lo[rows], hi[rows], start[rows]  # lo and hi are widened where a row needs it
+    start = start[rows]
+    lo, hi = roots.SEED_BRACKET[0] * start, roots.SEED_BRACKET[1] * start  # widened below
     k = rows.size
     x = np.full(k, np.nan)
     iterations = np.zeros(k, dtype=int)
@@ -153,11 +154,10 @@ def eager_solve_rows(
         return whole_batch()
 
     with np.errstate(all="ignore"):
-        outside = ~((start > lo) & (start < hi))
-        xa = np.where(outside, np.sqrt(lo * hi), start) if np.count_nonzero(outside) else start
         # whole-row-set calls, which a scorer can serve without gathering its rows
         flo, fhi = score(lo, rows)[0], score(hi, rows)[0]
-        f, df = score(xa, rows)
+        f, df = score(start, rows)
+        xa = start
         pending = ~((flo >= 0.0) & (fhi <= 0.0))
         if np.count_nonzero(pending):
             pending = pending.nonzero()[0]
@@ -178,45 +178,37 @@ def eager_solve_rows(
         # state of the rows still iterating, compacted as rows finish
         la, ha = lo[active], hi[active]  # shrinks around the iterates
         count = 0
-        while active.size and count < roots.MAX_NEWTON_STEPS:
+        while active.size:
             count += 1
             below = f > 0.0
             la = np.where(below, xa, la)
             ha = np.where(below, ha, xa)
             newton = xa - f / df
             done = np.abs(newton - xa) <= roots.NEWTON_RTOL * xa
+            bisecting = count > roots.MAX_NEWTON_STEPS
+            if bisecting:  # a NaN bracket stops the row too
+                done |= ~(ha - la > roots.NEWTON_RTOL * xa)
             if np.count_nonzero(done):
                 finished = active[done]
                 x[finished] = np.minimum(np.maximum(newton, la), ha)[done]
                 iterations[finished] = count
                 residual[finished] = f[done]
+                used_fallback[finished] = bisecting
                 keep = ~done
                 active, la, ha, newton = active[keep], la[keep], ha[keep], newton[keep]
                 if not active.size:
                     break
-            # a Newton step that leaves the bracket is replaced by its geometric midpoint
+            # a Newton step that leaves the bracket, and every step after the
+            # last Newton step, is replaced by the bracket's geometric midpoint
             outside = ~((newton >= la) & (newton <= ha))
-            xa = newton
-            if np.count_nonzero(outside):
-                xa = np.where(outside, np.sqrt(la * ha), newton)
+            if count >= roots.MAX_NEWTON_STEPS:
+                outside[:] = True
+            xa = np.where(outside, np.sqrt(la * ha), newton)
             f, df = score(xa, rows[active])
 
-    def row_function(i):
-        row = rows[i:i + 1]
-        return lambda a: float(score(np.array([a]), row)[0][0])
-
-    used_fallback[pending] = used_fallback[active] = True
+    used_fallback[pending] = True
     for i in pending:  # no sign change in the widened bracket
-        f_row, a, b = row_function(i), float(lo[i]), float(hi[i])
-        errors.setdefault(int(rows[i]), BracketError(
-            f"no sign change in [{a}, {b}] after {roots.MAX_EXPANSIONS} expansions "
-            f"(f(lo)={f_row(a):.6g}, f(hi)={f_row(b):.6g})"))
-    if active.size:  # a sign change, but Newton did not settle
-        # imported here: few runs reach Brent, and scipy.optimize costs every
-        # process about 20 MB and 0.25 s to load
-        from scipy.optimize import brentq
-    for i in active:
-        f_row = row_function(i)
-        root, info = brentq(f_row, float(lo[i]), float(hi[i]), xtol=1e-10, full_output=True)
-        x[i], iterations[i], residual[i] = root, info.iterations, f_row(root)
+        errors[int(rows[i])] = BracketError(
+            f"no sign change in [{float(lo[i])}, {float(hi[i])}] after {roots.MAX_EXPANSIONS} "
+            f"expansions (f(lo)={float(flo[i]):.6g}, f(hi)={float(fhi[i]):.6g})")
     return whole_batch()

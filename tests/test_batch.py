@@ -6,11 +6,12 @@ n = 2, near-constant samples, chunks of 1/255/256/257 rows) these tests check
 that each batch row equals its own R = 1 call with the same failure, that
 every row is a finite positive estimate or an EstimationError, that the root
 solvers agree with a test-local Brent oracle and the closed forms with the
-formulas they replaced, how many rows need the scalar fallback, and that
+formulas they replaced, how many rows need the bisection fallback, and that
 the root solver matches the eager solver it replaced in every field.
 """
 
 import math
+import re
 import sys
 import threading
 
@@ -291,7 +292,7 @@ def test_closed_forms_match_previous_formulas(name):
     assert checked > 150
 
 
-# --- the scalar Brent fallback -----------------------------------------------------
+# --- the bisection fallback --------------------------------------------------------
 
 def test_fallback_rows_are_counted_and_rare():
     drawn_rows = drawn_fallbacks = fallbacks = 0
@@ -306,7 +307,7 @@ def test_fallback_rows_are_counted_and_rare():
             if (label, values, logs) in _drawn_corpus():
                 drawn_rows += values.shape[0]
                 drawn_fallbacks += int(batch.fallback.sum())
-    print(f"rows solved by the Brent fallback: {fallbacks} "
+    print(f"rows marked fallback: {fallbacks} "
           f"({drawn_fallbacks} of {drawn_rows} drawn Weibull rows)")
     assert drawn_fallbacks == 0 and drawn_rows > 1000
 
@@ -327,9 +328,17 @@ def test_forced_fallback_matches_newton(name, monkeypatch):
 
 
 def test_bracket_error_names_the_searched_bracket(monkeypatch):
-    # MM on a near-constant sample: the seed bracket [0.05, 100] widened three times
-    with pytest.raises(BracketError, match=r"no sign change in \[5e-05, 100000\.0\] after 3 "):
-        fit_method("MM", SortedSample.from_data([1.0] * 5 + [1.0 + 1e-13]))
+    # MM on a near-constant sample: its start is the top of the start table
+    # (shape 1000, raised by 1e-5), and the seed bracket [0.2, 5] x start is
+    # widened three times
+    data = [1.0] * 5 + [1.0 + 1e-13]
+    batch = fit_batch("MM", *_matrix([data]))
+    lo, hi = batch.bracket[0][0], batch.bracket[1][0]
+    assert lo == pytest.approx(0.2 * 1000.0 * (1.0 + 1e-5) / 1000, rel=1e-12)
+    assert hi == pytest.approx(5.0 * 1000.0 * (1.0 + 1e-5) * 1000, rel=1e-12)
+    assert isinstance(batch.errors[0], BracketError) and batch.fallback[0]
+    with pytest.raises(BracketError, match=re.escape(f"no sign change in [{lo}, {hi}] after 3 ")):
+        fit_method("MM", SortedSample.from_data(data))
     # an MLE row whose score stays positive: the seed bracket [0.2, 5] x seed, widened
     # three times, with seed the log-moment shape
     monkeypatch.setattr(likelihood, "_score_rows",
@@ -440,11 +449,11 @@ def _same_roots(got, want, got_errors, want_errors):
         [(r, type(e), str(e)) for r, e in want_errors.items()]
 
 
-def _both_solvers(score, lo, hi, start, errors):
+def _both_solvers(score, start, errors):
     """solve_rows, checked against eager_solve_rows on the same arguments."""
     want_errors = dict(errors)
-    want = eager_solve_rows(score, lo, hi, start, want_errors)
-    got = roots.solve_rows(score, lo, hi, start, errors)
+    want = eager_solve_rows(score, start, want_errors)
+    got = roots.solve_rows(score, start, errors)
     _same_roots(got, want, errors, want_errors)
     _both_solvers.calls += 1
     return got
@@ -495,10 +504,10 @@ def _log_scorer(root, slope, nan_at=None):
     return score
 
 
-# seed bracket [1, 100], start 10; roots inside, below lo and above hi by one to
-# three widenings, and beyond all three; the last row's overstated slope makes
-# its first Newton step settle although its root is out of reach
-_ROOTS = np.array([3.0, 0.5, 0.02, 0.003, 5e-5, 150.0, 2e3, 9e4, 3e5, 10.0, 99.0, 1.0, 1e-6])
+# start 10, so seed bracket [2, 50]; roots inside, below lo and above hi by one
+# to three widenings, and beyond all three; the last row's overstated slope
+# makes its first Newton step settle although its root is out of reach
+_ROOTS = np.array([3.0, 0.5, 0.05, 0.005, 1e-4, 150.0, 2e3, 2e4, 1e5, 10.0, 49.0, 2.0, 1e-6])
 _SLOPES = np.array([1.0] * 12 + [1e12])
 
 
@@ -518,17 +527,70 @@ def test_solver_matches_eager_oracle_on_synthetic_scorers(nan_at_start):
         seen.extend(batch_rows.tolist())
         return log_score(x, batch_rows)
 
-    got, diagnostics = _both_solvers(score, np.ones(2 * k), np.full(2 * k, 100.0),
-                                     np.full(2 * k, 10.0), errors)
-    beyond = (_ROOTS < 1e-3) | (_ROOTS > 1e5)
+    got, diagnostics = _both_solvers(score, np.full(2 * k, 10.0), errors)
+    beyond = (_ROOTS < 2e-3) | (_ROOTS > 5e4)
     assert sorted(errors) == sorted(failed.keys() | set(rows[beyond].tolist()))
     assert all(errors[r] is e for r, e in failed.items())
     assert all(isinstance(errors[r], BracketError) for r in rows[beyond])
     assert diagnostics["iterations"][rows[beyond]].tolist() == [0] * int(beyond.sum())
-    solved = ~beyond & ~(nan_at_start & (_ROOTS == 10.0))
+    # a NaN score counts as f <= 0, so a NaN at the start caps the bracket of
+    # a row whose root lies above it: the row bisects up to the start and
+    # returns the NaN Newton point of its last score there
+    capped = ~beyond & nan_at_start & (_ROOTS > 10.0)
+    assert np.isnan(got[rows[capped]]).all() and diagnostics["fallback"][rows[capped]].all()
+    solved = ~beyond & ~capped
     np.testing.assert_allclose(got[rows[solved]], _ROOTS[solved], rtol=1e-9)
     assert seen and not set(seen) & failed.keys()
     _assert_unsolved(got, diagnostics, skipped)
+
+
+# a row that bisects halves its bracket in log at every step, so it stops
+# within this many steps of the last Newton step
+_BISECTION_STEPS = 64
+
+
+def test_solver_bisects_where_newton_oscillates():
+    # f = sign(root - x) with f' = -1/jump: every Newton step moves by the
+    # row's jump, so from a start less than a jump above the root the
+    # iterates swing across it and never settle
+    root = np.array([9.0, 7.5, 9.9, 1.3])
+    jump = np.array([3.0, 4.0, 0.5, 0.8])
+    start = np.array([10.0, 10.0, 10.0, 1.5])
+
+    def score(x, rows):
+        return np.sign(root[rows] - x), -1.0 / jump[rows]
+
+    errors = {}
+    got, diagnostics = _both_solvers(score, start, errors)
+    assert not errors and diagnostics["fallback"].all()
+    steps = diagnostics["iterations"] - roots.MAX_NEWTON_STEPS
+    assert np.all((steps > 0) & (steps <= _BISECTION_STEPS))
+    np.testing.assert_allclose(got, root, rtol=1e-7)
+
+
+def test_solver_stops_where_the_score_turns_nan_after_the_start():
+    # f is finite at the start only: the iterates find NaN everywhere else,
+    # so no end of any bracket shows a sign and every row fails
+    root = np.array([3.0, 20.0, 10.5, 0.1])
+    start = np.array([10.0, 10.0, 10.0, 1.0])
+    calls = []
+
+    def score(x, rows):
+        calls.append(rows.size)
+        f = np.log(root[rows] / x)
+        f[x != start[rows]] = math.nan
+        return f, -1.0 / x
+
+    errors = {}
+    got, diagnostics = _both_solvers(score, start, errors)
+    assert sorted(errors) == [0, 1, 2, 3]
+    assert all(isinstance(e, BracketError) and "f(lo)=nan, f(hi)=nan" in str(e)
+               for e in errors.values())
+    assert diagnostics["fallback"].all() and np.isnan(got).all()
+    # both solvers together: the lazy one's iteration, at most one scoring of
+    # the ends and a widening, and the eager one's widening
+    widening = 2 * (roots.MAX_EXPANSIONS + 1)
+    assert len(calls) <= 1 + roots.MAX_NEWTON_STEPS + _BISECTION_STEPS + 1 + 2 * widening + 1
 
 
 def _assert_unsolved(root, diagnostics, rows):
@@ -547,7 +609,6 @@ def test_solver_skips_a_batch_whose_rows_all_failed():
 
     failed = {r: EstimationError(f"row {r} failed its own checks") for r in range(3)}
     errors = dict(failed)
-    root, diagnostics = _both_solvers(score, np.ones(3), np.full(3, 100.0), np.full(3, 10.0),
-                                      errors)
+    root, diagnostics = _both_solvers(score, np.full(3, 10.0), errors)
     assert errors.keys() == failed.keys() and all(errors[r] is e for r, e in failed.items())
     _assert_unsolved(root, diagnostics, np.arange(3))

@@ -189,15 +189,26 @@ class TestFitMM:
 
     @pytest.mark.parametrize("shape", [0.1, 0.5, 2.5, 20.0, 60.0])
     def test_newton_settles_in_two_steps_from_the_tabled_start(self, shape):
-        # inside the seed bracket [0.05, 100] the start lies just above the
-        # root, and Newton's first step from it lands just below: two scores
-        # vouch for both bracket ends, and the second step is below the
-        # solver's tolerance
+        # the start lies just above the root, inside its seed bracket, and
+        # Newton's first step from it lands just below: two scores vouch for
+        # both bracket ends, and the second step is below the solver's
+        # tolerance
         rngs = [np.random.default_rng([4, r]) for r in range(40)]
         values, logs = draw_sorted(WeibullParams(shape, 1.0), 30, rngs)
         fit = fit_mm_batch(values, logs)
         assert not fit.errors and not np.any(fit.fallback)
         assert np.all(fit.iterations == 2)
+
+    def test_start_above_a_hundred_settles_without_widening(self):
+        # the seed bracket follows the start, so a shape far above 100 needs
+        # no widened bracket and no restart from its midpoint (that took
+        # 16-18 steps when MM's seed bracket was a fixed [0.05, 100])
+        rngs = [np.random.default_rng([4, r]) for r in range(40)]
+        values, logs = draw_sorted(WeibullParams(300.0, 1.0), 30, rngs)
+        fit = fit_mm_batch(values, logs)
+        assert not fit.errors and not np.any(fit.fallback)
+        assert np.all(fit.iterations <= 3)
+        np.testing.assert_allclose(fit.bracket[1] / fit.bracket[0], 25.0, rtol=1e-12)
 
 
 class TestScaleEquivariance:

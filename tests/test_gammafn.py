@@ -1,7 +1,8 @@
 """Accuracy of the numpy log-gamma, gamma and digamma against scipy.special.
 
-The range is x in [1, 4e4 + 1]: LM and MM evaluate at 1 + 1/a and 1 + 2/a,
-and MM's widened bracket reaches a = 5e-5. scipy.special is imported here
+The range is x in [1, 1e6 + 1]: LM and MM evaluate at 1 + 1/a and 1 + 2/a,
+and MM's widened bracket reaches a = 2e-6 (the start table's floor 0.01,
+times the seed bracket's 0.2, divided by 10^3). scipy.special is imported here
 only, as the oracle. Near x = 1, where gammaln itself loses digits, the
 oracle is gammaln(2 + z) - log1p(z) at dyadic z, for which 2 + z is exact.
 """
@@ -16,10 +17,10 @@ from weibull_estlab.gammafn import gamma, loggamma, loggamma_digamma
 
 EULER = 0.5772156649015329
 MM_RANGE = np.unique(np.concatenate([
-    np.geomspace(1.0, 4e4 + 1.0, 4001),
+    np.geomspace(1.0, 1e6 + 1.0, 6001),
     np.random.default_rng(20261019).uniform(1.0, 3.0, 2000),
-    1.0 + 1.0 / np.geomspace(5e-5, 100.0, 500),
-    1.0 + 2.0 / np.geomspace(5e-5, 100.0, 500),
+    1.0 + 1.0 / np.geomspace(2e-6, 5e6, 1000),
+    1.0 + 2.0 / np.geomspace(2e-6, 5e6, 1000),
 ]))
 
 
