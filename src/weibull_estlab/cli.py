@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .classical import QUANTILE_RULES, PercentileConfig
-from .core import SortedSample, WeibullParams
+from .core import DEFAULT_SEED, SortedSample, WeibullParams
 from .datasets import BUNDLED_LIFETIME, Dataset, load_dataset
 from .errors import DataError, EstimationError
 from .gof import gof_report
@@ -32,7 +32,6 @@ from .likelihood import (
 from .methods import METHOD_NAMES, FitOptions, fit_method
 from .regression import DEFAULT_RULE, PLOTTING_RULES
 from .simlab import (
-    DEFAULT_SEED,
     SimulationConfig,
     emit_plot_data,
     run_experiment,
@@ -122,8 +121,8 @@ def _build_parser() -> _Parser:
                      help="seed for the weight simulation (WMLE)")
     fit.add_argument("--rule", choices=PLOTTING_RULES, default=DEFAULT_RULE,
                      help="plotting-position rule for the regression fits")
-    fit.add_argument("--pm-p", type=float, default=0.31, help="lower percentile for PM")
-    fit.add_argument("--pm-rule", choices=QUANTILE_RULES, default="median_unbiased",
+    fit.add_argument("--pm-p", type=float, default=PercentileConfig.p, help="lower percentile for PM")
+    fit.add_argument("--pm-rule", choices=QUANTILE_RULES, default=PercentileConfig.quantile_rule,
                      help="empirical-quantile convention for PM")
 
     gof = sub.add_parser("gof", help="KS/CVM distances for given parameters")

@@ -35,6 +35,7 @@ __all__ = [
     "check_observations",
     "EstimateResult",
     "BatchFit",
+    "DEFAULT_SEED",
     "REPLICATIONS",
     "WEIGHTS",
     "substreams",
@@ -64,6 +65,9 @@ _GAMMA_OVERFLOW_ARG = 171.61447887182298
 # allocated afresh, so one fit at a huge n does not pin its memory
 _SCRATCH_MAX_VALUES = 1 << 18
 _scratch_buffers = threading.local()
+
+# the master seed of every run that names none: the lab's, fit's and the weight table's
+DEFAULT_SEED = 1729
 
 # substream families, the first word of a spawn key: the lab's replication r
 # of cell c is (REPLICATIONS, c, r), the WMLE weight simulation at n is (WEIGHTS, n)

@@ -43,8 +43,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (WEIGHTS, BatchFit, EstimateResult, SortedSample, fail_rows, fit_one, row_var,
-                   scratch, substreams)
+from .core import (DEFAULT_SEED, WEIGHTS, BatchFit, EstimateResult, SortedSample, fail_rows,
+                   fit_one, row_var, scratch, substreams)
 from .errors import DegenerateSampleError
 from .roots import solve_rows
 
@@ -353,7 +353,7 @@ class WeightStore:
     cache (best effort; a read-only location just skips the write).
     """
 
-    def __init__(self, path: Path | None = None, seed: int = 0):
+    def __init__(self, path: Path | None = None, seed: int = DEFAULT_SEED):
         self.path = path or default_weights_path()
         self.seed = seed
         self._memo: dict[int, WeightPair] = {}

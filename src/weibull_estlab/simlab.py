@@ -3,9 +3,9 @@
 One experiment cell is a (sample size, parameter level) pair. Every
 replication of a cell draws one sample from a substream derived
 deterministically from (master seed, cell index, replication index) and fits
-every requested method on that same sample (common random numbers), so the
-output is bit-identical for any worker count: per-replication estimates are
-materialized into arrays indexed by replication and reduced in fixed order.
+every requested method on that same sample (common random numbers). Each chunk
+reduces its estimates to a few sums per method, and a cell's sums are added in
+task order, so the output is bit-identical for any worker count.
 
 The unit of work is a chunk of replications of one cell: one row block of
 at most ``_CHUNK`` rows and about ``_BLOCK_VALUES`` values, a split that
@@ -31,7 +31,8 @@ import numpy as np
 
 # sample, fit_method and simulate_weight_medians are the single-replication
 # steps of the lab, re-exported here next to their batched forms
-from .core import REPLICATIONS, WeibullParams, draw_sorted, sample, scratch, substreams  # noqa: F401
+from .core import (DEFAULT_SEED, REPLICATIONS, WeibullParams, draw_sorted, sample,  # noqa: F401
+                   scratch, substreams)
 from .likelihood import WeightPair, seeded_weight_medians, simulate_weight_medians  # noqa: F401
 from .methods import METHOD_NAMES, FitOptions, fit_batch, fit_method  # noqa: F401
 from .regression import DEFAULT_RULE
@@ -51,8 +52,6 @@ __all__ = [
 
 RANK_TARGETS = ("ALPHA_BIAS", "BETA_BIAS", "ALPHA_RMSE", "BETA_RMSE")
 CSV_HEADER = "method,n,alpha,beta,bias_alpha,bias_beta,rmse_alpha,rmse_beta,reps,failures"
-
-DEFAULT_SEED = 1729
 
 _CHUNK = 256  # replications per chunk at most
 _BLOCK_VALUES = 1 << 17  # and values per chunk at most (or one row), to keep temporaries small
@@ -215,11 +214,12 @@ def _chunks(n: int, reps: int) -> list[range]:
     return [range(start, min(start + size, reps)) for start in range(0, reps, size)]
 
 
-def _run_chunk(args) -> tuple[int, int, np.ndarray]:
+def _run_chunk(args) -> tuple[int, np.ndarray]:
     """Fit all methods on replications [start, stop) of one cell.
 
-    Returns (cell index, start, estimates[stop-start, n_methods, 2]) with
-    NaN rows marking failures.
+    Returns (cell index, sums[n_methods, 5]): per method, over the rows whose
+    estimates are finite, their count k, the sums of the shape and scale
+    errors, and the sums of their squares.
     """
     (cell, n, shape, scale, methods, options, weights, master_seed, start, stop) = args
     # the samples live in this thread's reused work arrays: no fit keeps them
@@ -236,7 +236,11 @@ def _run_chunk(args) -> tuple[int, int, np.ndarray]:
         fit = fit_batch(name, values, logs, options, weights)
         est[ok, m, 0] = fit.shape
         est[ok, m, 1] = fit.scale
-    return cell, start, est
+    # errors by (method, parameter, row): each sum runs along contiguous rows, pairwise
+    err = np.subtract(est.transpose(1, 2, 0), [[shape], [scale]], order="C")
+    finite = np.isfinite(err).all(axis=1)
+    np.copyto(err, 0.0, where=~finite[:, None, :])
+    return cell, np.column_stack((finite.sum(axis=1), err.sum(axis=2), (err * err).sum(axis=2)))
 
 
 def _weight_medians_for(cfg: SimulationConfig) -> dict[int, WeightPair]:
@@ -250,55 +254,48 @@ def run_experiment(cfg: SimulationConfig) -> MetricTable:
     weights_by_n = _weight_medians_for(cfg)
     options = cfg.options
     cells = cfg.cells()
-    estimates: dict[int, np.ndarray] = {}
+    totals = {cell: np.zeros((len(cfg.methods), 5)) for cell, _, _ in cells}
     tasks = []
     for cell, n, level in cells:
-        reps = cfg.replications or default_replications(n)
-        estimates[cell] = np.empty((reps, len(cfg.methods), 2))
-        for chunk in _chunks(n, reps):
+        for chunk in _chunks(n, cfg.replications or default_replications(n)):
             tasks.append((cell, n, level.shape, level.scale, cfg.methods, options,
                           weights_by_n.get(n), cfg.master_seed, chunk.start, chunk.stop))
 
     # no more processes than tasks: a fork start opens every worker at once
     workers = min(cfg.workers, len(tasks))
-    if workers == 1:
-        results = map(_run_chunk, tasks)
-    else:
+    pool = None
+    if workers > 1:
         # imported here: at one worker the process pool's modules
         # (multiprocessing, socket, ...) would be loaded for nothing
         from concurrent.futures import ProcessPoolExecutor
         pool = ProcessPoolExecutor(max_workers=workers)
-        try:
-            results = list(pool.map(_run_chunk, tasks, chunksize=1))
-        finally:
+    try:
+        results = pool.map(_run_chunk, tasks, chunksize=1) if pool else map(_run_chunk, tasks)
+        for cell, sums in results:
+            totals[cell] += sums
+    finally:
+        if pool:
             pool.shutdown()
-    for cell, start, est in results:
-        estimates[cell][start:start + est.shape[0]] = est
 
     rows: list[MetricRow] = []
     skipped: list[tuple[str, int, float, float, int]] = []
     for method_index, method in enumerate(cfg.methods):
         for cell, n, level in cells:
-            est = estimates[cell][:, method_index, :]
-            reps = est.shape[0]
-            ok = np.isfinite(est).all(axis=1)
-            successes = int(ok.sum())
-            failures = reps - successes
-            if successes == 0:
+            k, err_alpha, err_beta, sq_alpha, sq_beta = totals[cell][method_index].tolist()
+            failures = (cfg.replications or default_replications(n)) - int(k)
+            if k == 0:
                 skipped.append((method, n, level.shape, level.scale, failures))
                 continue
-            shape_hat = est[ok, 0]
-            scale_hat = est[ok, 1]
             rows.append(MetricRow(
                 method=method,
                 n=n,
                 alpha=level.shape,
                 beta=level.scale,
-                bias_alpha=float(shape_hat.mean() - level.shape),
-                bias_beta=float(scale_hat.mean() - level.scale),
-                rmse_alpha=float(np.sqrt(np.mean((shape_hat - level.shape) ** 2))),
-                rmse_beta=float(np.sqrt(np.mean((scale_hat - level.scale) ** 2))),
-                reps=successes,
+                bias_alpha=err_alpha / k,
+                bias_beta=err_beta / k,
+                rmse_alpha=float(np.sqrt(sq_alpha / k)),
+                rmse_beta=float(np.sqrt(sq_beta / k)),
+                reps=int(k),
                 failures=failures,
             ))
     return MetricTable(rows=tuple(rows), skipped=tuple(skipped))

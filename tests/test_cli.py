@@ -7,6 +7,7 @@ import pytest
 
 from weibull_estlab import (
     DataError,
+    PercentileConfig,
     SortedSample,
     fit_lm,
     lifetime48,
@@ -150,6 +151,13 @@ class TestFitCommand:
         doc = json.loads(out.read_text())
         assert doc["PM.alpha"] == pytest.approx(5.9767, abs=0.005)
         assert doc["pm_rule"] == "linear"
+
+    def test_pm_defaults_are_percentile_config_defaults(self, tmp_path, capsys):
+        out = tmp_path / "pm.json"
+        assert run_cli(["fit", "--methods", "PM", "--out", str(out)]) == EXIT_OK
+        doc = json.loads(out.read_text())
+        default = PercentileConfig()
+        assert (doc["pm_p"], doc["pm_rule"]) == (default.p, default.quantile_rule)
 
 
 class TestWeightCache:

@@ -519,6 +519,11 @@ class TestWeightTable:
         # the record of the other count stays in the file
         assert read_weight_table(path) == {(5, 2000, 9): other, (5, 100000, 9): pair}
 
+    def test_store_defaults_to_the_command_line_seed(self, tmp_path):
+        # fit, weights and the lab default to seed 1729, and so does a store
+        pair = WeightStore(path=tmp_path / "weights.txt").get(5)
+        assert pair == seeded_weight_medians(5, 1729)
+
     def test_store_respects_env_default(self, tmp_path, monkeypatch):
         target = tmp_path / "env-weights.txt"
         monkeypatch.setenv("WEIBULL_ESTLAB_WEIGHTS", str(target))

@@ -1,7 +1,9 @@
 import concurrent.futures
 import dataclasses
+import math
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +23,8 @@ from weibull_estlab import (
 from weibull_estlab import methods, simlab
 from weibull_estlab.cli import PRESETS
 from weibull_estlab.core import REPLICATIONS, BatchFit, draw_sorted, substreams
-from weibull_estlab.methods import FitOptions
+from weibull_estlab.likelihood import seeded_weight_medians
+from weibull_estlab.methods import FitOptions, fit_batch
 from weibull_estlab.simlab import CSV_HEADER, default_replications
 
 from conftest import replication_rng
@@ -175,9 +178,46 @@ class TestRunExperiment:
             assert r.rmse_beta >= abs(r.bias_beta)
 
     def test_bit_identical_across_worker_counts(self):
-        t1 = run_experiment(tiny_config(workers=1))
-        t2 = run_experiment(tiny_config(workers=2))
-        assert t1 == t2
+        # three chunks in the cell: its chunk sums are added in task order at both counts
+        cfg = tiny_config(replications=3 * simlab._CHUNK)
+        assert len(simlab._chunks(10, cfg.replications)) == 3
+        assert run_experiment(cfg) == run_experiment(dataclasses.replace(cfg, workers=2))
+
+    def test_bias_within_a_few_ulp_of_the_exact_mean_error(self):
+        # the oracle refits every replication in one batch per method and
+        # averages its errors in exact rational arithmetic
+        reps = 1000
+        cfg = SimulationConfig(methods=METHOD_NAMES, sample_sizes=(5, 30),
+                               param_levels=((0.5, 2.5), (2.5, 0.5)), replications=reps)
+        assert all(len(simlab._chunks(n, reps)) >= 3 for n in cfg.sample_sizes)
+        rows = {(r.method, r.n, r.alpha): r for r in run_experiment(cfg).rows}
+        for cell, n, level in cfg.cells():
+            values, logs = draw_sorted(level, n, substreams(cfg.master_seed, (REPLICATIONS, cell),
+                                                            range(reps)))
+            weights = seeded_weight_medians(n, cfg.master_seed)
+            for method in cfg.methods:
+                fit = fit_batch(method, values, logs, cfg.options, weights)
+                ok = np.isfinite(fit.shape) & np.isfinite(fit.scale)
+                row = rows[(method, n, level.shape)]
+                assert row.reps == ok.sum()
+                for est, truth, bias in ((fit.shape[ok], level.shape, row.bias_alpha),
+                                         (fit.scale[ok], level.scale, row.bias_beta)):
+                    exact = sum(map(Fraction, est.tolist())) / len(est) - Fraction(truth)
+                    ulps = abs(Fraction(bias) - exact) / Fraction(math.ulp(float(exact)))
+                    assert ulps <= 64, (method, n, level, float(ulps))
+
+    def test_traced_peak_does_not_grow_with_replications(self):
+        # no chunk's estimates outlive it: a reps x methods x 2 array of this
+        # grid would alone be 1.28 MB
+        cfg = SimulationConfig(methods=("USTAT", "MLM", "LM", "PM"), sample_sizes=(5,),
+                               param_levels=((2.5, 2.5),), replications=20_000)
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 19, peak
 
     def test_process_pool_no_larger_than_task_list(self, monkeypatch):
         sizes = []
@@ -324,11 +364,11 @@ class TestWorkBuffers:
         self.chunk(0, 32)
         tracemalloc.start()
         try:
-            _, _, est = self.chunk(32, 64)
+            _, sums = self.chunk(32, 64)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert np.isfinite(est).all()
+        assert (sums[:, 0] == 32).all()  # every row of both methods finite
         assert peak < 1 << 20, peak
 
 
