@@ -3,17 +3,24 @@
 One experiment cell is a (sample size, parameter level) pair. Every
 replication of a cell draws one sample from a substream derived
 deterministically from (master seed, cell index, replication index) and fits
-every requested method on that same sample (common random numbers). Each chunk
-reduces its estimates to a few sums per method, and a cell's sums are added in
-task order, so the output is bit-identical for any worker count.
+every requested method on that same sample (common random numbers).
 
-The unit of work is a chunk of replications of one cell: one row block of
-at most ``_CHUNK`` rows and about ``_BLOCK_VALUES`` values, a split that
-never depends on the worker count. Its samples are drawn (each from its own
-substream) into one matrix, and every method fits all of its rows in one
-batch call; a row's estimate never depends on the other rows of its chunk.
-The substreams of a chunk's rows, ``(REPLICATIONS, cell, r)`` under the
-master seed, are seeded together by :func:`core.substreams`.
+The lab splits its work two ways, neither of which depends on the worker count:
+
+- A **piece** is the unit of reduction: a range of one cell's replications,
+  at most ``_CHUNK`` rows and ``_BLOCK_VALUES`` values (:func:`_chunks`).
+  Each piece reduces its estimates to a few sums per method, and a cell adds
+  its pieces' sums in order, so the output is bit-identical for any worker
+  count.
+- A **row block** is the unit of work (:func:`_row_blocks`): consecutive
+  pieces of one sample size in grid order, so it can span every level of
+  that size, at most ``_BLOCK_ROWS`` rows and ``_BLOCK_VALUES`` values (or
+  a single piece). Its samples are drawn into one matrix, each piece's rows
+  from that piece's substreams ``(REPLICATIONS, cell, r)`` under the master
+  seed (seeded together by :func:`core.substreams`) at that cell's level,
+  and every method fits all of its rows in one batch call. A row's estimate
+  never depends on the other rows of its block, so packing pieces into
+  blocks moves no output bit.
 
 Estimator failures (degenerate samples at tiny n, bracket failures) never
 abort a run; they are excluded from the metrics and counted per cell. So is
@@ -25,6 +32,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from dataclasses import MISSING, dataclass, fields
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -53,8 +61,11 @@ __all__ = [
 RANK_TARGETS = ("ALPHA_BIAS", "BETA_BIAS", "ALPHA_RMSE", "BETA_RMSE")
 CSV_HEADER = "method,n,alpha,beta,bias_alpha,bias_beta,rmse_alpha,rmse_beta,reps,failures"
 
-_CHUNK = 256  # replications per chunk at most
-_BLOCK_VALUES = 1 << 17  # and values per chunk at most (or one row), to keep temporaries small
+_CHUNK = 256  # replications per piece at most
+_BLOCK_VALUES = 1 << 17  # and values per piece or block at most (or one row), to keep temporaries small
+# replications per row block at most: from 3 * _CHUNK up, a 4-method run at
+# n = 5 peaks above 512 KiB under tracemalloc, most of it LM's gamma temporaries
+_BLOCK_ROWS = 2 * _CHUNK
 
 
 def default_replications(n: int) -> int:
@@ -209,38 +220,73 @@ class MetricTable:
 
 
 def _chunks(n: int, reps: int) -> list[range]:
-    """The replication ranges of a cell's chunks, one row block each."""
+    """The replication ranges of a cell's pieces, the fixed split that each
+    reduction runs over."""
     size = min(_CHUNK, max(1, _BLOCK_VALUES // n))
     return [range(start, min(start + size, reps)) for start in range(0, reps, size)]
 
 
-def _run_chunk(args) -> tuple[int, np.ndarray]:
-    """Fit all methods on replications [start, stop) of one cell.
+def _row_blocks(cfg: SimulationConfig) -> list[tuple[int, tuple]]:
+    """The units of work: (n, pieces) per row block, in grid order.
 
-    Returns (cell index, sums[n_methods, 5]): per method, over the rows whose
-    estimates are finite, their count k, the sums of the shape and scale
-    errors, and the sums of their squares.
+    A piece is (cell, shape, scale, start, stop), one of :func:`_chunks`'s
+    ranges of that cell. A block takes the next pieces of one n while they
+    fit in ``_BLOCK_ROWS`` rows and ``_BLOCK_VALUES`` values, and always
+    takes at least one.
     """
-    (cell, n, shape, scale, methods, options, weights, master_seed, start, stop) = args
+    blocks: list[tuple[int, list]] = []
+    rows = 0
+    for cell, n, level in cfg.cells():
+        cap = min(_BLOCK_ROWS, _BLOCK_VALUES // n)
+        for chunk in _chunks(n, cfg.replications or default_replications(n)):
+            if not blocks or blocks[-1][0] != n or rows + len(chunk) > cap:
+                blocks.append((n, []))
+                rows = 0
+            blocks[-1][1].append((cell, level.shape, level.scale, chunk.start, chunk.stop))
+            rows += len(chunk)
+    return [(n, tuple(pieces)) for n, pieces in blocks]
+
+
+def _run_block(args) -> list[tuple[int, np.ndarray]]:
+    """Fit all methods on one row block and reduce each of its pieces.
+
+    ``args`` is (n, methods, options, weights, master seed, pieces), the
+    pieces as :func:`_row_blocks` lists them. Each piece draws its rows of
+    the block from its own substreams at its own level, and each method
+    fits the whole block in one batch call. Returns (cell index,
+    sums[n_methods, 5]) per piece, in order: per method, over the piece's
+    rows whose estimates are finite, their count k, the sums of the shape
+    and scale errors, and the sums of their squares.
+    """
+    n, methods, options, weights, master_seed, pieces = args
+    bounds = [0, *accumulate(stop - start for *_, start, stop in pieces)]
+    spans = list(zip(pieces, bounds, bounds[1:]))
     # the samples live in this thread's reused work arrays: no fit keeps them
-    block = (stop - start, n)
-    values, logs = draw_sorted(WeibullParams(shape, scale), n,
-                               substreams(master_seed, (REPLICATIONS, cell), range(start, stop)),
-                               out=(scratch("simlab.values", block), scratch("simlab.logs", block)))
-    est = np.full((stop - start, len(methods), 2), np.nan)
+    block = (bounds[-1], n)
+    values, logs = scratch("simlab.values", block), scratch("simlab.logs", block)
+    for (cell, shape, scale, start, stop), lo, hi in spans:
+        draw_sorted(WeibullParams(shape, scale), n,
+                    substreams(master_seed, (REPLICATIONS, cell), range(start, stop)),
+                    out=(values[lo:hi], logs[lo:hi]))
     # a draw that underflowed to 0 or overflowed fails its replication for every method
     ok = np.flatnonzero((values[:, 0] > 0.0) & np.isfinite(values[:, -1]))
-    if ok.size < stop - start:
+    if ok.size < block[0]:
         values, logs = values[ok], logs[ok]
+    # estimates by (method, parameter, row), NaN where a draw or a fit failed
+    est = np.full((len(methods), 2, block[0]), np.nan)
     for m, name in enumerate(methods):
         fit = fit_batch(name, values, logs, options, weights)
-        est[ok, m, 0] = fit.shape
-        est[ok, m, 1] = fit.scale
-    # errors by (method, parameter, row): each sum runs along contiguous rows, pairwise
-    err = np.subtract(est.transpose(1, 2, 0), [[shape], [scale]], order="C")
-    finite = np.isfinite(err).all(axis=1)
-    np.copyto(err, 0.0, where=~finite[:, None, :])
-    return cell, np.column_stack((finite.sum(axis=1), err.sum(axis=2), (err * err).sum(axis=2)))
+        est[m, 0, ok] = fit.shape
+        est[m, 1, ok] = fit.scale
+    sums = []
+    for (cell, shape, scale, _, _), lo, hi in spans:
+        # the piece's errors, C-ordered: each sum runs along its contiguous rows, pairwise
+        err = np.subtract(est[:, :, lo:hi], [[shape], [scale]])
+        finite = np.isfinite(err).all(axis=1)
+        np.copyto(err, 0.0, where=~finite[:, None, :])
+        sums.append((cell, np.column_stack((finite.sum(axis=1), err.sum(axis=2),
+                                            (err * err).sum(axis=2)))))
+    return sums
 
 
 def _weight_medians_for(cfg: SimulationConfig) -> dict[int, WeightPair]:
@@ -255,11 +301,8 @@ def run_experiment(cfg: SimulationConfig) -> MetricTable:
     options = cfg.options
     cells = cfg.cells()
     totals = {cell: np.zeros((len(cfg.methods), 5)) for cell, _, _ in cells}
-    tasks = []
-    for cell, n, level in cells:
-        for chunk in _chunks(n, cfg.replications or default_replications(n)):
-            tasks.append((cell, n, level.shape, level.scale, cfg.methods, options,
-                          weights_by_n.get(n), cfg.master_seed, chunk.start, chunk.stop))
+    tasks = [(n, cfg.methods, options, weights_by_n.get(n), cfg.master_seed, pieces)
+             for n, pieces in _row_blocks(cfg)]
 
     # no more processes than tasks: a fork start opens every worker at once
     workers = min(cfg.workers, len(tasks))
@@ -270,9 +313,11 @@ def run_experiment(cfg: SimulationConfig) -> MetricTable:
         from concurrent.futures import ProcessPoolExecutor
         pool = ProcessPoolExecutor(max_workers=workers)
     try:
-        results = pool.map(_run_chunk, tasks, chunksize=1) if pool else map(_run_chunk, tasks)
-        for cell, sums in results:
-            totals[cell] += sums
+        results = pool.map(_run_block, tasks, chunksize=1) if pool else map(_run_block, tasks)
+        # each cell adds its pieces' sums in grid order, whichever blocks hold them
+        for block in results:
+            for cell, sums in block:
+                totals[cell] += sums
     finally:
         if pool:
             pool.shutdown()

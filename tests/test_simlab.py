@@ -178,7 +178,8 @@ class TestRunExperiment:
             assert r.rmse_beta >= abs(r.bias_beta)
 
     def test_bit_identical_across_worker_counts(self):
-        # three chunks in the cell: its chunk sums are added in task order at both counts
+        # three pieces in the cell, run as two row blocks: its piece sums are added in grid order
+        # at both counts
         cfg = tiny_config(replications=3 * simlab._CHUNK)
         assert len(simlab._chunks(10, cfg.replications)) == 3
         assert run_experiment(cfg) == run_experiment(dataclasses.replace(cfg, workers=2))
@@ -333,12 +334,12 @@ class TestBlockSeeding:
             substreams(-1, (REPLICATIONS, 0), range(3))
 
     def test_chunk_split_into_row_blocks(self, monkeypatch):
-        # at n = 4000 a chunk is one row block of _BLOCK_VALUES // n = 32 replications
+        # at n = 4000 a piece is _BLOCK_VALUES // n = 32 replications, one row block each
         drawn = []
 
         def recording_draw(level, n, rngs, out=None):
             values, logs = draw_sorted(level, n, rngs, out=out)
-            drawn.append(values.copy())  # the chunk draws into reused work arrays
+            drawn.append(values.copy())  # the block draws into reused work arrays
             return values, logs
 
         monkeypatch.setattr(simlab, "draw_sorted", recording_draw)
@@ -346,25 +347,100 @@ class TestBlockSeeding:
         chunks = simlab._chunks(n, 40)
         assert chunks == [range(0, 32), range(32, 40)]
         for chunk in chunks:
-            simlab._run_chunk((cell, n, self.LEVEL.shape, self.LEVEL.scale, ("LM",),
-                               FitOptions(), None, master, chunk.start, chunk.stop))
+            piece = (cell, self.LEVEL.shape, self.LEVEL.scale, chunk.start, chunk.stop)
+            simlab._run_block((n, ("LM",), FitOptions(), None, master, (piece,)))
         assert [v.shape[0] for v in drawn] == [32, 8]
         assert np.array_equal(np.concatenate(drawn), self.oracle_rows(master, cell, range(40), n))
 
 
+class TestRowBlocks:
+    """Pieces (the reduction unit) are packed into row blocks (the compute
+    unit) that span the levels of one sample size; no output bit moves."""
+
+    @pytest.mark.parametrize("cfg", [
+        SimulationConfig.from_mapping(PRESETS["table1"]),
+        SimulationConfig.from_mapping(PRESETS["table3"]),
+        tiny_config(sample_sizes=(5, 300, 1000), param_levels=((2.0, 3.0), (0.5, 1.0)),
+                    replications=700),
+    ], ids=["table1", "table3", "mixed-n"])
+    def test_packing(self, cfg):
+        blocks = simlab._row_blocks(cfg)
+        pieces = [(cell, level.shape, level.scale, chunk.start, chunk.stop)
+                  for cell, n, level in cfg.cells()
+                  for chunk in simlab._chunks(n, cfg.replications or default_replications(n))]
+        assert [p for _, block in blocks for p in block] == pieces  # grid order
+        size_of = {cell: n for cell, n, _ in cfg.cells()}
+        for (n, block), after in zip(blocks, blocks[1:] + [(None, ())]):
+            assert {size_of[cell] for cell, *_ in block} == {n}
+            rows = sum(stop - start for *_, start, stop in block)
+            assert len(block) == 1 or (rows <= simlab._BLOCK_ROWS
+                                       and rows * n <= simlab._BLOCK_VALUES)
+            if after[0] == n:  # a block ends only where the next piece does not fit
+                more = rows + after[1][0][4] - after[1][0][3]
+                assert more > simlab._BLOCK_ROWS or more * n > simlab._BLOCK_VALUES
+            if n >= 1000:
+                assert len(block) == 1
+        assert simlab._row_blocks(dataclasses.replace(cfg, workers=2)) == blocks
+
+    def test_block_split_changes_no_byte(self, monkeypatch):
+        cfg = SimulationConfig(methods=METHOD_NAMES, sample_sizes=(5, 30),
+                               param_levels=((0.5, 2.5), (2.5, 0.5)), replications=600)
+        assert all(len(simlab._chunks(n, 600)) == 3 for n in cfg.sample_sizes)
+        blocks = simlab._row_blocks(cfg)
+        assert any(len({cell for cell, *_ in block}) > 1 for _, block in blocks)
+        packed = [run_experiment(dataclasses.replace(cfg, workers=w)) for w in (1, 2)]
+        monkeypatch.setattr(simlab, "_BLOCK_ROWS", simlab._CHUNK)
+        assert all(len(block) == 1 for _, block in simlab._row_blocks(cfg))
+        for w in (1, 2):
+            assert run_experiment(dataclasses.replace(cfg, workers=w)) == packed[0] == packed[1]
+
+    def test_cell_rows_do_not_depend_on_the_other_levels(self):
+        # cell 1's piece alone, after cell 0's, and before it: the same sums
+        n, methods, seed = 10, METHOD_NAMES, 1729
+        weights = seeded_weight_medians(n, seed)
+        first, second = (0, 0.5, 2.5, 0, 100), (1, 2.5, 0.5, 100, 250)
+
+        def run(*pieces):
+            return dict(simlab._run_block((n, methods, FitOptions(), weights, seed, pieces)))
+
+        alone = run(second)[1]
+        for pieces in ((first, second), (second, first)):
+            assert np.array_equal(run(*pieces)[1], alone, equal_nan=True)
+
+    def test_failures_stay_per_cell_in_a_mixed_block(self):
+        # shape 0.01 draws underflow or overflow; the normal cell beside it
+        # in the same row block neither loses rows nor changes a bit
+        normal, extreme = WeibullParams(2.0, 3.0), WeibullParams(0.01, 1.0)
+        cfg = SimulationConfig(methods=METHOD_NAMES, sample_sizes=(30,),
+                               param_levels=(normal, extreme), replications=100)
+        assert simlab._row_blocks(cfg) == [(30, ((0, 2.0, 3.0, 0, 100), (1, 0.01, 1.0, 0, 100)))]
+        values = draw_sorted(extreme, 30, substreams(cfg.master_seed, (REPLICATIONS, 1),
+                                                     range(100)))[0]
+        bad_draws = np.count_nonzero((values[:, 0] == 0.0) | ~np.isfinite(values[:, -1]))
+        assert bad_draws >= 1
+        table = run_experiment(cfg)
+        extreme_failures = {r.method: r.failures for r in table.rows if r.alpha == 0.01}
+        extreme_failures.update({s[0]: s[4] for s in table.skipped if s[2] == 0.01})
+        assert set(extreme_failures) == set(METHOD_NAMES)
+        assert all(f >= bad_draws for f in extreme_failures.values()), extreme_failures
+        alone = run_experiment(dataclasses.replace(cfg, param_levels=(normal,)))
+        assert tuple(r for r in table.rows if r.alpha == 2.0) == alone.rows
+        assert all(s[2] != 2.0 for s in table.skipped) and alone.skipped == ()
+
+
 class TestWorkBuffers:
-    """A warm chunk draws and fits in reused per-thread work arrays."""
+    """A warm row block draws and fits in reused per-thread work arrays."""
 
     def chunk(self, start, stop):
-        return simlab._run_chunk((5, 4000, 2.0, 3.0, ("MLE", "LM"), FitOptions(), None,
-                                  1729, start, stop))
+        return simlab._run_block((4000, ("MLE", "LM"), FitOptions(), None, 1729,
+                                  ((5, 2.0, 3.0, start, stop),)))
 
     def test_warm_chunk_allocates_nothing_large(self):
-        # a 32 x 4000 chunk's draw alone is two 1 MB matrices
+        # a 32 x 4000 block's draw alone is two 1 MB matrices
         self.chunk(0, 32)
         tracemalloc.start()
         try:
-            _, sums = self.chunk(32, 64)
+            [(_, sums)] = self.chunk(32, 64)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
