@@ -2,7 +2,9 @@
 
 LM and MM evaluate these at 1 + 1/a and 1 + 2/a. Each function is a fixed
 sequence of about thirty numpy calls, whatever the shape of ``x``, and each
-element's result depends on that element alone.
+element's result depends on that element alone. The polynomial coefficients
+are broadcast along ``x``, never copied, so a call keeps about 13 floats per
+element live at its peak (21 for loggamma_digamma).
 
 With r = 1/x, Stirling's formula (Abramowitz & Stegun 6.1.41) and the
 asymptotic digamma formula (6.3.18) are
@@ -65,11 +67,11 @@ _D = (1.0, 8.71196367692725, 38.70131129534204, 105.10023808293293, 185.83781825
 
 
 def _thirds(*polys: tuple[float, ...]) -> np.ndarray:
-    """Coefficients of r^0..r^3 of the polynomials' low thirds, then of their
-    middle and high thirds (those of r^4..r^7 over r^4, r^8..r^11 over r^8),
-    one column per third."""
-    coeffs = np.array(polys).T
-    return np.hstack((coeffs[:4], coeffs[4:8], coeffs[8:]))
+    """Per power r^0..r^3, one column of the coefficients of the polynomials'
+    low thirds, then of their middle and high thirds (those of r^4..r^7 over
+    r^4, r^8..r^11 over r^8)."""
+    coeffs = np.array(polys).reshape(len(polys), 3, 4)  # polynomial, third, power
+    return np.ascontiguousarray(coeffs.T).reshape(4, -1, 1)
 
 
 # numerators first, then their denominators
@@ -84,32 +86,28 @@ def _ratios(x: np.ndarray, thirds: np.ndarray) -> np.ndarray:
     r = 1/x, one row each, for a 1-d ``x``.
 
     Each polynomial is its low third plus r^4 times (its middle third plus
-    r^4 times its high third). The thirds are laid end to end, each over all
-    of ``x``, and summed by Horner's rule with every coefficient repeated
-    along its third, so that every numpy call is elementwise on operands of
-    one shape and each element gets the same operations wherever it sits in
-    ``x``.
+    r^4 times its high third). Horner's rule sums all thirds at once, one row
+    per third, with each power's column of coefficients broadcast along
+    ``x``, so that each element gets the same operations wherever it sits in
+    ``x`` and no coefficient is copied.
     """
-    n = x.size
     polys = thirds.shape[1] // 3
     r = _ONE / x
-    coeffs = np.repeat(thirds, n, axis=1)
-    rr = np.concatenate((r,) * thirds.shape[1])
-    acc = coeffs[3] * rr
-    acc += coeffs[2]
-    acc *= rr
-    acc += coeffs[1]
-    acc *= rr
-    acc += coeffs[0]
-    low, middle, high = acc.reshape(3, polys * n)
-    r4 = rr[:polys * n] * rr[:polys * n]
+    acc = thirds[3] * r
+    acc += thirds[2]
+    acc *= r
+    acc += thirds[1]
+    acc *= r
+    acc += thirds[0]
+    low, middle, high = acc.reshape(3, polys, x.size)
+    r4 = r * r
     r4 *= r4
     poly = high * r4
     poly += middle
     poly *= r4
     poly += low
     half = polys // 2
-    return (poly[:half * n] / poly[half * n:]).reshape(half, n)
+    return poly[:half] / poly[half:]
 
 
 def _flat(x) -> tuple[np.ndarray, np.ndarray]:

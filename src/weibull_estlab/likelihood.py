@@ -345,7 +345,7 @@ def write_weight_table(path: Path, records: dict[WeightKey, WeightPair]) -> None
 
 
 class WeightStore:
-    """Memoized weight lookup backed by the cache file.
+    """Weight lookup backed by the cache file.
 
     Records are keyed by (n, replications, seed); only those of
     :data:`DEFAULT_WEIGHT_REPLICATIONS` are looked up. Missing ones are
@@ -356,11 +356,8 @@ class WeightStore:
     def __init__(self, path: Path | None = None, seed: int = DEFAULT_SEED):
         self.path = path or default_weights_path()
         self.seed = seed
-        self._memo: dict[int, WeightPair] = {}
 
     def get(self, n: int) -> WeightPair:
-        if n in self._memo:
-            return self._memo[n]
         key = (n, DEFAULT_WEIGHT_REPLICATIONS, self.seed)
         records = read_weight_table(self.path)
         if key in records:
@@ -372,5 +369,4 @@ class WeightStore:
                 write_weight_table(self.path, records)
             except OSError:
                 pass
-        self._memo[n] = pair
         return pair

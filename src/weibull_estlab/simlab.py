@@ -14,13 +14,14 @@ The lab splits its work two ways, neither of which depends on the worker count:
   count.
 - A **row block** is the unit of work (:func:`_row_blocks`): consecutive
   pieces of one sample size in grid order, so it can span every level of
-  that size, at most ``_BLOCK_ROWS`` rows and ``_BLOCK_VALUES`` values (or
-  a single piece). Its samples are drawn into one matrix, each piece's rows
-  from that piece's substreams ``(REPLICATIONS, cell, r)`` under the master
-  seed (seeded together by :func:`core.substreams`) at that cell's level,
-  and every method fits all of its rows in one batch call. A row's estimate
-  never depends on the other rows of its block, so packing pieces into
-  blocks moves no output bit.
+  that size, at most ``_BLOCK_ROWS`` rows (1024, a cap set by the run's
+  traced memory peak) and ``_BLOCK_VALUES`` values (or a single piece). Its
+  samples are drawn into one matrix, each piece's rows from that piece's
+  substreams ``(REPLICATIONS, cell, r)`` under the master seed (seeded
+  together by :func:`core.substreams`) at that cell's level, and every
+  method fits all of its rows in one batch call. A row's estimate never
+  depends on the other rows of its block, so packing pieces into blocks
+  moves no output bit.
 
 Estimator failures (degenerate samples at tiny n, bracket failures) never
 abort a run; they are excluded from the metrics and counted per cell. So is
@@ -63,9 +64,9 @@ CSV_HEADER = "method,n,alpha,beta,bias_alpha,bias_beta,rmse_alpha,rmse_beta,reps
 
 _CHUNK = 256  # replications per piece at most
 _BLOCK_VALUES = 1 << 17  # and values per piece or block at most (or one row), to keep temporaries small
-# replications per row block at most: from 3 * _CHUNK up, a 4-method run at
-# n = 5 peaks above 512 KiB under tracemalloc, most of it LM's gamma temporaries
-_BLOCK_ROWS = 2 * _CHUNK
+# replications per row block at most: a 4-method run at n = 5 peaks under
+# tracemalloc at about 480 KiB with this cap and 870 KiB with twice it
+_BLOCK_ROWS = 4 * _CHUNK
 
 
 def default_replications(n: int) -> int:

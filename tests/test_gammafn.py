@@ -8,6 +8,7 @@ oracle is gammaln(2 + z) - log1p(z) at dyadic z, for which 2 + z is exact.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,3 +87,23 @@ def test_each_element_independent_of_its_neighbours():
         one_lg, one_psi = loggamma_digamma(x[i:i + 1])
         assert one_lg[0] == lg[i] and one_psi[0] == psi[i]
     assert np.array_equal(gamma(x[::-1]), gamma(x)[::-1])
+    # MM passes 1 + 1/a and 1 + 2/a as the two rows of one array
+    pair = np.stack((x, x[::-1]))
+    lg2, psi2 = loggamma_digamma(pair)
+    assert np.array_equal(lg2, [lg, lg[::-1]]) and np.array_equal(psi2, [psi, psi[::-1]])
+
+
+@pytest.mark.parametrize("fn, shape, floats", [
+    (gamma, (4096,), 16), (loggamma, (4096,), 16), (loggamma_digamma, (2, 2048), 24),
+], ids=["gamma", "loggamma", "loggamma_digamma"])
+def test_transient_memory_per_element(fn, shape, floats):
+    # the coefficients are broadcast along x; a copy of them per element
+    # would keep over 40 floats per element live
+    x = np.geomspace(1.0, 1e6, math.prod(shape)).reshape(shape)
+    tracemalloc.start()
+    try:
+        fn(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= floats * 8 * x.size, peak / (8 * x.size)

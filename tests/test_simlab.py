@@ -20,7 +20,7 @@ from weibull_estlab import (
     run_experiment,
     write_metric_csv,
 )
-from weibull_estlab import methods, simlab
+from weibull_estlab import core, methods, simlab
 from weibull_estlab.cli import PRESETS
 from weibull_estlab.core import REPLICATIONS, BatchFit, draw_sorted, substreams
 from weibull_estlab.likelihood import seeded_weight_medians
@@ -209,9 +209,11 @@ class TestRunExperiment:
 
     def test_traced_peak_does_not_grow_with_replications(self):
         # no chunk's estimates outlive it: a reps x methods x 2 array of this
-        # grid would alone be 1.28 MB
+        # grid would alone be 1.28 MB. The peak counts this thread's scratch
+        # buffers too, so they start empty whatever ran before.
         cfg = SimulationConfig(methods=("USTAT", "MLM", "LM", "PM"), sample_sizes=(5,),
                                param_levels=((2.5, 2.5),), replications=20_000)
+        vars(core._scratch_buffers).clear()
         tracemalloc.start()
         try:
             run_experiment(cfg)
@@ -386,8 +388,9 @@ class TestRowBlocks:
         cfg = SimulationConfig(methods=METHOD_NAMES, sample_sizes=(5, 30),
                                param_levels=((0.5, 2.5), (2.5, 0.5)), replications=600)
         assert all(len(simlab._chunks(n, 600)) == 3 for n in cfg.sample_sizes)
-        blocks = simlab._row_blocks(cfg)
-        assert any(len({cell for cell, *_ in block}) > 1 for _, block in blocks)
+        cells = [{cell for cell, *_ in block} for _, block in simlab._row_blocks(cfg)]
+        assert any(len(c) > 1 for c in cells)  # a block spans two cells
+        assert any(a & b for a, b in zip(cells, cells[1:]))  # and a cell spans two blocks
         packed = [run_experiment(dataclasses.replace(cfg, workers=w)) for w in (1, 2)]
         monkeypatch.setattr(simlab, "_BLOCK_ROWS", simlab._CHUNK)
         assert all(len(block) == 1 for _, block in simlab._row_blocks(cfg))
