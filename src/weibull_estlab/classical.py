@@ -22,6 +22,7 @@ from .core import (
 )
 from .errors import DegenerateSampleError, InvalidRatioError
 from .gammafn import gamma, loggamma, loggamma_digamma
+from .regression import LogStats
 from .roots import solve_rows
 
 __all__ = [
@@ -87,7 +88,7 @@ def _lmoment_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     power of two scales exactly, m * 2^e are the moments of the row itself."""
     n = values.shape[1]
     e = np.frexp(values[:, -1])[1]
-    scaled = np.ldexp(values, -e[:, None], out=scratch("classical.lmoments", values.shape))
+    scaled = np.ldexp(values, -e[:, None], out=scratch("core.rows", values.shape))
     m1 = scaled.sum(axis=1) / n
     ranks = np.arange(n, dtype=float)  # (i - 1) for 1-based i
     m2 = 2.0 / (n * (n - 1)) * row_dot(scaled, ranks) - m1
@@ -128,13 +129,14 @@ def fit_lm(s: SortedSample) -> EstimateResult:
     return fit_one(fit_lm_batch, s)
 
 
-def fit_mlm_batch(values: np.ndarray, logs: np.ndarray) -> BatchFit:
-    """Logarithmic-moment estimator on every row.
+def fit_mlm_batch(stats: LogStats) -> BatchFit:
+    """Logarithmic-moment estimator on every row of a block of sorted samples.
 
     shape = sqrt(pi^2 / (6 S^2)) with the n-1 divisor for S^2;
     scale = exp(M1 - psi(1)/shape).
     """
-    mean_log = logs.sum(axis=1) / logs.shape[1]
+    logs = stats.logs
+    mean_log = stats.totals / logs.shape[1]
     var_log = row_var(logs, mean_log)
     errors: dict = {}
     constant = (logs[:, 0] == logs[:, -1]) | (var_log == 0.0)
@@ -148,7 +150,7 @@ def fit_mlm_batch(values: np.ndarray, logs: np.ndarray) -> BatchFit:
 
 def fit_mlm(s: SortedSample) -> EstimateResult:
     """Logarithmic-moment estimator on one sample (see :func:`fit_mlm_batch`)."""
-    return fit_one(fit_mlm_batch, s)
+    return fit_mlm_batch(LogStats.of(s)).result()
 
 
 def _sorted_quantile(values: np.ndarray, p: float, rule: str) -> np.ndarray:

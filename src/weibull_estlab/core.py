@@ -268,7 +268,8 @@ def row_dot(m: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def row_var(m: np.ndarray, mean: np.ndarray) -> np.ndarray:
     """Row variances (n - 1 divisor) of an R x n matrix given its row means."""
-    dev = np.subtract(m, mean[:, None], out=scratch("core.row_var", m.shape))
+    # "core.rows" is shared with the L-moments' work array: neither outlives its call
+    dev = np.subtract(m, mean[:, None], out=scratch("core.rows", m.shape))
     return np.einsum("ij,ij->i", dev, dev) / (m.shape[1] - 1)
 
 

@@ -9,9 +9,19 @@ scale follows as (sum(x^a)/n)^(1/a). Powers are evaluated as
 exp(a * (log x - max log x)) so samples spanning many orders of magnitude
 cannot overflow. Every row of a batch of samples gets its root from
 safeguarded Newton iteration (with the exact derivative, minus the
-x^a-weighted variance of log x) started from the log-moment estimate, inside
-the root solver's bracket around it; a row the iteration cannot settle goes
-on by bisection.
+x^a-weighted variance of log x) inside the root solver's bracket around its
+start; a row the iteration cannot settle goes on by bisection. The start is
+the default-rule GLS1 shape, one column of the block's shared product of the
+logs (:class:`regression.LogStats`), whatever plotting rule the regression
+fits use; a row where that is not a positive finite shape starts from the
+log-moment estimate.
+
+Each score records, per row, the a it was taken at, sum(e^(a d)) and the
+e^(a d)-weighted mean m1 of d = log x - max log x. For the root r,
+log sum(e^(r d)) = log sum(e^(a d)) + (r - a) m1 to first order, which is
+near rounding once |r - a| <= roots.NEWTON_RTOL a; the scale takes its power
+sum from a row's last score that way, and only a row whose last score lies
+farther from its root (a check of a bracket end, say) makes a fresh exp pass.
 
 The weighted variant replaces 1/a by w2/a and rescales the scale equation by
 1/w1, where (w1, w2) are medians of two pivotal statistics. Writing
@@ -44,9 +54,10 @@ from pathlib import Path
 import numpy as np
 
 from .core import (DEFAULT_SEED, WEIGHTS, BatchFit, EstimateResult, SortedSample, fail_rows,
-                   fit_one, row_var, scratch, substreams)
+                   row_var, scratch, substreams)
 from .errors import DegenerateSampleError
-from .roots import solve_rows
+from .regression import GLS1_SLOPE, LogStats
+from .roots import NEWTON_RTOL, solve_rows
 
 __all__ = [
     "WeightPair",
@@ -95,69 +106,79 @@ def _powers(alpha: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def _score_rows(dd: np.ndarray, mean_d: np.ndarray, alpha: np.ndarray,
-                w2: float) -> tuple[np.ndarray, np.ndarray]:
+                w2: float) -> tuple[np.ndarray, ...]:
     """Rowwise w2/a + mean(d) - sum(e^(a d) d)/sum(e^(a d)) and its derivative
     in a, for d = log x - max log x <= 0 (so no power overflows) and
-    dd = [d, d^2] stacked."""
+    dd = [d, d^2] stacked, then sum(e^(a d)) and m1 = sum(e^(a d) d)/sum(e^(a d))."""
     w = _powers(alpha, dd[0])
-    m1, m2 = np.einsum("ij,kij->ki", w, dd) / w.sum(axis=1)
+    total = w.sum(axis=1)
+    m1, m2 = np.einsum("ij,kij->ki", w, dd) / total
     inv = 1.0 / alpha
-    return w2 * inv + mean_d - m1, -w2 * inv * inv - (m2 - m1 * m1)
-
-
-def _stacked(logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """dd = [d, d^2] for d = logs - max log, in this thread's reused work array
-    (valid until the next call), and the row means of d."""
-    dd = scratch("likelihood.dd", (2,) + logs.shape)
-    d = np.subtract(logs, logs[:, -1:], out=dd[0])
-    np.multiply(d, d, out=dd[1])
-    return dd, d.sum(axis=1) / d.shape[1]
+    return w2 * inv + mean_d - m1, -w2 * inv * inv - (m2 - m1 * m1), total, m1
 
 
 def profile_score(s: SortedSample, alpha: float) -> float:
     """g(alpha) = 1/alpha + mean(log x) - sum(x^a log x)/sum(x^a)."""
     if not 0.0 < alpha < math.inf:  # NaN fails both
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
-    dd, mean_d = _stacked(s.logs[None, :])
+    dd, mean_d = LogStats.of(s).shifted
     return float(_score_rows(dd, mean_d, np.array([alpha]), 1.0)[0][0])
 
 
-def _likelihood_batch(method: str, logs: np.ndarray, w1: float, w2: float) -> BatchFit:
+def _log_power_sums(alpha: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """log sum(e^(alpha_r d_r)) of every row: a fresh exp pass."""
+    return np.log(_powers(alpha, d).sum(axis=1))
+
+
+def _likelihood_batch(method: str, stats: LogStats, w1: float, w2: float) -> BatchFit:
     """Shape root of the (weighted) profile score and scale (sum x^a / (n w1))^(1/a)
-    on every row; the root is bracketed around the log-moment estimate."""
+    on every row (module docstring)."""
+    logs = stats.logs
     n = logs.shape[1]
-    dd, mean_d = _stacked(logs)
-    var_log = row_var(dd[0], mean_d)
+    dd, mean_d = stats.shifted
     errors: dict = {}
-    constant = (logs[:, 0] == logs[:, -1]) | (var_log == 0.0)
-    fail_rows(errors, constant, lambda r: DegenerateSampleError(
+    fail_rows(errors, logs[:, 0] == logs[:, -1], lambda r: DegenerateSampleError(
         "all observations equal; likelihood has no interior maximum"))
-    with np.errstate(divide="ignore"):  # a failed row has var_log == 0
-        seed = np.sqrt(math.pi ** 2 / (6.0 * var_log))
+    with np.errstate(divide="ignore", invalid="ignore"):  # a failed row has slope and variance 0
+        start = 1.0 / stats.products[:, GLS1_SLOPE]
+        moments = np.flatnonzero(~((start > 0.0) & (start < math.inf)))
+        if moments.size:
+            var_log = row_var(dd[0][moments], mean_d[moments])
+            start[moments] = np.sqrt(math.pi ** 2 / (6.0 * var_log))
+    last = np.full((3, logs.shape[0]), np.nan)  # per row: a, sum(e^(a d)) and m1 of its last score
 
     def score(alpha, rows):
         if rows.size == logs.shape[0]:  # every row, in order: score them without a copy
-            return _score_rows(dd, mean_d, alpha, w2)
+            f, df, last[1], last[2] = _score_rows(dd, mean_d, alpha, w2)
+            last[0] = alpha
+            return f, df
         # the rows still iterating, gathered into a reused work array; every
         # index is valid, and take buffers ``out`` in a temporary under mode="raise"
         gathered = np.take(dd, rows, axis=1, mode="clip",
                            out=scratch("likelihood.dd_rows", (2, rows.size, n)))
-        return _score_rows(gathered, mean_d[rows], alpha, w2)
+        f, df, total, m1 = _score_rows(gathered, mean_d[rows], alpha, w2)
+        last[0, rows], last[1, rows], last[2, rows] = alpha, total, m1
+        return f, df
 
-    shape, diagnostics = solve_rows(score, seed, errors)
-    with np.errstate(invalid="ignore", over="ignore", under="ignore"):
-        log_sum = np.log(_powers(shape, dd[0]).sum(axis=1))
+    shape, diagnostics = solve_rows(score, start, errors)
+    scored, total, m1 = last
+    with np.errstate(invalid="ignore", over="ignore", under="ignore", divide="ignore"):
+        step = shape - scored
+        log_sum = np.log(total) + step * m1
+        fresh = np.flatnonzero(~(np.abs(step) <= NEWTON_RTOL * scored))  # failed rows too
+        if fresh.size:
+            log_sum[fresh] = _log_power_sums(shape[fresh], dd[0][fresh])
         scale = np.exp(logs[:, -1] + (log_sum - math.log(n * w1)) / shape)
     return BatchFit.build(method, shape, scale, errors, **diagnostics)
 
 
-def fit_mle_batch(values: np.ndarray, logs: np.ndarray) -> BatchFit:
-    """Maximum likelihood on every row via the profile-score root."""
-    return _likelihood_batch("MLE", logs, 1.0, 1.0)
+def fit_mle_batch(stats: LogStats) -> BatchFit:
+    """Maximum likelihood on every row of a block via the profile-score root."""
+    return _likelihood_batch("MLE", stats, 1.0, 1.0)
 
 
-def fit_wmle_batch(values: np.ndarray, logs: np.ndarray, weights: WeightPair) -> BatchFit:
-    """Median-weighted maximum likelihood on every row.
+def fit_wmle_batch(stats: LogStats, weights: WeightPair) -> BatchFit:
+    """Median-weighted maximum likelihood on every row of a block.
 
     The shape is the root of the weighted score w2/a + mean(log x) -
     sum(x^a log x)/sum(x^a), found as the MLE's is. For w2 > 0 (every simulated
@@ -165,19 +186,20 @@ def fit_wmle_batch(values: np.ndarray, logs: np.ndarray, weights: WeightPair) ->
     exists; a row whose widened bracket holds no sign change fails with a
     BracketError, as an MLE row does. The scale is (sum(x^a) / (n w1))^(1/a).
     """
-    if weights.n != logs.shape[1]:
-        raise ValueError(f"weights were simulated for n={weights.n}, sample has n={logs.shape[1]}")
-    return _likelihood_batch("WMLE", logs, weights.w1, weights.w2)
+    if weights.n != stats.logs.shape[1]:
+        raise ValueError(f"weights were simulated for n={weights.n}, "
+                         f"sample has n={stats.logs.shape[1]}")
+    return _likelihood_batch("WMLE", stats, weights.w1, weights.w2)
 
 
 def fit_mle(s: SortedSample) -> EstimateResult:
     """Maximum likelihood fit on one sample (see :func:`fit_mle_batch`)."""
-    return fit_one(fit_mle_batch, s)
+    return fit_mle_batch(LogStats.of(s)).result()
 
 
 def fit_wmle(s: SortedSample, weights: WeightPair) -> EstimateResult:
     """Median-weighted maximum likelihood fit on one sample (see :func:`fit_wmle_batch`)."""
-    return fit_one(fit_wmle_batch, s, weights)
+    return fit_wmle_batch(LogStats.of(s), weights).result()
 
 
 def _usable_cpus() -> int:

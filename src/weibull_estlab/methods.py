@@ -2,11 +2,13 @@
 
 Every method is registered as a batch function that fits the rows of R x n
 matrices of sorted values and logs at once; a single fit is the batch of
-one.
+one. The methods fitted on one block read its shared statistics from one
+:class:`regression.LogStats`, which a single fit builds for itself.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -18,14 +20,14 @@ from .likelihood import WeightPair, fit_mle_batch, fit_wmle_batch
 from .regression import (
     DEFAULT_RULE,
     PLOTTING_RULES,
-    build_positions,
+    LogStats,
     fit_gls1_batch,
     fit_gls2_batch,
     fit_wls_batch,
 )
 from .ustat import fit_ustat_batch
 
-__all__ = ["METHOD_NAMES", "FitOptions", "fit_method", "fit_batch"]
+__all__ = ["METHOD_NAMES", "FitOptions", "fit_method", "fit_batch", "fit_block"]
 
 @dataclass(frozen=True)
 class FitOptions:
@@ -40,11 +42,7 @@ class FitOptions:
                              f"choose from {PLOTTING_RULES}")
 
 
-BatchFunction = Callable[[np.ndarray, np.ndarray, FitOptions, WeightPair | None], BatchFit]
-
-
-def _positions(logs: np.ndarray, options: FitOptions):
-    return build_positions(logs.shape[1], options.plotting_rule)
+BatchFunction = Callable[[LogStats, FitOptions, WeightPair | None], BatchFit]
 
 
 def _need_weights(weights: WeightPair | None) -> WeightPair:
@@ -54,16 +52,16 @@ def _need_weights(weights: WeightPair | None) -> WeightPair:
 
 
 _REGISTRY: dict[str, BatchFunction] = {
-    "USTAT": lambda v, lg, o, w: fit_ustat_batch(v, lg),
-    "MLE": lambda v, lg, o, w: fit_mle_batch(v, lg),
-    "WMLE": lambda v, lg, o, w: fit_wmle_batch(v, lg, _need_weights(w)),
-    "GLS1": lambda v, lg, o, w: fit_gls1_batch(v, lg, _positions(lg, o)),
-    "GLS2": lambda v, lg, o, w: fit_gls2_batch(v, lg, _positions(lg, o)),
-    "WLS": lambda v, lg, o, w: fit_wls_batch(v, lg, _positions(lg, o)),
-    "LM": lambda v, lg, o, w: fit_lm_batch(v, lg),
-    "MLM": lambda v, lg, o, w: fit_mlm_batch(v, lg),
-    "PM": lambda v, lg, o, w: fit_pm_batch(v, lg, o.percentile),
-    "MM": lambda v, lg, o, w: fit_mm_batch(v, lg),
+    "USTAT": lambda st, o, w: fit_ustat_batch(st),
+    "MLE": lambda st, o, w: fit_mle_batch(st),
+    "WMLE": lambda st, o, w: fit_wmle_batch(st, _need_weights(w)),
+    "GLS1": lambda st, o, w: fit_gls1_batch(st),
+    "GLS2": lambda st, o, w: fit_gls2_batch(st),
+    "WLS": lambda st, o, w: fit_wls_batch(st),
+    "LM": lambda st, o, w: fit_lm_batch(st.values, st.logs),
+    "MLM": lambda st, o, w: fit_mlm_batch(st),
+    "PM": lambda st, o, w: fit_pm_batch(st.values, st.logs, o.percentile),
+    "MM": lambda st, o, w: fit_mm_batch(st.values, st.logs),
 }
 
 # the registry is the one list of methods: what fit and simulate accept
@@ -77,6 +75,23 @@ def _lookup(name: str) -> BatchFunction:
         raise KeyError(f"unknown method {name!r}; known: {', '.join(_REGISTRY)}")
 
 
+def fit_block(
+    names: tuple[str, ...],
+    values: np.ndarray,
+    logs: np.ndarray,
+    options: FitOptions | None = None,
+    weights: WeightPair | None = None,
+) -> Iterator[BatchFit]:
+    """Fit each named method on every row of the R x n matrices of ascending
+    positive finite values and their logs, one at a time and in order, from
+    one shared :class:`regression.LogStats`; raises KeyError for unknown names
+    before any fit."""
+    options = options or FitOptions()
+    fits = [_lookup(name) for name in names]
+    stats = LogStats(values, logs, options.plotting_rule)
+    return (fit(stats, options, weights) for fit in fits)
+
+
 def fit_batch(
     name: str,
     values: np.ndarray,
@@ -86,7 +101,8 @@ def fit_batch(
 ) -> BatchFit:
     """Fit one named method on every row of the R x n matrices of ascending
     positive finite values and their logs; raises KeyError for unknown names."""
-    return _lookup(name)(values, logs, options or FitOptions(), weights)
+    options = options or FitOptions()
+    return _lookup(name)(LogStats(values, logs, options.plotting_rule), options, weights)
 
 
 def fit_method(

@@ -34,8 +34,16 @@ type-2 fit instruments the plug-in design [1, t_i] with [1, z_i], and WLS
 fits the plug-in design with the diagonal of V only.
 
 The designs depend on n and the plotting rule alone, so each fit reduces to
-a product of the R x n matrix of sorted logs with cached V^-1-transformed
+products of the R x n matrix of sorted logs with cached V^-1-transformed
 design columns and one 2 x 2 solve shared by every row of the batch.
+
+A block of samples is read through one :class:`LogStats`, which computes
+each statistic that several estimators share once, on first use: a single
+product of the logs with every cached column (these fits' design columns,
+USTAT's pair-minimum weights and the default-rule GLS1 slope that starts the
+likelihood fits), the row sums of the logs, the tie notes and the
+likelihood's shifted logs. The wide product sums each column as a product
+with that column alone would, so no fit depends on the others sharing it.
 """
 
 from __future__ import annotations
@@ -46,7 +54,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import BatchFit, EstimateResult, SortedSample, fail_rows, fit_one, row_dot
+from .core import BatchFit, EstimateResult, SortedSample, fail_rows, row_dot, scratch
 from .errors import DegenerateSampleError, SingularSystemError
 
 __all__ = [
@@ -54,6 +62,7 @@ __all__ = [
     "DEFAULT_RULE",
     "PlottingPositions",
     "build_positions",
+    "LogStats",
     "v_diagonal",
     "plot_transform",
     "mean_corrected_transform",
@@ -117,18 +126,22 @@ def _apply_precision(n: int, columns: np.ndarray) -> np.ndarray:
     return flux / d
 
 
+# the columns of LogStats.products: Z' V^-1 y, X' W^-1 y, USTAT's sum of
+# (n - i) L_i and the default-rule GLS1 slope
+_ZV, _XW, PAIR_MINIMA, GLS1_SLOPE = slice(0, 2), slice(2, 4), 4, 5
+
+
 @dataclass(frozen=True)
 class _GlsOperator:
-    """Per-(n, rule) precomputation: V^-1- and W^-1-transformed design columns
-    and the 2x2 blocks.
+    """Per-(n, rule) precomputation: the columns every sample of a block is
+    multiplied with, and the 2x2 blocks.
 
     The designs are data-independent, so repeated fits at one sample size
     (the simulation lab's hot path) reduce to O(n) dot products against the
-    cached transformed columns; everything held here is O(n).
+    cached columns; everything held here is O(n).
     """
 
-    vi_z: np.ndarray   # V^-1 @ design_z
-    wi_x: np.ndarray   # W^-1 @ design_x, W = diag(V)
+    columns: np.ndarray  # n x 6, in the order of the column names above
     lhs_zz: np.ndarray
     lhs_zx: np.ndarray
     lhs_wls: np.ndarray
@@ -141,12 +154,18 @@ def _gls_operator(n: int, rule: str) -> _GlsOperator:
     x = np.column_stack([ones, plot_transform(p)])
     z = np.column_stack([ones, mean_corrected_transform(p, n)])
     # column-major: row_dot sums contiguous columns several times faster
-    vi_z = np.asfortranarray(_apply_precision(n, z))
-    wi_x = np.asfortranarray(x / v_diagonal(n)[:, None])
+    columns = np.empty((n, 6), order="F")
+    vi_z, wi_x = columns[:, _ZV], columns[:, _XW]
+    vi_z[:] = _apply_precision(n, z)  # V^-1 @ design_z
+    wi_x[:] = x / v_diagonal(n)[:, None]  # W^-1 @ design_x, W = diag(V)
+    columns[:, PAIR_MINIMA] = np.arange(n - 1, -1, -1)
+    lhs_zz = vi_z.T @ z
+    # the likelihood fits start from the default rule's GLS1 shape whatever the rule
+    columns[:, GLS1_SLOPE] = (vi_z @ np.linalg.inv(lhs_zz)[1] if rule == DEFAULT_RULE
+                              else _gls_operator(n, DEFAULT_RULE).columns[:, GLS1_SLOPE])
     return _GlsOperator(
-        vi_z=vi_z,
-        wi_x=wi_x,
-        lhs_zz=vi_z.T @ z,
+        columns=columns,
+        lhs_zz=lhs_zz,
         lhs_zx=vi_z.T @ x,   # Z' V^-1 X, V symmetric
         lhs_wls=wi_x.T @ x,
     )
@@ -169,32 +188,86 @@ def mean_corrected_transform(positions: np.ndarray, n: int) -> np.ndarray:
     return plot_transform(positions) + var_u * _curvature(positions)
 
 
-def _tie_notes(values: np.ndarray) -> dict[int, tuple[str, ...]]:
-    tied = values[:, 1:] == values[:, :-1]
-    if not np.count_nonzero(tied):
-        return {}
-    ties = tied.sum(axis=1)
-    return {int(r): (f"{ties[r]} tied adjacent pair{'s' if ties[r] > 1 else ''} in the data",)
-            for r in ties.nonzero()[0]}
-
-
-def _operator(n: int, positions: PlottingPositions | None) -> _GlsOperator:
+def _rule(n: int, positions: PlottingPositions | None) -> str:
+    """The rule of ``positions``, checked against n and the rule's own values."""
     if positions is None:
-        return _gls_operator(n, DEFAULT_RULE)
+        return DEFAULT_RULE
     if positions.n != n:
         raise ValueError(f"positions built for n={positions.n}, sample has n={n}")
     # the fit uses the cached rule-derived columns, so reject hand-rolled vectors
     built = build_positions(n, positions.rule)
     if positions is not built and not np.array_equal(positions.values, built.values):
         raise ValueError("positions do not match their declared rule; use build_positions")
-    return _gls_operator(n, positions.rule)
+    return positions.rule
 
 
-def _solve_rows(method: str, values: np.ndarray, logs: np.ndarray, lhs: np.ndarray,
-                columns: np.ndarray, what: str) -> BatchFit:
-    """Solve lhs b = columns' y for every row y of ``logs`` and back-transform
+class _cached:
+    """functools.cached_property without the lock it takes on first use
+    before Python 3.12, which costs a single fit more than its statistic."""
+
+    def __init__(self, compute):
+        self.compute = compute
+
+    def __get__(self, stats, owner):
+        value = stats.__dict__[self.compute.__name__] = self.compute(stats)
+        return value
+
+
+class LogStats:
+    """The statistics of R sorted samples of one size that several estimators
+    read, each computed once, on first use, for every row at once.
+
+    ``values`` and ``logs`` are the R x n matrices of ascending values and
+    their logs, and ``rule`` the plotting rule of the regression fits. Every
+    statistic is rowwise, so a row's statistics do not depend on the other
+    rows of the block, nor on which of them were asked for first.
+    """
+
+    def __init__(self, values: np.ndarray, logs: np.ndarray, rule: str = DEFAULT_RULE):
+        self.values, self.logs, self.rule = values, logs, rule
+
+    @classmethod
+    def of(cls, s: SortedSample, positions: PlottingPositions | None = None) -> LogStats:
+        """One sample as a block of one, under the rule of ``positions``."""
+        return cls(s.values[None, :], s.logs[None, :], _rule(s.n, positions))
+
+    @_cached
+    def products(self) -> np.ndarray:
+        """R x 6: each row of logs times every cached column (see ``_GlsOperator``)."""
+        return row_dot(self.logs, _gls_operator(self.logs.shape[1], self.rule).columns)
+
+    @_cached
+    def totals(self) -> np.ndarray:
+        """The row sums of the logs (pairwise summation)."""
+        return self.logs.sum(axis=1)
+
+    @_cached
+    def ties(self) -> dict[int, tuple[str, ...]]:
+        """A note for every row with tied adjacent values."""
+        tied = self.values[:, 1:] == self.values[:, :-1]
+        if not np.count_nonzero(tied):
+            return {}
+        ties = tied.sum(axis=1)
+        return {int(r): (f"{ties[r]} tied adjacent pair{'s' if ties[r] > 1 else ''} in the data",)
+                for r in ties.nonzero()[0]}
+
+    @_cached
+    def shifted(self) -> tuple[np.ndarray, np.ndarray]:
+        """dd = [d, d^2] for d = logs - max log, in this thread's reused work
+        array (valid until the next block of this thread builds its own), and
+        the row means of d."""
+        dd = scratch("likelihood.dd", (2,) + self.logs.shape)
+        d = np.subtract(self.logs, self.logs[:, -1:], out=dd[0])
+        np.multiply(d, d, out=dd[1])
+        return dd, d.sum(axis=1) / d.shape[1]
+
+
+def _solve_rows(method: str, stats: LogStats, lhs: np.ndarray, columns: slice,
+                what: str) -> BatchFit:
+    """Solve lhs b = columns' y for every row y of the logs and back-transform
     (shape, scale) = (1/b[1], exp(b[0])); lhs is shared by all rows."""
-    rhs = row_dot(logs, columns)  # R x 2
+    rhs = stats.products[:, columns]  # R x 2
+    logs = stats.logs
     errors: dict = {}
     try:
         b = np.linalg.solve(lhs, rhs.T).T
@@ -211,42 +284,40 @@ def _solve_rows(method: str, values: np.ndarray, logs: np.ndarray, lhs: np.ndarr
     residual = np.maximum.reduce(np.abs(b @ lhs.T - rhs), axis=1)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return BatchFit.build(method, 1.0 / b[:, 1], np.exp(b[:, 0]), errors,
-                              residual=residual, notes=_tie_notes(values))
+                              residual=residual, notes=stats.ties)
 
 
-def fit_gls1_batch(values: np.ndarray, logs: np.ndarray,
-                   positions: PlottingPositions | None = None) -> BatchFit:
+def _operator(stats: LogStats) -> _GlsOperator:
+    return _gls_operator(stats.logs.shape[1], stats.rule)
+
+
+def fit_gls1_batch(stats: LogStats) -> BatchFit:
     """Type-1 generalized least squares on every row: (Z' V^-1 Z) b = Z' V^-1 y
     with the mean-corrected design Z = [1, z_i]."""
-    op = _operator(logs.shape[1], positions)
-    return _solve_rows("GLS1", values, logs, op.lhs_zz, op.vi_z, "GLS1 normal equations")
+    return _solve_rows("GLS1", stats, _operator(stats).lhs_zz, _ZV, "GLS1 normal equations")
 
 
-def fit_gls2_batch(values: np.ndarray, logs: np.ndarray,
-                   positions: PlottingPositions | None = None) -> BatchFit:
+def fit_gls2_batch(stats: LogStats) -> BatchFit:
     """Type-2 (instrumented) fit on every row: (Z' V^-1 X) b = Z' V^-1 y."""
-    op = _operator(logs.shape[1], positions)
-    return _solve_rows("GLS2", values, logs, op.lhs_zx, op.vi_z, "GLS2 instrument equations")
+    return _solve_rows("GLS2", stats, _operator(stats).lhs_zx, _ZV, "GLS2 instrument equations")
 
 
-def fit_wls_batch(values: np.ndarray, logs: np.ndarray,
-                  positions: PlottingPositions | None = None) -> BatchFit:
+def fit_wls_batch(stats: LogStats) -> BatchFit:
     """Weighted least squares with the diagonal of V on every row:
     (X' W^-1 X) b = X' W^-1 y."""
-    op = _operator(logs.shape[1], positions)
-    return _solve_rows("WLS", values, logs, op.lhs_wls, op.wi_x, "WLS normal equations")
+    return _solve_rows("WLS", stats, _operator(stats).lhs_wls, _XW, "WLS normal equations")
 
 
 def fit_gls1(s: SortedSample, positions: PlottingPositions | None = None) -> EstimateResult:
     """Type-1 generalized least squares on one sample (see :func:`fit_gls1_batch`)."""
-    return fit_one(fit_gls1_batch, s, positions)
+    return fit_gls1_batch(LogStats.of(s, positions)).result()
 
 
 def fit_gls2(s: SortedSample, positions: PlottingPositions | None = None) -> EstimateResult:
     """Type-2 (instrumented) fit on one sample (see :func:`fit_gls2_batch`)."""
-    return fit_one(fit_gls2_batch, s, positions)
+    return fit_gls2_batch(LogStats.of(s, positions)).result()
 
 
 def fit_wls(s: SortedSample, positions: PlottingPositions | None = None) -> EstimateResult:
     """Weighted least squares on one sample (see :func:`fit_wls_batch`)."""
-    return fit_one(fit_wls_batch, s, positions)
+    return fit_wls_batch(LogStats.of(s, positions)).result()

@@ -19,9 +19,13 @@ The lab splits its work two ways, neither of which depends on the worker count:
   samples are drawn into one matrix, each piece's rows from that piece's
   substreams ``(REPLICATIONS, cell, r)`` under the master seed (seeded
   together by :func:`core.substreams`) at that cell's level, and every
-  method fits all of its rows in one batch call. A row's estimate never
-  depends on the other rows of its block, so packing pieces into blocks
-  moves no output bit.
+  method fits all of its rows in one batch call (:func:`methods.fit_block`).
+  The calls share one :class:`regression.LogStats`, which forms each
+  statistic several methods read once per block: one product of the logs
+  with every cached column, their row sums, the tie notes and the
+  likelihood's shifted logs. A row's estimate never depends on the other
+  rows of its block, nor on which methods share it, so packing pieces into
+  blocks moves no output bit.
 
 Estimator failures (degenerate samples at tiny n, bracket failures) never
 abort a run; they are excluded from the metrics and counted per cell. So is
@@ -43,7 +47,7 @@ import numpy as np
 from .core import (DEFAULT_SEED, REPLICATIONS, WeibullParams, draw_sorted, sample,  # noqa: F401
                    scratch, substreams)
 from .likelihood import WeightPair, seeded_weight_medians, simulate_weight_medians  # noqa: F401
-from .methods import METHOD_NAMES, FitOptions, fit_batch, fit_method  # noqa: F401
+from .methods import METHOD_NAMES, FitOptions, fit_block, fit_method  # noqa: F401
 from .regression import DEFAULT_RULE
 
 __all__ = [
@@ -254,7 +258,8 @@ def _run_block(args) -> list[tuple[int, np.ndarray]]:
     ``args`` is (n, methods, options, weights, master seed, pieces), the
     pieces as :func:`_row_blocks` lists them. Each piece draws its rows of
     the block from its own substreams at its own level, and each method
-    fits the whole block in one batch call. Returns (cell index,
+    fits the whole block in one batch call, all of them from one shared
+    :class:`regression.LogStats`. Returns (cell index,
     sums[n_methods, 5]) per piece, in order: per method, over the piece's
     rows whose estimates are finite, their count k, the sums of the shape
     and scale errors, and the sums of their squares.
@@ -275,8 +280,7 @@ def _run_block(args) -> list[tuple[int, np.ndarray]]:
         values, logs = values[ok], logs[ok]
     # estimates by (method, parameter, row), NaN where a draw or a fit failed
     est = np.full((len(methods), 2, block[0]), np.nan)
-    for m, name in enumerate(methods):
-        fit = fit_batch(name, values, logs, options, weights)
+    for m, fit in enumerate(fit_block(methods, values, logs, options, weights)):
         est[m, 0, ok] = fit.shape
         est[m, 1, ok] = fit.scale
     sums = []

@@ -13,9 +13,11 @@ the pair sums collapse to single passes:
     sum_{i<j} (L_i + L_j) = (n - 1) * sum_i L_i
     sum_{i<j} min(L_i, L_j) = sum_i (n - i) * L_i     (1-based i)
 
-so the estimates cost O(n log n) including the sort, and a batch of R
-samples reduces to one product with the per-n min-weight vector. The
-quadratic double-loop path is kept as an independent cross-check.
+so the estimates cost O(n log n) including the sort. A batch of R samples
+reads the row sums of its logs and their product with the per-n
+min-weight vector from the block's shared statistics
+(:class:`regression.LogStats`). The quadratic double-loop path is kept as an
+independent cross-check.
 """
 
 from __future__ import annotations
@@ -25,17 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    LOG_TWO,
-    PSI_ONE,
-    BatchFit,
-    EstimateResult,
-    SortedSample,
-    fail_rows,
-    fit_one,
-    row_dot,
-)
+from .core import LOG_TWO, PSI_ONE, BatchFit, EstimateResult, SortedSample, fail_rows
 from .errors import DegenerateSampleError
+from .regression import PAIR_MINIMA, LogStats
 
 __all__ = [
     "UStatEstimate",
@@ -85,13 +79,13 @@ def kernel_h2(x1: float, x2: float) -> float:
     return (l1 + l2) / 2.0 - PSI_ONE * h1
 
 
-def _pair_means_rows(logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pair averages of (H1, H2) for every row of an R x n matrix of sorted logs."""
-    n = logs.shape[1]
+def _pair_means_rows(stats: LogStats) -> tuple[np.ndarray, np.ndarray]:
+    """Pair averages of (H1, H2) for every row of a block of sorted logs."""
+    n = stats.logs.shape[1]
     npairs = n * (n - 1) / 2.0
-    total = logs.sum(axis=1)
+    total = stats.totals
     # ascending order: logs[:, i] is the pair minimum for the n-1-i later points
-    weighted_min = row_dot(logs, np.arange(n - 1, -1, -1, dtype=float))
+    weighted_min = stats.products[:, PAIR_MINIMA]
     u_alpha = ((n - 1) / 2.0 * total - weighted_min) / (npairs * LOG_TWO)
     u_logbeta = total / n - PSI_ONE * u_alpha
     return u_alpha, u_logbeta
@@ -99,7 +93,7 @@ def _pair_means_rows(logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def pair_means_sorted(s: SortedSample) -> tuple[float, float]:
     """Pair averages of (H1, H2) via the sorted-data single-pass identities."""
-    u_alpha, u_logbeta = _pair_means_rows(s.logs[None, :])
+    u_alpha, u_logbeta = _pair_means_rows(LogStats.of(s))
     return float(u_alpha[0]), float(u_logbeta[0])
 
 
@@ -133,9 +127,10 @@ def estimate_u(s: SortedSample) -> UStatEstimate:
                          alpha_hat=fit.shape, beta_hat=fit.scale)
 
 
-def fit_ustat_batch(values: np.ndarray, logs: np.ndarray) -> BatchFit:
-    """USTAT on every row of the R x n matrices of sorted values and logs."""
-    u_alpha, u_logbeta = _pair_means_rows(logs)
+def fit_ustat_batch(stats: LogStats) -> BatchFit:
+    """USTAT on every row of a block of sorted samples."""
+    u_alpha, u_logbeta = _pair_means_rows(stats)
+    logs = stats.logs
     errors: dict = {}
     fail_rows(errors, logs[:, 0] == logs[:, -1], lambda r: DegenerateSampleError(
         "all observations equal; pairwise kernel average is zero"))
@@ -147,4 +142,4 @@ def fit_ustat_batch(values: np.ndarray, logs: np.ndarray) -> BatchFit:
 
 def fit_ustat(s: SortedSample) -> EstimateResult:
     """USTAT on one sample: the batch of one."""
-    return fit_one(fit_ustat_batch, s)
+    return fit_ustat_batch(LogStats.of(s)).result()

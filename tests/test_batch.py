@@ -33,8 +33,9 @@ from weibull_estlab import (
 )
 from weibull_estlab import classical, likelihood, roots
 from weibull_estlab.core import LOG_TWO, PSI_ONE, draw_sorted
-from weibull_estlab.methods import METHOD_NAMES, fit_batch
+from weibull_estlab.methods import METHOD_NAMES, FitOptions, fit_batch, fit_block
 from weibull_estlab.regression import (
+    PLOTTING_RULES,
     build_positions,
     mean_corrected_transform,
     plot_transform,
@@ -292,6 +293,68 @@ def test_closed_forms_match_previous_formulas(name):
     assert checked > 150
 
 
+# --- the likelihood fits' shared start and scale ---------------------------------
+
+@pytest.mark.parametrize("name", ["MLE", "WMLE"])
+def test_likelihood_rows_do_not_depend_on_their_context(name):
+    # the start is a column of the block's shared product, and the scale comes
+    # from the row's own scores: fitted alone, beside the nine other methods,
+    # in another split of the block or under either plotting rule, a row gets
+    # the same bits
+    for label, values, logs in CORPUS:
+        rows = values.shape[0]
+        if not rows:
+            continue
+        weights = _weights(values.shape[1])
+        alone = fit_batch(name, values, logs, None, weights)
+        others = [alone.shape, alone.scale, alone.iterations]
+        for rule in PLOTTING_RULES:
+            options = FitOptions(plotting_rule=rule)
+            fits = dict(zip(METHOD_NAMES, fit_block(METHOD_NAMES, values, logs, options, weights)))
+            split = [fit_batch(name, values[part], logs[part], options, weights)
+                     for part in (slice(0, rows // 3), slice(rows // 3, rows))]
+            for fit in (fit_batch(name, values, logs, options, weights), fits[name]):
+                for got, want in zip([fit.shape, fit.scale, fit.iterations], others):
+                    assert got.tobytes() == want.tobytes(), (label, rule)
+            for got, want in zip(
+                    [np.concatenate([part.shape for part in split]),
+                     np.concatenate([part.scale for part in split]),
+                     np.concatenate([part.iterations for part in split])], others):
+                assert got.tobytes() == want.tobytes(), (label, rule)
+
+
+def test_scale_from_last_score_matches_a_fresh_pass(monkeypatch):
+    # the scale's power sum, taken from a row's last score to first order,
+    # against a fresh exp pass at the returned root. Its rounding is that of
+    # log sum(e^(a d)), about 1e-15, and the scale multiplies it by 1/shape,
+    # so the bound is 1e-14 relative in the scale for shapes >= 1 and in the
+    # log power sum below that (shape 0.05 reads up to ~5e-14 in the scale)
+    fresh = []
+
+    def spy(alpha, d):
+        fresh.append(alpha.size)
+        return original(alpha, d)
+
+    original = likelihood._log_power_sums
+    monkeypatch.setattr(likelihood, "_log_power_sums", spy)
+    solved = 0
+    for label, values, logs in CORPUS:
+        n = values.shape[1]
+        for name in ("MLE", "WMLE"):
+            weights = _weights(n)
+            fit = _fit(name, values, logs)
+            ok = ~fit.failed
+            shape = fit.shape[ok]
+            log_sum = original(shape, logs[ok] - logs[ok, -1:])
+            w1 = weights.w1 if name == "WMLE" else 1.0
+            scale = np.exp(logs[ok, -1] + (log_sum - math.log(n * w1)) / shape)
+            error = np.abs(fit.scale[ok] / scale - 1.0) * np.minimum(shape, 1.0)
+            assert error.max(initial=0.0) <= 1e-14, (label, name, error.max())
+            solved += int(ok.sum())
+    # rows whose last score was a bracket-end check take the fresh pass; most do not
+    assert 0 < sum(fresh) < solved / 2, (sum(fresh), solved)
+
+
 # --- the bisection fallback --------------------------------------------------------
 
 def test_fallback_rows_are_counted_and_rare():
@@ -340,13 +403,13 @@ def test_bracket_error_names_the_searched_bracket(monkeypatch):
     with pytest.raises(BracketError, match=re.escape(f"no sign change in [{lo}, {hi}] after 3 ")):
         fit_method("MM", SortedSample.from_data(data))
     # an MLE row whose score stays positive: the seed bracket [0.2, 5] x seed, widened
-    # three times, with seed the log-moment shape
-    monkeypatch.setattr(likelihood, "_score_rows",
-                        lambda dd, mean_d, alpha, w2: (1.0 / alpha, -1.0 / alpha ** 2))
+    # three times, with seed the default-rule GLS1 shape
+    monkeypatch.setattr(likelihood, "_score_rows", lambda dd, mean_d, alpha, w2: (
+        1.0 / alpha, -1.0 / alpha ** 2, np.ones_like(alpha), np.zeros_like(alpha)))
     values, logs = _drawn(2.0, 5.0, 10, 1, 4)
     batch = fit_batch("MLE", values, logs)
     lo, hi = batch.bracket[0][0], batch.bracket[1][0]
-    seed = math.sqrt(math.pi ** 2 / (6.0 * np.var(logs[0], ddof=1)))
+    seed = fit_batch("GLS1", values, logs).shape[0]
     assert lo == pytest.approx(0.2 * seed / 1000, rel=1e-12)
     assert hi == pytest.approx(5.0 * seed * 1000, rel=1e-12)
     assert isinstance(batch.errors[0], BracketError) and batch.fallback[0]
@@ -357,13 +420,14 @@ def test_wmle_without_sign_change_raises_a_bracket_error():
     # with w2 <= 0 (no simulation makes one) the weighted score is negative
     # everywhere, so every row fails as an MLE row without a sign change does:
     # in the batch and in the batch of one, naming the widened seed bracket
+    # around the default-rule GLS1 shape
     values, logs = _drawn(2.0, 5.0, 10, 4, 5)
     weights = WeightPair(w1=1.0, w2=-5.0, n=10, replications=1000)
     batch = fit_batch("WMLE", values, logs, None, weights)
     assert batch.fallback.all() and np.isnan(batch.shape).all()
     for r in range(values.shape[0]):
         lo, hi = batch.bracket[0][r], batch.bracket[1][r]
-        seed = math.sqrt(math.pi ** 2 / (6.0 * np.var(logs[r], ddof=1)))
+        seed = fit_batch("GLS1", values, logs).shape[r]
         assert lo == pytest.approx(0.2 * seed / 1000, rel=1e-12)
         assert hi == pytest.approx(5.0 * seed * 1000, rel=1e-12)
         assert isinstance(batch.errors[r], BracketError)

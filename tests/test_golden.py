@@ -9,15 +9,17 @@ change rewrites them with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and says why in CHANGES.md.
+which prints, per file, whether it changed and the largest relative change
+of its numeric fields, and says why in CHANGES.md.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import math
 import os
-import shutil
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -68,10 +70,47 @@ def test_golden_directory_holds_exactly_the_golden_files():
     assert present == set(FILES) | {"README"}
 
 
+def numeric_fields(text: str) -> list[float]:
+    """The fields of a golden file that read as floats, in file order."""
+    fields = []
+    for token in re.split(r'[\s,:"{}\[\]]+', text):
+        try:
+            fields.append(float(token))
+        except ValueError:
+            pass
+    return fields
+
+
+def change_report(old: bytes | None, new: bytes) -> str:
+    """Whether a golden file changed, and how much its numeric fields moved."""
+    if old == new:
+        return "unchanged"
+    if old is None:
+        return "new file"
+    a, b = numeric_fields(old.decode()), numeric_fields(new.decode())
+    if len(a) != len(b):
+        return f"changed: {len(a)} -> {len(b)} numeric fields"
+    moved = [(x, y) for x, y in zip(a, b) if not (x == y or math.isnan(x) and math.isnan(y))]
+    largest = max((abs(y - x) / abs(x) if x else math.inf for x, y in moved), default=0.0)
+    return (f"changed: {len(moved)} of {len(a)} numeric fields, "
+            f"largest relative change {largest:.3g}")
+
+
+def test_change_report():
+    assert change_report(b"a,1.0\n", b"a,1.0\n") == "unchanged"
+    assert change_report(b"MLE,5,2.0,nan\n", b"MLE,5,2.5,nan\n") == \
+        "changed: 1 of 3 numeric fields, largest relative change 0.25"
+    assert change_report(b'{"GLS1.alpha": 1}', b'{"GLS1.alpha": 1, "n": 2}') == \
+        "changed: 1 -> 2 numeric fields"
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as work:
         generate(Path(work), workers=1)
         for name in FILES:
-            (GOLDEN / name).parent.mkdir(parents=True, exist_ok=True)
-            shutil.copyfile(Path(work) / name, GOLDEN / name)
+            target = GOLDEN / name
+            new = (Path(work) / name).read_bytes()
+            print(f"{name}: {change_report(target.read_bytes() if target.exists() else None, new)}")
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_bytes(new)
     print(f"rewrote {len(FILES)} files under {GOLDEN}", file=sys.stderr)

@@ -16,7 +16,12 @@ from weibull_estlab import (
     fit_wls,
     sample,
 )
+from weibull_estlab.core import row_dot
 from weibull_estlab.regression import (
+    GLS1_SLOPE,
+    PAIR_MINIMA,
+    PLOTTING_RULES,
+    LogStats,
     _apply_precision,
     _gls_operator,
     mean_corrected_transform,
@@ -227,3 +232,38 @@ class TestTransforms:
         middle = gap[n // 10: -n // 10]
         assert middle.max() < 5e-3
         assert np.median(gap) < 1e-3
+
+
+class TestSharedProduct:
+    """LogStats.products, one wide row_dot, against the narrow products the fits
+    made on their own before they shared it: GLS1 and GLS2 multiplied the logs
+    by the column-major n x 2 V^-1 Z, WLS by W^-1 X, and USTAT by the 1-d
+    pair-minimum weights. Equal bytes, so a change in how einsum sums a column
+    of a wider operand fails here."""
+
+    @pytest.mark.parametrize("rule", PLOTTING_RULES)
+    @pytest.mark.parametrize("n", [2, 5, 10, 30, 48, 129, 1000, 4000])
+    def test_each_column_is_summed_as_alone(self, n, rule):
+        columns = _gls_operator(n, rule).columns
+        narrow = [np.asfortranarray(columns[:, 0:2]), np.asfortranarray(columns[:, 2:4]),
+                  np.arange(n - 1, -1, -1, dtype=float),
+                  np.ascontiguousarray(columns[:, GLS1_SLOPE])]
+        rng = np.random.default_rng(n)
+        for rows in (1, 7, 400):
+            values = np.sort(rng.weibull(1.7, (rows, n)) * 3.0, axis=1)
+            logs = np.log(values)
+            wide = LogStats(values, logs, rule).products
+            assert wide.shape == (rows, 6)
+            assert wide[:, 0:2].tobytes() == row_dot(logs, narrow[0]).tobytes()
+            assert wide[:, 2:4].tobytes() == row_dot(logs, narrow[1]).tobytes()
+            assert wide[:, PAIR_MINIMA].tobytes() == row_dot(logs, narrow[2]).tobytes()
+            assert wide[:, GLS1_SLOPE].tobytes() == row_dot(logs, narrow[3]).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 5, 48, 1000])
+    def test_start_column_is_the_default_rule_gls1_slope(self, n):
+        s = SortedSample.from_data(random_positive_sample(np.random.default_rng(n), n))
+        for rule in PLOTTING_RULES:
+            assert _gls_operator(n, rule).columns[:, GLS1_SLOPE].tobytes() == \
+                _gls_operator(n, PLOTTING_RULES[0]).columns[:, GLS1_SLOPE].tobytes()
+            slope = LogStats.of(s, build_positions(n, rule)).products[0, GLS1_SLOPE]
+            assert 1.0 / slope == pytest.approx(fit_gls1(s).shape, rel=1e-12)

@@ -255,9 +255,9 @@ class TestRunExperiment:
             assert abs(r_short.bias_alpha - r_long.bias_alpha) < 3 * se
 
     def test_failure_accounting(self, monkeypatch):
-        def all_rows_fail(values, logs, options, weights):
-            nan = np.full(values.shape[0], np.nan)
-            errors = {r: EstimationError("injected") for r in range(values.shape[0])}
+        def all_rows_fail(stats, options, weights):
+            nan = np.full(stats.values.shape[0], np.nan)
+            errors = {r: EstimationError("injected") for r in range(stats.values.shape[0])}
             return BatchFit.build("FAIL", nan, nan, errors)
 
         monkeypatch.setitem(methods._REGISTRY, "FAIL", all_rows_fail)
