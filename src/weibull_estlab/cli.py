@@ -290,6 +290,9 @@ def _run_simulate(args) -> int:
         "wall_time_seconds": elapsed,
         "files": [str(csv_path)] + [str(p) for p in plot_paths],
         "skipped_cells": [list(item) for item in table.skipped],
+        # the lab's weights are the default seed's (likelihood.weight_medians);
+        # json writes each float as its repr, which reads back exactly
+        "wmle_weights": [[p.n, p.w1, p.w2, p.replications, DEFAULT_SEED] for p in table.weights],
         "version": __version__,
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=1) + "\n")

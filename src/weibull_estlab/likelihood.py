@@ -33,6 +33,8 @@ E = -log(1 - F(X)) ~ Exp(1) under the true model,
 so both medians depend on the sample size only and are estimated once per n
 by simulating standard exponentials. n * W1 is Gamma(n, 1); both medians
 tend to 1 as n grows, which is why the weighted fit converges to the MLE.
+The library's own weights (:func:`weight_medians`) are the simulation at the
+default seed, made once per process and n.
 
 The simulation runs on up to two threads, the caller and one on a pool
 opened within each call. Under one lock a thread claims the next block and
@@ -44,6 +46,7 @@ w1 while the pool takes that of w2.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -68,6 +71,7 @@ __all__ = [
     "fit_wmle_batch",
     "simulate_weight_medians",
     "seeded_weight_medians",
+    "weight_medians",
     "read_weight_table",
     "write_weight_table",
     "default_weights_path",
@@ -291,6 +295,18 @@ def seeded_weight_medians(n: int, seed: int) -> WeightPair:
     """
     rng, = substreams(seed, (WEIGHTS,), range(n, n + 1))
     return simulate_weight_medians(n, DEFAULT_WEIGHT_REPLICATIONS, rng)
+
+
+@functools.cache
+def weight_medians(n: int) -> WeightPair:
+    """The library's weight medians for ``n``: :func:`seeded_weight_medians`
+    at :data:`DEFAULT_SEED`, simulated on the first call for each n in a
+    process and looked up after it.
+
+    The weights depend on n alone, so the lab takes them from here whatever
+    its master seed.
+    """
+    return seeded_weight_medians(n, DEFAULT_SEED)
 
 
 # --- weight-table cache file: this header line, then one record per line,

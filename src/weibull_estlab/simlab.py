@@ -27,6 +27,11 @@ The lab splits its work two ways, neither of which depends on the worker count:
   rows of its block, nor on which methods share it, so packing pieces into
   blocks moves no output bit.
 
+WMLE's weights depend on n alone, so every run takes the library's,
+:func:`likelihood.weight_medians` (simulated at the default seed once per
+process and n), whatever its master seed. The parent looks them up before
+it builds any task, so no worker simulates them, and the table lists them.
+
 Estimator failures (degenerate samples at tiny n, bracket failures) never
 abort a run; they are excluded from the metrics and counted per cell. So is
 a replication whose draw underflows to 0 or overflows at extreme parameters:
@@ -46,7 +51,7 @@ import numpy as np
 # steps of the lab, re-exported here next to their batched forms
 from .core import (DEFAULT_SEED, REPLICATIONS, WeibullParams, draw_sorted, sample,  # noqa: F401
                    scratch, substreams)
-from .likelihood import WeightPair, seeded_weight_medians, simulate_weight_medians  # noqa: F401
+from .likelihood import WeightPair, simulate_weight_medians, weight_medians  # noqa: F401
 from .methods import METHOD_NAMES, FitOptions, fit_block, fit_method  # noqa: F401
 from .regression import DEFAULT_RULE
 
@@ -218,10 +223,13 @@ class MetricRow:
 
 @dataclass(frozen=True)
 class MetricTable:
-    """Rows in (method, n, level) config order plus cells that never succeeded."""
+    """Rows in (method, n, level) config order plus cells that never succeeded,
+    and the WMLE weights the run used, one per n in config order (none
+    without WMLE)."""
 
     rows: tuple[MetricRow, ...]
     skipped: tuple[tuple[str, int, float, float, int], ...] = ()
+    weights: tuple[WeightPair, ...] = ()
 
 
 def _chunks(n: int, reps: int) -> list[range]:
@@ -297,7 +305,7 @@ def _run_block(args) -> list[tuple[int, np.ndarray]]:
 def _weight_medians_for(cfg: SimulationConfig) -> dict[int, WeightPair]:
     if "WMLE" not in cfg.methods:
         return {}
-    return {n: seeded_weight_medians(n, cfg.master_seed) for n in cfg.sample_sizes}
+    return {n: weight_medians(n) for n in cfg.sample_sizes}
 
 
 def run_experiment(cfg: SimulationConfig) -> MetricTable:
@@ -348,7 +356,8 @@ def run_experiment(cfg: SimulationConfig) -> MetricTable:
                 reps=int(k),
                 failures=failures,
             ))
-    return MetricTable(rows=tuple(rows), skipped=tuple(skipped))
+    return MetricTable(rows=tuple(rows), skipped=tuple(skipped),
+                       weights=tuple(weights_by_n.values()))
 
 
 _TARGET_FIELDS = {

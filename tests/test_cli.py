@@ -265,6 +265,7 @@ class TestSimulateCommand:
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["seed"] == 1729
         assert len(manifest["files"]) == 5  # metrics + 4 plot files
+        assert manifest["wmle_weights"] == []  # no WMLE, no weights
 
     def test_unknown_preset_exits_64(self, capsys):
         assert run_cli(["simulate", "--preset", "table9"]) == EXIT_USAGE
@@ -377,6 +378,21 @@ class TestSimulateCommand:
         cfg.write_text(json.dumps(json.loads((first / "manifest.json").read_text())["config"]))
         assert run_cli(["simulate", "--config", str(cfg), "--out-dir", str(second)]) == EXIT_OK
         assert (second / "metrics.csv").read_bytes() == (first / "metrics.csv").read_bytes()
+
+    def test_manifest_records_the_library_wmle_weights(self, tmp_path, capsys):
+        # the default seed's weights at any master seed, in config order, and
+        # the floats read back exactly
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"methods": ["LM", "WMLE"], "sample_sizes": [10, 5],
+                                   "param_levels": [[2.0, 3.0]], "replications": 100}))
+        out_dir = tmp_path / "out"
+        argv = ["simulate", "--config", str(cfg), "--seed", "5", "--out-dir", str(out_dir)]
+        assert run_cli(argv) == EXIT_OK
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        want = [[p.n, p.w1, p.w2, p.replications, 1729]
+                for p in (seeded_weight_medians(n, 1729) for n in (10, 5))]
+        assert manifest["wmle_weights"] == want
+        assert manifest["config"]["master_seed"] == 5
 
     def test_preset_structure(self):
         assert PRESETS["table1"]["sample_sizes"] == (5, 10, 30)

@@ -20,10 +20,10 @@ from weibull_estlab import (
     run_experiment,
     write_metric_csv,
 )
-from weibull_estlab import core, methods, simlab
+from weibull_estlab import core, likelihood, methods, simlab
 from weibull_estlab.cli import PRESETS
-from weibull_estlab.core import REPLICATIONS, BatchFit, draw_sorted, substreams
-from weibull_estlab.likelihood import seeded_weight_medians
+from weibull_estlab.core import DEFAULT_SEED, REPLICATIONS, BatchFit, draw_sorted, substreams
+from weibull_estlab.likelihood import seeded_weight_medians, weight_medians
 from weibull_estlab.methods import FitOptions, fit_batch
 from weibull_estlab.simlab import CSV_HEADER, default_replications
 
@@ -195,7 +195,7 @@ class TestRunExperiment:
         for cell, n, level in cfg.cells():
             values, logs = draw_sorted(level, n, substreams(cfg.master_seed, (REPLICATIONS, cell),
                                                             range(reps)))
-            weights = seeded_weight_medians(n, cfg.master_seed)
+            weights = weight_medians(n)
             for method in cfg.methods:
                 fit = fit_batch(method, values, logs, cfg.options, weights)
                 ok = np.isfinite(fit.shape) & np.isfinite(fit.scale)
@@ -284,6 +284,47 @@ class TestRunExperiment:
         table = run_experiment(cfg)
         assert len(table.rows) == 1
         assert table.rows[0].reps > 0
+
+    def test_wmle_uses_the_default_seed_weights_at_any_master_seed(self):
+        # seed 5's samples fitted under seed 1729's weights; seed 5's own
+        # weights would move the shape bias by 4e-3 to 5e-3 here
+        reps = 300
+        cfg = SimulationConfig(methods=("WMLE",), sample_sizes=(5, 30),
+                               param_levels=((2.5, 0.5),), replications=reps, master_seed=5)
+        table = run_experiment(cfg)
+        rows = {r.n: r for r in table.rows}
+        for cell, n, level in cfg.cells():
+            values, logs = draw_sorted(level, n, substreams(5, (REPLICATIONS, cell), range(reps)))
+            fit = fit_batch("WMLE", values, logs, cfg.options,
+                            seeded_weight_medians(n, DEFAULT_SEED))
+            ok = np.isfinite(fit.shape) & np.isfinite(fit.scale)
+            assert rows[n].reps == ok.sum()
+            for est, truth, bias, rmse in (
+                    (fit.shape[ok], level.shape, rows[n].bias_alpha, rows[n].rmse_alpha),
+                    (fit.scale[ok], level.scale, rows[n].bias_beta, rows[n].rmse_beta)):
+                assert bias == pytest.approx(np.mean(est - truth), rel=0, abs=1e-13)
+                assert rmse == pytest.approx(np.sqrt(np.mean((est - truth) ** 2)), rel=1e-12)
+        assert table.weights == tuple(seeded_weight_medians(n, DEFAULT_SEED) for n in (5, 30))
+
+    def test_weights_are_simulated_once_per_n_per_process(self, monkeypatch):
+        calls = []
+        simulate = likelihood.simulate_weight_medians
+
+        def counting(n, *args):
+            calls.append(n)
+            return simulate(n, *args)
+
+        monkeypatch.setattr(likelihood, "simulate_weight_medians", counting)
+        likelihood.weight_medians.cache_clear()
+        grid = dict(sample_sizes=(5, 10), param_levels=((2.0, 3.0),), replications=100)
+        for seed in (5, 6):
+            run_experiment(SimulationConfig(methods=("WMLE", "LM"), master_seed=seed, **grid))
+        assert sorted(calls) == [5, 10]
+        # a size the cache has not seen, and no WMLE: no simulation
+        table = run_experiment(SimulationConfig(methods=("MLE", "LM"), sample_sizes=(7,),
+                                                param_levels=((2.0, 3.0),), replications=100))
+        assert sorted(calls) == [5, 10]
+        assert table.weights == ()
 
     def test_large_n_bias_small_for_every_method(self):
         # consistency sanity at n=4000, (0.5, 0.5): every method's shape bias
@@ -400,7 +441,7 @@ class TestRowBlocks:
     def test_cell_rows_do_not_depend_on_the_other_levels(self):
         # cell 1's piece alone, after cell 0's, and before it: the same sums
         n, methods, seed = 10, METHOD_NAMES, 1729
-        weights = seeded_weight_medians(n, seed)
+        weights = weight_medians(n)
         first, second = (0, 0.5, 2.5, 0, 100), (1, 2.5, 0.5, 100, 250)
 
         def run(*pieces):
