@@ -15,7 +15,6 @@ from .core import (
     EstimateResult,
     SortedSample,
     fail_rows,
-    fit_one,
     row_dot,
     row_var,
     scratch,
@@ -105,11 +104,12 @@ def sample_lmoments(s: SortedSample) -> LMomentSummary:
     return LMomentSummary(m1=float(np.ldexp(m1[0], e[0])), m2=float(np.ldexp(m2[0], e[0])))
 
 
-def fit_lm_batch(values: np.ndarray, logs: np.ndarray) -> BatchFit:
-    """L-moment estimator on every row.
+def fit_lm_batch(stats: LogStats) -> BatchFit:
+    """L-moment estimator on every row of a block of sorted samples.
 
     shape = -log 2 / log(1 - m2/m1), scale = m1 / Gamma(1/shape + 1).
     """
+    values = stats.values
     m1, m2, e = _lmoment_rows(values)
     errors: dict = {}
     constant = (values[:, 0] == values[:, -1]) | (m2 == 0.0)
@@ -126,7 +126,7 @@ def fit_lm_batch(values: np.ndarray, logs: np.ndarray) -> BatchFit:
 
 def fit_lm(s: SortedSample) -> EstimateResult:
     """L-moment estimator on one sample (see :func:`fit_lm_batch`)."""
-    return fit_one(fit_lm_batch, s)
+    return fit_lm_batch(LogStats.of(s)).result()
 
 
 def fit_mlm_batch(stats: LogStats) -> BatchFit:
@@ -183,8 +183,7 @@ def _sorted_quantile(values: np.ndarray, p: float, rule: str) -> np.ndarray:
     return below + step * t if t < 0.5 else above - step * (1.0 - t)
 
 
-def fit_pm_batch(values: np.ndarray, logs: np.ndarray,
-                 cfg: PercentileConfig | None = None) -> BatchFit:
+def fit_pm_batch(stats: LogStats, cfg: PercentileConfig | None = None) -> BatchFit:
     """Percentile estimator at the configured lower percentile, on every row.
 
     scale = empirical quantile at 1 - e^-1;
@@ -192,8 +191,8 @@ def fit_pm_batch(values: np.ndarray, logs: np.ndarray,
     read off the ascending rows by :func:`_sorted_quantile`.
     """
     cfg = cfg or PercentileConfig()
-    x_p = _sorted_quantile(values, cfg.p, cfg.quantile_rule)
-    x_anchor = _sorted_quantile(values, _ANCHOR_P, cfg.quantile_rule)
+    x_p = _sorted_quantile(stats.values, cfg.p, cfg.quantile_rule)
+    x_anchor = _sorted_quantile(stats.values, _ANCHOR_P, cfg.quantile_rule)
     errors: dict = {}
     fail_rows(errors, x_p == x_anchor, lambda r: DegenerateSampleError(
         f"empirical quantiles at p={cfg.p} and {_ANCHOR_P:.4f} coincide ({float(x_p[r])})"))
@@ -204,7 +203,7 @@ def fit_pm_batch(values: np.ndarray, logs: np.ndarray,
 
 def fit_pm(s: SortedSample, cfg: PercentileConfig | None = None) -> EstimateResult:
     """Percentile estimator on one sample (see :func:`fit_pm_batch`)."""
-    return fit_one(fit_pm_batch, s, cfg)
+    return fit_pm_batch(LogStats.of(s), cfg).result()
 
 
 _ONE_TWO = np.array([[1.0], [2.0]])
@@ -236,8 +235,8 @@ def _mm_start_table() -> tuple[np.ndarray, np.ndarray]:
     return table
 
 
-def fit_mm_batch(values: np.ndarray, logs: np.ndarray) -> BatchFit:
-    """Method-of-moments estimator on every row.
+def fit_mm_batch(stats: LogStats) -> BatchFit:
+    """Method-of-moments estimator on every row of a block of sorted samples.
 
     The shape solves log(Gamma(1 + 2/a) / Gamma(1 + 1/a)^2) = log(1 + S^2 / Xbar^2)
     (a strictly decreasing left side, so the root is unique) by safeguarded
@@ -248,6 +247,7 @@ def fit_mm_batch(values: np.ndarray, logs: np.ndarray) -> BatchFit:
     moments are taken of the data over its maximum, so large values cannot
     overflow.
     """
+    values = stats.values
     top = values[:, -1]
     unit = values / top[:, None]
     xbar = unit.sum(axis=1) / values.shape[1]
@@ -273,4 +273,4 @@ def fit_mm_batch(values: np.ndarray, logs: np.ndarray) -> BatchFit:
 
 def fit_mm(s: SortedSample) -> EstimateResult:
     """Method-of-moments estimator on one sample (see :func:`fit_mm_batch`)."""
-    return fit_one(fit_mm_batch, s)
+    return fit_mm_batch(LogStats.of(s)).result()

@@ -10,7 +10,7 @@ the seeding of every random substream and the handful of special constants
 the estimators share.
 
 Every estimator has one array implementation that fits R samples of one size
-at once, given as R x n matrices of ascending values and their logs; a
+at once, read through the block's shared :class:`regression.LogStats`; a
 single-sample fit is the batch of one.
 """
 
@@ -43,7 +43,6 @@ __all__ = [
     "row_dot",
     "row_var",
     "fail_rows",
-    "fit_one",
     "pdf",
     "cdf",
     "quantile",
@@ -333,11 +332,6 @@ class BatchFit:
             (float(self.bracket[0][row]), float(self.bracket[1][row])),
             notes=self.notes.get(row, ()),
         )
-
-
-def fit_one(fit_batch, s: SortedSample, *args) -> EstimateResult:
-    """One sample through a batch estimator: the batch of one."""
-    return fit_batch(s.values[None, :], s.logs[None, :], *args).result()
 
 
 def _check_positive(x, what: str = "x"):

@@ -125,7 +125,7 @@ def profile_score(s: SortedSample, alpha: float) -> float:
     """g(alpha) = 1/alpha + mean(log x) - sum(x^a log x)/sum(x^a)."""
     if not 0.0 < alpha < math.inf:  # NaN fails both
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
-    dd, mean_d = LogStats.of(s).shifted
+    dd, mean_d = LogStats.of(s).shifted()
     return float(_score_rows(dd, mean_d, np.array([alpha]), 1.0)[0][0])
 
 
@@ -139,7 +139,7 @@ def _likelihood_batch(method: str, stats: LogStats, w1: float, w2: float) -> Bat
     on every row (module docstring)."""
     logs = stats.logs
     n = logs.shape[1]
-    dd, mean_d = stats.shifted
+    dd, mean_d = stats.shifted()
     errors: dict = {}
     fail_rows(errors, logs[:, 0] == logs[:, -1], lambda r: DegenerateSampleError(
         "all observations equal; likelihood has no interior maximum"))
@@ -271,8 +271,12 @@ def simulate_weight_medians(n: int, replications: int, rng: np.random.Generator)
             raise
 
     def median(values: np.ndarray) -> float:
-        # in place: the same partition as on a copy, so the same median
-        return float(np.median(values, overwrite_input=True))
+        # partitioned in place, as np.median(overwrite_input=True) does, but
+        # without its NaN check, which imports numpy.ma on first use
+        half = values.size // 2
+        middle = [half] if values.size % 2 else [half - 1, half]
+        values.partition(middle)
+        return float(values[middle].sum() / len(middle))
 
     if threads == 1:
         work()

@@ -1,9 +1,8 @@
 """Uniform dispatch over the ten estimators, shared by the lab and the CLI.
 
-Every method is registered as a batch function that fits the rows of R x n
-matrices of sorted values and logs at once; a single fit is the batch of
-one. The methods fitted on one block read its shared statistics from one
-:class:`regression.LogStats`, which a single fit builds for itself.
+Every method is registered as a batch function that fits every row of a
+block of sorted samples at once from the block's :class:`regression.LogStats`.
+Every fit goes through :func:`fit_block`; a single fit is the batch of one.
 """
 
 from __future__ import annotations
@@ -58,10 +57,10 @@ _REGISTRY: dict[str, BatchFunction] = {
     "GLS1": lambda st, o, w: fit_gls1_batch(st),
     "GLS2": lambda st, o, w: fit_gls2_batch(st),
     "WLS": lambda st, o, w: fit_wls_batch(st),
-    "LM": lambda st, o, w: fit_lm_batch(st.values, st.logs),
+    "LM": lambda st, o, w: fit_lm_batch(st),
     "MLM": lambda st, o, w: fit_mlm_batch(st),
-    "PM": lambda st, o, w: fit_pm_batch(st.values, st.logs, o.percentile),
-    "MM": lambda st, o, w: fit_mm_batch(st.values, st.logs),
+    "PM": lambda st, o, w: fit_pm_batch(st, o.percentile),
+    "MM": lambda st, o, w: fit_mm_batch(st),
 }
 
 # the registry is the one list of methods: what fit and simulate accept
@@ -101,8 +100,7 @@ def fit_batch(
 ) -> BatchFit:
     """Fit one named method on every row of the R x n matrices of ascending
     positive finite values and their logs; raises KeyError for unknown names."""
-    options = options or FitOptions()
-    return _lookup(name)(LogStats(values, logs, options.plotting_rule), options, weights)
+    return next(fit_block((name,), values, logs, options, weights))
 
 
 def fit_method(

@@ -37,13 +37,14 @@ The designs depend on n and the plotting rule alone, so each fit reduces to
 products of the R x n matrix of sorted logs with cached V^-1-transformed
 design columns and one 2 x 2 solve shared by every row of the batch.
 
-A block of samples is read through one :class:`LogStats`, which computes
-each statistic that several estimators share once, on first use: a single
-product of the logs with every cached column (these fits' design columns,
-USTAT's pair-minimum weights and the default-rule GLS1 slope that starts the
-likelihood fits), the row sums of the logs, the tie notes and the
-likelihood's shifted logs. The wide product sums each column as a product
-with that column alone would, so no fit depends on the others sharing it.
+Every estimator reads a block of samples through one :class:`LogStats`,
+which computes each statistic that several of them share once, on first
+use: a single product of the logs with every cached column (these fits'
+design columns, USTAT's pair-minimum weights and the default-rule GLS1 slope
+that starts the likelihood fits), the row sums of the logs and the tie
+notes. The wide product sums each column as a product with that column alone
+would, so no fit depends on the others sharing it. The likelihood's shifted
+logs live in a reused work array, so each likelihood fit forms them afresh.
 """
 
 from __future__ import annotations
@@ -206,9 +207,11 @@ class _cached:
     before Python 3.12, which costs a single fit more than its statistic."""
 
     def __init__(self, compute):
-        self.compute = compute
+        self.compute, self.__doc__ = compute, compute.__doc__
 
     def __get__(self, stats, owner):
+        if stats is None:  # read from the class, as help() does
+            return self
         value = stats.__dict__[self.compute.__name__] = self.compute(stats)
         return value
 
@@ -251,11 +254,10 @@ class LogStats:
         return {int(r): (f"{ties[r]} tied adjacent pair{'s' if ties[r] > 1 else ''} in the data",)
                 for r in ties.nonzero()[0]}
 
-    @_cached
     def shifted(self) -> tuple[np.ndarray, np.ndarray]:
-        """dd = [d, d^2] for d = logs - max log, in this thread's reused work
-        array (valid until the next block of this thread builds its own), and
-        the row means of d."""
+        """dd = [d, d^2] for d = logs - max log, formed afresh in this thread's
+        reused work array (valid until the next call in this thread), and the
+        row means of d."""
         dd = scratch("likelihood.dd", (2,) + self.logs.shape)
         d = np.subtract(self.logs, self.logs[:, -1:], out=dd[0])
         np.multiply(d, d, out=dd[1])

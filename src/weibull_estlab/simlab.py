@@ -22,8 +22,7 @@ The lab splits its work two ways, neither of which depends on the worker count:
   method fits all of its rows in one batch call (:func:`methods.fit_block`).
   The calls share one :class:`regression.LogStats`, which forms each
   statistic several methods read once per block: one product of the logs
-  with every cached column, their row sums, the tie notes and the
-  likelihood's shifted logs. A row's estimate never depends on the other
+  with every cached column, their row sums and the tie notes. A row's estimate never depends on the other
   rows of its block, nor on which methods share it, so packing pieces into
   blocks moves no output bit.
 

@@ -121,9 +121,10 @@ def estimate_u(s: SortedSample) -> UStatEstimate:
     whose observations are all equal (u_alpha = 0, so 1/u_alpha is
     undefined) raises DegenerateSampleError.
     """
-    fit = fit_ustat(s)
-    u_alpha, u_logbeta = pair_means_sorted(s)
-    return UStatEstimate(u_alpha=u_alpha, u_logbeta=u_logbeta,
+    stats = LogStats.of(s)
+    fit = fit_ustat_batch(stats).result()
+    u_alpha, u_logbeta = _pair_means_rows(stats)
+    return UStatEstimate(u_alpha=float(u_alpha[0]), u_logbeta=float(u_logbeta[0]),
                          alpha_hat=fit.shape, beta_hat=fit.scale)
 
 

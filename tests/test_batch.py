@@ -36,6 +36,7 @@ from weibull_estlab.core import LOG_TWO, PSI_ONE, draw_sorted
 from weibull_estlab.methods import METHOD_NAMES, FitOptions, fit_batch, fit_block
 from weibull_estlab.regression import (
     PLOTTING_RULES,
+    LogStats,
     build_positions,
     mean_corrected_transform,
     plot_transform,
@@ -491,6 +492,31 @@ def test_threads_fitting_at_once_match_serial_fits():
             for got_fit, want_fit in zip(got, serial[i % len(batches)]):
                 for a, b in zip(got_fit, want_fit):
                     np.testing.assert_array_equal(a, b)
+
+
+def _same_fits(got, want):
+    for got_fit, want_fit in zip(got, want, strict=True):
+        for a, b in zip(_diagnostics(got_fit), want_fit, strict=True):
+            assert (a is None and b is None) or a.tobytes() == b.tobytes()
+
+
+def test_blocks_fitted_in_turn_in_one_thread_match_serial_fits():
+    # a block's statistics stay its own while another block of the same size
+    # is fitted in the same thread, whose work arrays the two share
+    a, b = _drawn(1.8, 2.0, 10, 4, 11), _drawn(0.9, 3.0, 10, 4, 12)
+    weights = _weights(10)
+    serial = {(m, k): _diagnostics(fit_batch(m, *block, None, weights))
+              for m in ("MLE", "WMLE") for k, block in (("a", a), ("b", b))}
+
+    on_a = fit_block(("MLE", "WMLE"), *a, None, weights)
+    on_b = fit_block(("MLE",), *b, None, weights)
+    got = [next(on_a), next(on_b), next(on_a)]
+    _same_fits(got, [serial["MLE", "a"], serial["MLE", "b"], serial["WMLE", "a"]])
+
+    stats_a, stats_b = LogStats(*a), LogStats(*b)
+    got = [likelihood.fit_mle_batch(stats_a), likelihood.fit_mle_batch(stats_b),
+           likelihood.fit_wmle_batch(stats_a, weights), likelihood.fit_wmle_batch(stats_b, weights)]
+    _same_fits(got, [serial["MLE", "a"], serial["MLE", "b"], serial["WMLE", "a"], serial["WMLE", "b"]])
 
 
 # --- the root solver against the eager oracle ---------------------------------------

@@ -20,6 +20,7 @@ from weibull_estlab import (
 
 from weibull_estlab.classical import _ANCHOR_P, QUANTILE_RULES, _sorted_quantile, fit_mm_batch
 from weibull_estlab.core import draw_sorted
+from weibull_estlab.regression import LogStats
 
 from conftest import random_positive_sample
 
@@ -195,7 +196,7 @@ class TestFitMM:
         # tolerance
         rngs = [np.random.default_rng([4, r]) for r in range(40)]
         values, logs = draw_sorted(WeibullParams(shape, 1.0), 30, rngs)
-        fit = fit_mm_batch(values, logs)
+        fit = fit_mm_batch(LogStats(values, logs))
         assert not fit.errors and not np.any(fit.fallback)
         assert np.all(fit.iterations == 2)
 
@@ -205,7 +206,7 @@ class TestFitMM:
         # 16-18 steps when MM's seed bracket was a fixed [0.05, 100])
         rngs = [np.random.default_rng([4, r]) for r in range(40)]
         values, logs = draw_sorted(WeibullParams(300.0, 1.0), 30, rngs)
-        fit = fit_mm_batch(values, logs)
+        fit = fit_mm_batch(LogStats(values, logs))
         assert not fit.errors and not np.any(fit.fallback)
         assert np.all(fit.iterations <= 3)
         np.testing.assert_allclose(fit.bracket[1] / fit.bracket[0], 25.0, rtol=1e-12)

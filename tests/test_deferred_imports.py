@@ -105,3 +105,15 @@ print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "s
             assert fresh[key].dtype == value.dtype and fresh[key].tobytes() == value.tobytes(), key
         else:
             assert fresh[key] == value, key
+
+
+def test_cold_wmle_fit_loads_no_masked_arrays(tmp_path):
+    # the weight simulation takes its medians without numpy's NaN check,
+    # which imports numpy.ma on first use
+    loaded = run_fresh("""
+import json, sys
+from weibull_estlab import cli
+assert cli.main(["fit", "--methods", "WMLE"]) == 0
+print(json.dumps("numpy.ma" in sys.modules))
+""", tmp_path)
+    assert loaded is False

@@ -1,4 +1,5 @@
 import math
+import pydoc
 import tracemalloc
 
 import numpy as np
@@ -267,3 +268,11 @@ class TestSharedProduct:
                 _gls_operator(n, PLOTTING_RULES[0]).columns[:, GLS1_SLOPE].tobytes()
             slope = LogStats.of(s, build_positions(n, rule)).products[0, GLS1_SLOPE]
             assert 1.0 / slope == pytest.approx(fit_gls1(s).shape, rel=1e-12)
+
+
+def test_log_stats_statistics_read_from_the_class():
+    # read from the class, a statistic is its descriptor, so help() lists it
+    text = pydoc.render_doc(LogStats, renderer=pydoc.plaintext)
+    for name in ("products", "totals", "ties"):
+        statistic = getattr(LogStats, name)
+        assert statistic.__doc__ and statistic.__doc__.splitlines()[0] in text, name
