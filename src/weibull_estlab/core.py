@@ -375,8 +375,9 @@ def draw_sorted(p: WeibullParams, n: int, rngs,
     Returns the R x n matrices of ascending values and of their logs, written
     into ``out=(values, logs)`` when given (two float64 R x n arrays) and
     fresh otherwise. Row r depends only on the state of ``rngs[r]``. A row
-    can hold zeros or infinities where the inversion underflows or overflows
-    for extreme parameters; callers decide what such a row means.
+    holds a zero (log -inf) where it drew a uniform of exactly 0.0 or the
+    inversion underflows, and an infinity where it overflows; callers decide
+    what such a row means.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
@@ -389,15 +390,6 @@ def draw_sorted(p: WeibullParams, n: int, rngs,
             raise ValueError(f"out arrays must both have shape {shape}, got {u.shape} and {logs.shape}")
     for row, rng in zip(u, rngs):
         rng.random(out=row)
-    # u == 0.0 maps to x == 0: a row that drew one (probability 2^-53 per
-    # draw) redraws those slots from its own generator, so every row still
-    # depends only on its own stream
-    if np.count_nonzero(u) < u.size:
-        for r in np.flatnonzero((u == 0.0).any(axis=1)):
-            row = u[r]
-            while np.count_nonzero(row) < n:
-                zero = row == 0.0
-                row[zero] = rngs[r].random(int(zero.sum()))
     with np.errstate(over="ignore", under="ignore"):
         # x = scale * (-log1p(-u))^(1/shape), in place: no n-sized temporaries
         x = np.negative(u, out=u)
@@ -415,8 +407,8 @@ def sample(p: WeibullParams, n: int, rng: np.random.Generator) -> SortedSample:
     """Draw ``n`` observations by inversion of one uniform stream, sorted.
 
     Fully determined by the state of ``rng``; the same seeded generator
-    reproduces the same sample. Raises DataError if a draw underflows to 0
-    or overflows.
+    reproduces the same sample. Raises DataError if a draw is 0 (a uniform
+    of exactly 0.0, or an underflow) or overflows.
     """
     values, _ = draw_sorted(p, n, [rng])
     return SortedSample.from_data(values[0])

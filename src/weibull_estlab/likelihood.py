@@ -36,12 +36,12 @@ tend to 1 as n grows, which is why the weighted fit converges to the MLE.
 The library's own weights (:func:`weight_medians`) are the simulation at the
 default seed, made once per process and n.
 
-The simulation runs on up to two threads, the caller and one on a pool
-opened within each call. Under one lock a thread claims the next block and
-draws it, then reduces it outside the lock while the other draws. Only the
-lock orders the draws, so they leave the generator in stream order and the
-medians are the same on one thread or two. The caller takes the median of
-w1 while the pool takes that of w2.
+The simulation runs on two threads on any host, the caller and one on a
+pool opened within each call. Under one lock a thread claims the next block
+and draws it, then reduces it outside the lock while the other draws. Only
+the lock orders the draws, so they leave the generator in stream order and
+the medians do not depend on which thread drew which block, even on one CPU.
+The caller takes the median of w1 while the pool takes that of w2.
 """
 
 from __future__ import annotations
@@ -86,8 +86,8 @@ MIN_WEIGHT_REPLICATIONS = 1000
 # at least one): small enough to stay in cache
 _WEIGHT_BLOCK_VALUES = 1 << 15
 
-# threads of the weight simulation at most: one draws a block while the
-# other reduces the block before it
+# threads of the weight simulation: one draws a block while the other
+# reduces the block before it
 _WEIGHT_THREADS = 2
 
 
@@ -206,14 +206,6 @@ def fit_wmle(s: SortedSample, weights: WeightPair) -> EstimateResult:
     return fit_wmle_batch(LogStats.of(s), weights).result()
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # a platform without CPU affinity
-        return os.cpu_count() or 1
-
-
 def simulate_weight_medians(n: int, replications: int, rng: np.random.Generator) -> WeightPair:
     """Estimate the median weights for sample size n from Exp(1) draws.
 
@@ -223,21 +215,20 @@ def simulate_weight_medians(n: int, replications: int, rng: np.random.Generator)
     reduced on its own, so the result depends only on the generator state,
     not on the block size or the number of threads.
 
-    Up to ``_WEIGHT_THREADS`` threads (no more than the CPUs this process may
-    run on, or the blocks) share the work: the caller and helpers on a pool
-    opened and shut down within the call. Under one lock a thread claims the
-    next block and draws it into buffers of its own, then reduces it outside
-    the lock (numpy releases the interpreter lock in both steps). No thread
-    waits for a particular other, so a helper that gets no CPU just claims
-    fewer blocks. A failing thread sets the claimed count to the end, so no
-    thread draws after the failure, and its exception is raised here.
+    ``_WEIGHT_THREADS`` threads share the work on any host: the caller and
+    helpers on a pool opened and shut down within the call. Under one lock a
+    thread claims the next block and draws it into buffers of its own, then
+    reduces it outside the lock (numpy releases the interpreter lock in both
+    steps). No thread waits for a particular other, so a helper that gets no
+    CPU (on a one-CPU host, say) just claims fewer blocks, or none of a single
+    block. A failing thread sets the claimed count to the end, so no thread
+    draws after the failure, and its exception is raised here.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if replications < MIN_WEIGHT_REPLICATIONS:
         raise ValueError(f"need at least {MIN_WEIGHT_REPLICATIONS} replications, got {replications}")
     rows = min(max(1, _WEIGHT_BLOCK_VALUES // n), replications)
-    threads = min(_WEIGHT_THREADS, _usable_cpus(), -(-replications // rows))
     w1, w2 = np.empty((2, replications))  # w1 and w2 of every replication
     lock = threading.Lock()
     claimed = 0  # replications drawn so far; all of them once a thread has failed
@@ -278,11 +269,8 @@ def simulate_weight_medians(n: int, replications: int, rng: np.random.Generator)
         values.partition(middle)
         return float(values[middle].sum() / len(middle))
 
-    if threads == 1:
-        work()
-        return WeightPair(w1=median(w1), w2=median(w2), n=n, replications=replications)
-    with ThreadPoolExecutor(threads - 1) as pool:
-        helpers = [pool.submit(work) for _ in range(threads - 1)]
+    with ThreadPoolExecutor(_WEIGHT_THREADS - 1) as pool:
+        helpers = [pool.submit(work) for _ in range(_WEIGHT_THREADS - 1)]
         work()
         for helper in helpers:
             helper.result()

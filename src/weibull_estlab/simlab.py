@@ -33,8 +33,8 @@ it builds any task, so no worker simulates them, and the table lists them.
 
 Estimator failures (degenerate samples at tiny n, bracket failures) never
 abort a run; they are excluded from the metrics and counted per cell. So is
-a replication whose draw underflows to 0 or overflows at extreme parameters:
-it counts as a failure of every method.
+a replication that draws a 0 (a 0.0 uniform, or an underflow) or overflows
+at extreme parameters: it counts as a failure of every method.
 """
 
 from __future__ import annotations
@@ -281,7 +281,7 @@ def _run_block(args) -> list[tuple[int, np.ndarray]]:
         draw_sorted(WeibullParams(shape, scale), n,
                     substreams(master_seed, (REPLICATIONS, cell), range(start, stop)),
                     out=(values[lo:hi], logs[lo:hi]))
-    # a draw that underflowed to 0 or overflowed fails its replication for every method
+    # a draw of 0 (a 0.0 uniform or an underflow) or inf fails its replication for every method
     ok = np.flatnonzero((values[:, 0] > 0.0) & np.isfinite(values[:, -1]))
     if ok.size < block[0]:
         values, logs = values[ok], logs[ok]

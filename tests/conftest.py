@@ -94,6 +94,28 @@ def replication_rng(master_seed, cell, rep):
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(0, cell, rep)))
 
 
+# --- a zero uniform -------------------------------------------------------------------
+# A 0.0 uniform comes up with probability 2^-53 per value, so the core and
+# simlab tests put one into a stream on purpose.
+
+class OneZeroGenerator:
+    """A generator whose uniform at position ``slot`` of its stream is 0.0.
+
+    ``seed`` is a seed or a Generator to wrap, as ``default_rng`` takes it."""
+
+    def __init__(self, seed, slot):
+        self.rng = np.random.default_rng(seed)
+        self.slot = slot
+        self.drawn = 0
+
+    def random(self, size=None, out=None):
+        u = self.rng.random(size, out=out)
+        if self.drawn <= self.slot < self.drawn + u.size:
+            u[self.slot - self.drawn] = 0.0
+        self.drawn += u.size
+        return u
+
+
 # --- the eager root-solver oracle ---------------------------------------------------
 # The package scores a seed bracket's ends only where no Newton iterate has
 # shown their signs. This oracle is the eager form of the same solver: it

@@ -19,6 +19,8 @@ from weibull_estlab import (
 from weibull_estlab import core
 from weibull_estlab.core import LOG_TWO, PSI_ONE, TRIGAMMA_ONE, draw_sorted
 
+from conftest import OneZeroGenerator
+
 
 class TestWeibullParams:
     @pytest.mark.parametrize("shape,scale", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0),
@@ -155,38 +157,27 @@ class TestSample:
         with pytest.raises(ValueError):
             sample(WeibullParams(1, 1), 1, np.random.default_rng(1))
 
-
-class OneZeroGenerator:
-    """A seeded generator whose uniform at position ``slot`` of its stream is 0.0."""
-
-    def __init__(self, seed, slot):
-        self.rng = np.random.default_rng(seed)
-        self.slot = slot
-        self.drawn = 0
-
-    def random(self, size=None, out=None):
-        u = self.rng.random(size, out=out)
-        if self.drawn <= self.slot < self.drawn + u.size:
-            u[self.slot - self.drawn] = 0.0
-        self.drawn += u.size
-        return u
+    def test_zero_uniform_is_a_data_error(self):
+        # the 0.0 uniform sorts first, so the sample's observation 1 is x = 0
+        with pytest.raises(DataError, match=r"^observation 1 is not a positive finite real \(0\.0\)$"):
+            sample(WeibullParams(1.5, 2.0), 8, OneZeroGenerator(11, 3))
 
 
 class TestDrawSorted:
     P = WeibullParams(1.5, 2.0)
 
-    def test_zero_uniform_redrawn_from_its_own_row_stream(self):
-        # u = 0 would map to x = 0: row 1 redraws its slot 3 from its own
-        # generator's next uniform, and rows 0 and 2 draw as if it had not
+    def test_zero_uniform_gives_a_zero_first_in_its_row_only(self):
+        # u = 0 maps to x = 0, log -inf, with no warning (the suite turns
+        # RuntimeWarnings into errors); rows 0 and 2 draw as if it had not
         rngs = [np.random.default_rng(10), OneZeroGenerator(11, 3), np.random.default_rng(12)]
         values, logs = draw_sorted(self.P, 8, rngs)
-        stream = np.random.default_rng(11).random(9)
-        u = stream[:8].copy()
-        u[3] = stream[8]
-        np.testing.assert_array_equal(values[1], np.sort(quantile(self.P, u)))
-        others = draw_sorted(self.P, 8, [np.random.default_rng(10), np.random.default_rng(12)])[0]
-        np.testing.assert_array_equal(values[[0, 2]], others)
-        np.testing.assert_array_equal(logs, np.log(values))
+        assert values[1, 0] == 0.0 and logs[1, 0] == -np.inf
+        u = np.delete(np.random.default_rng(11).random(8), 3)
+        np.testing.assert_array_equal(values[1, 1:], np.sort(quantile(self.P, u)))
+        np.testing.assert_array_equal(logs[1, 1:], np.log(values[1, 1:]))
+        others = draw_sorted(self.P, 8, [np.random.default_rng(10), np.random.default_rng(12)])
+        np.testing.assert_array_equal(values[[0, 2]], others[0])
+        np.testing.assert_array_equal(logs[[0, 2]], others[1])
 
     def test_out_receives_the_fresh_result(self):
         fresh = draw_sorted(self.P, 30, [np.random.default_rng(r) for r in range(4)])

@@ -1,4 +1,5 @@
 import math
+import os
 import re
 import sys
 import threading
@@ -305,22 +306,18 @@ class LazyPool:
 
 
 class TestWeightSimulationThreads:
-    """Up to two threads share a weight simulation; the draws stay in stream order."""
+    """Two threads share every weight simulation; the draws stay in stream order."""
 
-    @pytest.fixture
-    def two_cpus(self, monkeypatch):
-        monkeypatch.setattr(likelihood, "_usable_cpus", lambda: 2)
-
+    # the oracle is one thread drawing the whole stream in order
     @pytest.mark.parametrize("n, reps", [(1, 100_000), (5, 100_000), (48, 100_000), (48, 12_345)])
     def test_two_threads_equal_one(self, monkeypatch, n, reps):
-        monkeypatch.setattr(likelihood, "_usable_cpus", lambda: 2)
-        rng = StubGenerator(n)
-        two = simulate_weight_medians(n, reps, rng)
-        assert len(set(rng.threads)) <= 2
-        monkeypatch.setattr(likelihood, "_usable_cpus", lambda: 1)
-        rng = StubGenerator(n)
-        assert simulate_weight_medians(n, reps, rng) == two
-        assert len(set(rng.threads)) == 1
+        oracle = whole_block_weight_medians(n, reps, np.random.default_rng(n))
+        for threads in (2, 3):
+            monkeypatch.setattr(likelihood, "_WEIGHT_THREADS", threads)
+            rng = StubGenerator(n)
+            pair = simulate_weight_medians(n, reps, rng)
+            assert (pair.w1, pair.w2) == oracle
+            assert len(set(rng.threads)) <= threads
 
     def test_any_thread_count_and_block_size(self, monkeypatch):
         n, reps = 30, 10_000
@@ -329,24 +326,43 @@ class TestWeightSimulationThreads:
         monkeypatch.setattr(likelihood, "_WEIGHT_BLOCK_VALUES", 7 * n + 3)
         for threads in (2, 3):
             monkeypatch.setattr(likelihood, "_WEIGHT_THREADS", threads)
-            monkeypatch.setattr(likelihood, "_usable_cpus", lambda: threads)
             rng = StubGenerator(5)
             assert simulate_weight_medians(n, reps, rng) == one_thread
             assert len(set(rng.threads)) <= threads
 
-    def test_one_block_runs_on_the_calling_thread(self, two_cpus):
+    def test_one_block_matches_the_oracle_on_either_thread(self):
+        # 1001 rows of 5 are one block, which the caller or the helper draws
+        before = set(threading.enumerate())
         rng = StubGenerator(1)
-        simulate_weight_medians(5, 1001, rng)
-        assert rng.threads == [threading.get_ident()]
+        pair = simulate_weight_medians(5, 1001, rng)
+        assert len(rng.threads) == 1
+        assert (pair.w1, pair.w2) == whole_block_weight_medians(5, 1001, np.random.default_rng(1))
+        assert set(threading.enumerate()) == before
 
-    def test_no_thread_outlives_a_call(self, two_cpus):
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="no CPU affinity call on this platform")
+    def test_one_cpu_equals_the_oracle(self):
+        # the helper thread inherits the one-CPU mask of the thread that starts it
+        cpus = os.sched_getaffinity(0)
+        before = threading.active_count()
+        os.sched_setaffinity(0, {min(cpus)})
+        try:
+            pair = simulate_weight_medians(48, 100_000, np.random.default_rng(48))
+            after = threading.active_count()
+        finally:
+            os.sched_setaffinity(0, cpus)
+        assert (pair.w1, pair.w2) == whole_block_weight_medians(48, 100_000,
+                                                                 np.random.default_rng(48))
+        assert after == before
+
+    def test_no_thread_outlives_a_call(self):
         before = set(threading.enumerate())
         rng = StubGenerator(2)
         simulate_weight_medians(30, 10_000, rng)
         assert len(set(rng.threads)) <= 2
         assert set(threading.enumerate()) == before
 
-    def test_a_waiting_helper_draws(self, two_cpus):
+    def test_a_waiting_helper_draws(self):
         # each draw holds the lock for 20 ms, so the helper is waiting at the
         # lock each time the caller releases it and claims some of the ten
         # blocks while the caller reduces its own
@@ -355,7 +371,7 @@ class TestWeightSimulationThreads:
         assert len(set(rng.threads)) == 2
         assert box.get("result") == simulate_weight_medians(30, 10_000, np.random.default_rng(4))
 
-    def test_a_helper_that_never_starts_costs_no_blocks(self, monkeypatch, two_cpus):
+    def test_a_helper_that_never_starts_costs_no_blocks(self, monkeypatch):
         expected = simulate_weight_medians(30, 10_000, np.random.default_rng(4))
         rng = StubGenerator(4)
         pool = LazyPool(rng)
@@ -372,7 +388,6 @@ class TestWeightSimulationThreads:
     @pytest.mark.parametrize("threads, fail_on", [(2, 3), (2, 4), (3, 4), (3, 5), (3, 6)])
     def test_failure_in_either_thread_reaches_the_caller(self, monkeypatch, threads, fail_on):
         monkeypatch.setattr(likelihood, "_WEIGHT_THREADS", threads)
-        monkeypatch.setattr(likelihood, "_usable_cpus", lambda: threads)
         before = threading.active_count()
         rng = StubGenerator(3, fail_on=fail_on)
         box = call_with_timeout(simulate_weight_medians, 30, 10_000, rng)
@@ -383,7 +398,7 @@ class TestWeightSimulationThreads:
         assert len(set(rng.threads)) <= threads
         assert threading.active_count() == before
 
-    def test_concurrent_callers_match_serial_calls(self, two_cpus):
+    def test_concurrent_callers_match_serial_calls(self):
         cases = [(5, 20_000, 1), (10, 20_000, 2), (30, 20_000, 3), (48, 20_000, 4)]
         serial = [simulate_weight_medians(n, reps, np.random.default_rng(seed))
                   for n, reps, seed in cases]

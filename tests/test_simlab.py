@@ -27,7 +27,7 @@ from weibull_estlab.likelihood import seeded_weight_medians, weight_medians
 from weibull_estlab.methods import FitOptions, fit_batch
 from weibull_estlab.simlab import CSV_HEADER, default_replications
 
-from conftest import replication_rng
+from conftest import OneZeroGenerator, replication_rng
 
 
 def tiny_config(**overrides):
@@ -470,6 +470,37 @@ class TestRowBlocks:
         alone = run_experiment(dataclasses.replace(cfg, param_levels=(normal,)))
         assert tuple(r for r in table.rows if r.alpha == 2.0) == alone.rows
         assert all(s[2] != 2.0 for s in table.skipped) and alone.skipped == ()
+
+    def test_zero_uniform_fails_its_replication_for_every_method(self, monkeypatch):
+        # one 0.0 uniform in replication 7 of cell 2 (n 10, shape 2) draws
+        # x = 0: each method fails that replication once more, and every other
+        # cell's rows keep every bit
+        cfg = SimulationConfig(methods=METHOD_NAMES, sample_sizes=(5, 10),
+                               param_levels=((2.0, 3.0), (0.5, 1.0)), replications=100)
+        target = (10, 2.0, 3.0)
+        plain = run_experiment(cfg)
+        real = simlab.substreams
+
+        def one_zero(seed, key, indices):
+            rngs = real(seed, key, indices)
+            if key == (REPLICATIONS, 2) and 7 in indices:
+                rngs[7 - indices.start] = OneZeroGenerator(rngs[7 - indices.start], 4)
+            return rngs
+
+        monkeypatch.setattr(simlab, "substreams", one_zero)
+        zeroed = run_experiment(cfg)
+        assert plain.skipped == zeroed.skipped == ()
+
+        def split(table):
+            rows = {r.method: r for r in table.rows if (r.n, r.alpha, r.beta) == target}
+            return rows, [repr(r) for r in table.rows if (r.n, r.alpha, r.beta) != target]
+
+        (before, others), (after, zeroed_others) = split(plain), split(zeroed)
+        assert set(before) == set(after) == set(METHOD_NAMES)
+        for method in METHOD_NAMES:
+            assert after[method].failures == before[method].failures + 1
+            assert after[method].reps == before[method].reps - 1
+        assert len(others) == 30 and zeroed_others == others
 
 
 class TestWorkBuffers:
