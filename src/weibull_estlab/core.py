@@ -7,7 +7,8 @@ for the parameterization
 
 plus the validated sample container, the per-row result of a batched fit,
 the seeding of every random substream and the handful of special constants
-the estimators share.
+the estimators share. Inversion maps uniforms its caller drew
+(:func:`draw_sorted`), so how the streams are laid out stays with the caller.
 
 Every estimator has one array implementation that fits R samples of one size
 at once, read through the block's shared :class:`regression.LogStats`; a
@@ -368,28 +369,19 @@ def quantile(p: WeibullParams, prob):
     return float(out) if np.isscalar(prob) else out
 
 
-def draw_sorted(p: WeibullParams, n: int, rngs,
-                out: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Draw one sample of size ``n`` per generator by inversion, rows sorted.
+def draw_sorted(p: WeibullParams, u: np.ndarray,
+                logs: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Map an R x n float64 matrix of uniforms in place to R samples by
+    inversion, each row sorted ascending.
 
-    Returns the R x n matrices of ascending values and of their logs, written
-    into ``out=(values, logs)`` when given (two float64 R x n arrays) and
-    fresh otherwise. Row r depends only on the state of ``rngs[r]``. A row
-    holds a zero (log -inf) where it drew a uniform of exactly 0.0 or the
+    Returns ``u``, now the values, and their logs, written into ``logs``
+    when given and fresh otherwise. Row r depends only on row r of ``u``.
+    A row holds a zero (log -inf) where its uniform is exactly 0.0 or the
     inversion underflows, and an infinity where it overflows; callers decide
     what such a row means.
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    shape = (len(rngs), n)
-    if out is None:
-        u, logs = np.empty(shape), None
-    else:
-        u, logs = out
-        if u.shape != shape or logs.shape != shape:
-            raise ValueError(f"out arrays must both have shape {shape}, got {u.shape} and {logs.shape}")
-    for row, rng in zip(u, rngs):
-        rng.random(out=row)
+    if u.ndim != 2 or u.shape[1] < 2:
+        raise ValueError(f"need an R x n matrix of uniforms with n >= 2, got shape {u.shape}")
     with np.errstate(over="ignore", under="ignore"):
         # x = scale * (-log1p(-u))^(1/shape), in place: no n-sized temporaries
         x = np.negative(u, out=u)
@@ -410,7 +402,7 @@ def sample(p: WeibullParams, n: int, rng: np.random.Generator) -> SortedSample:
     reproduces the same sample. Raises DataError if a draw is 0 (a uniform
     of exactly 0.0, or an underflow) or overflows.
     """
-    values, _ = draw_sorted(p, n, [rng])
+    values, _ = draw_sorted(p, rng.random((1, n)))
     return SortedSample.from_data(values[0])
 
 

@@ -33,8 +33,8 @@ E = -log(1 - F(X)) ~ Exp(1) under the true model,
 so both medians depend on the sample size only and are estimated once per n
 by simulating standard exponentials. n * W1 is Gamma(n, 1); both medians
 tend to 1 as n grows, which is why the weighted fit converges to the MLE.
-The library's own weights (:func:`weight_medians`) are the simulation at the
-default seed, made once per process and n.
+Each (n, seed) is simulated once per process (:func:`seeded_weight_medians`);
+the library's own weights are those of the default seed.
 
 The simulation runs on two threads on any host, the caller and one on a
 pool opened within each call. Under one lock a thread claims the next block
@@ -71,7 +71,6 @@ __all__ = [
     "fit_wmle_batch",
     "simulate_weight_medians",
     "seeded_weight_medians",
-    "weight_medians",
     "read_weight_table",
     "write_weight_table",
     "default_weights_path",
@@ -121,11 +120,21 @@ def _score_rows(dd: np.ndarray, mean_d: np.ndarray, alpha: np.ndarray,
     return w2 * inv + mean_d - m1, -w2 * inv * inv - (m2 - m1 * m1), total, m1
 
 
+def _shifted(logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """dd = [d, d^2] for d = logs - max log, formed afresh in this thread's
+    reused work array (valid until the next call in this thread), and the
+    row means of d."""
+    dd = scratch("likelihood.dd", (2,) + logs.shape)
+    d = np.subtract(logs, logs[:, -1:], out=dd[0])
+    np.multiply(d, d, out=dd[1])
+    return dd, d.sum(axis=1) / d.shape[1]
+
+
 def profile_score(s: SortedSample, alpha: float) -> float:
     """g(alpha) = 1/alpha + mean(log x) - sum(x^a log x)/sum(x^a)."""
     if not 0.0 < alpha < math.inf:  # NaN fails both
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
-    dd, mean_d = LogStats.of(s).shifted()
+    dd, mean_d = _shifted(s.logs[None, :])
     return float(_score_rows(dd, mean_d, np.array([alpha]), 1.0)[0][0])
 
 
@@ -139,7 +148,7 @@ def _likelihood_batch(method: str, stats: LogStats, w1: float, w2: float) -> Bat
     on every row (module docstring)."""
     logs = stats.logs
     n = logs.shape[1]
-    dd, mean_d = stats.shifted()
+    dd, mean_d = _shifted(logs)
     errors: dict = {}
     fail_rows(errors, logs[:, 0] == logs[:, -1], lambda r: DegenerateSampleError(
         "all observations equal; likelihood has no interior maximum"))
@@ -278,27 +287,18 @@ def simulate_weight_medians(n: int, replications: int, rng: np.random.Generator)
         return WeightPair(w1=median(w1), w2=second.result(), n=n, replications=replications)
 
 
+@functools.cache
 def seeded_weight_medians(n: int, seed: int) -> WeightPair:
     """The weight medians for ``n`` simulated from the substream (WEIGHTS, n)
-    of ``seed``, :data:`DEFAULT_WEIGHT_REPLICATIONS` replications long.
+    of ``seed``, :data:`DEFAULT_WEIGHT_REPLICATIONS` replications long, on
+    the first call for each (n, seed) in a process and looked up after it.
 
-    The one place that picks the weight stream, so the lab, the weight cache
-    and the ``weights`` command agree on it.
+    The one place that picks the weight stream, so the lab (at
+    :data:`DEFAULT_SEED`, whatever its master seed), the weight cache and the
+    ``weights`` command agree on it.
     """
     rng, = substreams(seed, (WEIGHTS,), range(n, n + 1))
     return simulate_weight_medians(n, DEFAULT_WEIGHT_REPLICATIONS, rng)
-
-
-@functools.cache
-def weight_medians(n: int) -> WeightPair:
-    """The library's weight medians for ``n``: :func:`seeded_weight_medians`
-    at :data:`DEFAULT_SEED`, simulated on the first call for each n in a
-    process and looked up after it.
-
-    The weights depend on n alone, so the lab takes them from here whatever
-    its master seed.
-    """
-    return seeded_weight_medians(n, DEFAULT_SEED)
 
 
 # --- weight-table cache file: this header line, then one record per line,

@@ -43,8 +43,8 @@ use: a single product of the logs with every cached column (these fits'
 design columns, USTAT's pair-minimum weights and the default-rule GLS1 slope
 that starts the likelihood fits), the row sums of the logs and the tie
 notes. The wide product sums each column as a product with that column alone
-would, so no fit depends on the others sharing it. The likelihood's shifted
-logs live in a reused work array, so each likelihood fit forms them afresh.
+would, so no fit depends on the others sharing it. It holds statistics only:
+no work array of a fit lives in it.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import BatchFit, EstimateResult, SortedSample, fail_rows, row_dot, scratch
+from .core import BatchFit, EstimateResult, SortedSample, fail_rows, row_dot
 from .errors import DegenerateSampleError, SingularSystemError
 
 __all__ = [
@@ -253,15 +253,6 @@ class LogStats:
         ties = tied.sum(axis=1)
         return {int(r): (f"{ties[r]} tied adjacent pair{'s' if ties[r] > 1 else ''} in the data",)
                 for r in ties.nonzero()[0]}
-
-    def shifted(self) -> tuple[np.ndarray, np.ndarray]:
-        """dd = [d, d^2] for d = logs - max log, formed afresh in this thread's
-        reused work array (valid until the next call in this thread), and the
-        row means of d."""
-        dd = scratch("likelihood.dd", (2,) + self.logs.shape)
-        d = np.subtract(self.logs, self.logs[:, -1:], out=dd[0])
-        np.multiply(d, d, out=dd[1])
-        return dd, d.sum(axis=1) / d.shape[1]
 
 
 def _solve_rows(method: str, stats: LogStats, lhs: np.ndarray, columns: slice,

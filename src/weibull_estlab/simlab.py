@@ -16,19 +16,20 @@ The lab splits its work two ways, neither of which depends on the worker count:
   pieces of one sample size in grid order, so it can span every level of
   that size, at most ``_BLOCK_ROWS`` rows (1024, a cap set by the run's
   traced memory peak) and ``_BLOCK_VALUES`` values (or a single piece). Its
-  samples are drawn into one matrix, each piece's rows from that piece's
-  substreams ``(REPLICATIONS, cell, r)`` under the master seed (seeded
-  together by :func:`core.substreams`) at that cell's level, and every
-  method fits all of its rows in one batch call (:func:`methods.fit_block`).
+  samples are drawn into one matrix: each piece fills its rows with the
+  uniforms of its substreams ``(REPLICATIONS, cell, r)`` under the master
+  seed (seeded together by :func:`core.substreams`), and
+  :func:`core.draw_sorted` inverts them at that cell's level. Every method
+  fits all of the block's rows in one batch call (:func:`methods.fit_block`).
   The calls share one :class:`regression.LogStats`, which forms each
   statistic several methods read once per block: one product of the logs
-  with every cached column, their row sums and the tie notes. A row's estimate never depends on the other
-  rows of its block, nor on which methods share it, so packing pieces into
-  blocks moves no output bit.
+  with every cached column, their row sums and the tie notes. A row's
+  estimate never depends on the other rows of its block, nor on which
+  methods share it, so packing pieces into blocks moves no output bit.
 
 WMLE's weights depend on n alone, so every run takes the library's,
-:func:`likelihood.weight_medians` (simulated at the default seed once per
-process and n), whatever its master seed. The parent looks them up before
+:func:`likelihood.seeded_weight_medians` at the default seed (simulated once
+per process and n), whatever its master seed. The parent looks them up before
 it builds any task, so no worker simulates them, and the table lists them.
 
 Estimator failures (degenerate samples at tiny n, bracket failures) never
@@ -50,7 +51,7 @@ import numpy as np
 # steps of the lab, re-exported here next to their batched forms
 from .core import (DEFAULT_SEED, REPLICATIONS, WeibullParams, draw_sorted, sample,  # noqa: F401
                    scratch, substreams)
-from .likelihood import WeightPair, simulate_weight_medians, weight_medians  # noqa: F401
+from .likelihood import WeightPair, seeded_weight_medians, simulate_weight_medians  # noqa: F401
 from .methods import METHOD_NAMES, FitOptions, fit_block, fit_method  # noqa: F401
 from .regression import DEFAULT_RULE
 
@@ -263,13 +264,13 @@ def _run_block(args) -> list[tuple[int, np.ndarray]]:
     """Fit all methods on one row block and reduce each of its pieces.
 
     ``args`` is (n, methods, options, weights, master seed, pieces), the
-    pieces as :func:`_row_blocks` lists them. Each piece draws its rows of
-    the block from its own substreams at its own level, and each method
-    fits the whole block in one batch call, all of them from one shared
-    :class:`regression.LogStats`. Returns (cell index,
-    sums[n_methods, 5]) per piece, in order: per method, over the piece's
-    rows whose estimates are finite, their count k, the sums of the shape
-    and scale errors, and the sums of their squares.
+    pieces as :func:`_row_blocks` lists them. Each piece fills its rows of
+    the block with the uniforms of its own substreams and inverts them at
+    its own level, and each method fits the whole block in one batch call,
+    all of them from one shared :class:`regression.LogStats`. Returns (cell
+    index, sums[n_methods, 5]) per piece, in order: per method, over the
+    piece's rows whose estimates are finite, their count k, the sums of the
+    shape and scale errors, and the sums of their squares.
     """
     n, methods, options, weights, master_seed, pieces = args
     bounds = [0, *accumulate(stop - start for *_, start, stop in pieces)]
@@ -278,9 +279,11 @@ def _run_block(args) -> list[tuple[int, np.ndarray]]:
     block = (bounds[-1], n)
     values, logs = scratch("simlab.values", block), scratch("simlab.logs", block)
     for (cell, shape, scale, start, stop), lo, hi in spans:
-        draw_sorted(WeibullParams(shape, scale), n,
-                    substreams(master_seed, (REPLICATIONS, cell), range(start, stop)),
-                    out=(values[lo:hi], logs[lo:hi]))
+        rows = values[lo:hi]
+        for row, rng in zip(rows, substreams(master_seed, (REPLICATIONS, cell),
+                                             range(start, stop))):
+            rng.random(out=row)
+        draw_sorted(WeibullParams(shape, scale), rows, logs[lo:hi])
     # a draw of 0 (a 0.0 uniform or an underflow) or inf fails its replication for every method
     ok = np.flatnonzero((values[:, 0] > 0.0) & np.isfinite(values[:, -1]))
     if ok.size < block[0]:
@@ -304,7 +307,7 @@ def _run_block(args) -> list[tuple[int, np.ndarray]]:
 def _weight_medians_for(cfg: SimulationConfig) -> dict[int, WeightPair]:
     if "WMLE" not in cfg.methods:
         return {}
-    return {n: weight_medians(n) for n in cfg.sample_sizes}
+    return {n: seeded_weight_medians(n, DEFAULT_SEED) for n in cfg.sample_sizes}
 
 
 def run_experiment(cfg: SimulationConfig) -> MetricTable:

@@ -94,6 +94,12 @@ def replication_rng(master_seed, cell, rep):
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(0, cell, rep)))
 
 
+def uniform_rows(rngs, n):
+    """The R x n uniforms of one row of n from each generator, the values the
+    lab fills a piece's rows with."""
+    return np.array([rng.random(n) for rng in rngs])
+
+
 # --- a zero uniform -------------------------------------------------------------------
 # A 0.0 uniform comes up with probability 2^-53 per value, so the core and
 # simlab tests put one into a stream on purpose.
@@ -111,7 +117,7 @@ class OneZeroGenerator:
     def random(self, size=None, out=None):
         u = self.rng.random(size, out=out)
         if self.drawn <= self.slot < self.drawn + u.size:
-            u[self.slot - self.drawn] = 0.0
+            u.flat[self.slot - self.drawn] = 0.0
         self.drawn += u.size
         return u
 

@@ -43,7 +43,7 @@ from weibull_estlab.regression import (
     v_diagonal,
 )
 
-from conftest import dense_v, eager_solve_rows
+from conftest import dense_v, eager_solve_rows, uniform_rows
 
 ROOT_METHODS = ("MLE", "WMLE", "MM")
 CLOSED_FORMS = ("USTAT", "LM", "MLM", "PM", "GLS1", "GLS2", "WLS")
@@ -52,7 +52,7 @@ CLOSED_FORMS = ("USTAT", "LM", "MLM", "PM", "GLS1", "GLS2", "WLS")
 def _drawn(shape, scale, n, rows, seed):
     """Rows of Weibull samples, dropping rows whose draws under/overflow."""
     rngs = [np.random.default_rng([seed, r]) for r in range(rows)]
-    values, logs = draw_sorted(WeibullParams(shape, scale), n, rngs)
+    values, logs = draw_sorted(WeibullParams(shape, scale), uniform_rows(rngs, n))
     ok = (values[:, 0] > 0.0) & np.isfinite(values[:, -1])
     return values[ok], logs[ok]
 

@@ -22,7 +22,7 @@ from weibull_estlab.classical import _ANCHOR_P, QUANTILE_RULES, _sorted_quantile
 from weibull_estlab.core import draw_sorted
 from weibull_estlab.regression import LogStats
 
-from conftest import random_positive_sample
+from conftest import random_positive_sample, uniform_rows
 
 
 def cv_ratio(a):
@@ -195,7 +195,7 @@ class TestFitMM:
         # both bracket ends, and the second step is below the solver's
         # tolerance
         rngs = [np.random.default_rng([4, r]) for r in range(40)]
-        values, logs = draw_sorted(WeibullParams(shape, 1.0), 30, rngs)
+        values, logs = draw_sorted(WeibullParams(shape, 1.0), uniform_rows(rngs, 30))
         fit = fit_mm_batch(LogStats(values, logs))
         assert not fit.errors and not np.any(fit.fallback)
         assert np.all(fit.iterations == 2)
@@ -205,7 +205,7 @@ class TestFitMM:
         # no widened bracket and no restart from its midpoint (that took
         # 16-18 steps when MM's seed bracket was a fixed [0.05, 100])
         rngs = [np.random.default_rng([4, r]) for r in range(40)]
-        values, logs = draw_sorted(WeibullParams(300.0, 1.0), 30, rngs)
+        values, logs = draw_sorted(WeibullParams(300.0, 1.0), uniform_rows(rngs, 30))
         fit = fit_mm_batch(LogStats(values, logs))
         assert not fit.errors and not np.any(fit.fallback)
         assert np.all(fit.iterations <= 3)

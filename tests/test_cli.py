@@ -267,6 +267,17 @@ class TestSimulateCommand:
         assert len(manifest["files"]) == 5  # metrics + 4 plot files
         assert manifest["wmle_weights"] == []  # no WMLE, no weights
 
+    def test_skipped_cell_is_noted(self, tmp_path, capsys):
+        # at shape 0.001 a draw underflows where E < 0.47 and overflows where
+        # E > 2.03, so no replication of n = 30 draws a usable sample
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"methods": ["LM"], "sample_sizes": [30],
+                                   "param_levels": [[0.001, 1.0]], "replications": 100}))
+        assert run_cli(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) \
+            == EXIT_OK
+        assert ("note: LM produced no successful fits at n=30 (alpha=0.001, beta=1.0; "
+                "100 failures)\n") in capsys.readouterr().out
+
     def test_unknown_preset_exits_64(self, capsys):
         assert run_cli(["simulate", "--preset", "table9"]) == EXIT_USAGE
 
@@ -567,11 +578,14 @@ class TestUsageLine:
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"methods": ["LM"], "sample_sizes": [10],
                                       "param_levels": [[2, 3]], "bogus_field": 1}))
+        config_list = tmp_path / "list.json"
+        config_list.write_text(json.dumps([["methods", ["LM"]]]))
         cache = tmp_path / "cache.txt"
         cache.write_text(f"{WEIGHT_TABLE_HEADER}\n48 0.99 x 100000 1729\n")
         monkeypatch.setenv("WEIBULL_ESTLAB_WEIGHTS", str(cache))
         monkeypatch.chdir(tmp_path)
-        return {"one_point": one_point, "blocker": blocker, "config": config, "cache": cache}
+        return {"one_point": one_point, "blocker": blocker, "config": config,
+                "config_list": config_list, "cache": cache}
 
     @pytest.mark.parametrize("argv", [
         ["fit", "--methods", "XYZ"],
@@ -605,4 +619,18 @@ class TestUsageLine:
         assert captured.err.startswith(f"usage: weibull-estlab {argv[0]} ")
         assert f"weibull-estlab {argv[0]}: error: " in captured.err
         assert captured.out == ""
+        assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("argv, message", [
+        (["fit", "--seed", "abc"], "seed must be a non-negative integer, got 'abc'"),
+        (["weights", "--n", "5,x"], "cannot parse '5,x' as integers"),
+        (["simulate", "--config", "{config_list}"], "list.json must be a JSON object"),
+    ], ids=["fit-seed-not-an-integer", "weights-n-not-integers", "simulate-config-not-an-object"])
+    def test_usage_error_names_the_bad_input(self, argv, message, files, tmp_path, capsys):
+        argv = [arg.format(**files) for arg in argv]
+        before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+        assert run_cli(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: weibull-estlab {argv[0]} ")
+        assert message in err.splitlines()[-1]
         assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before

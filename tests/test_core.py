@@ -168,26 +168,37 @@ class TestDrawSorted:
 
     def test_zero_uniform_gives_a_zero_first_in_its_row_only(self):
         # u = 0 maps to x = 0, log -inf, with no warning (the suite turns
-        # RuntimeWarnings into errors); rows 0 and 2 draw as if it had not
-        rngs = [np.random.default_rng(10), OneZeroGenerator(11, 3), np.random.default_rng(12)]
-        values, logs = draw_sorted(self.P, 8, rngs)
+        # RuntimeWarnings into errors); rows 0 and 2 map as if it had not
+        u = np.random.default_rng(10).random((3, 8))
+        u[1, 3] = 0.0
+        kept = np.delete(u[1], 3)
+        others = draw_sorted(self.P, u[[0, 2]])
+        values, logs = draw_sorted(self.P, u)
         assert values[1, 0] == 0.0 and logs[1, 0] == -np.inf
-        u = np.delete(np.random.default_rng(11).random(8), 3)
-        np.testing.assert_array_equal(values[1, 1:], np.sort(quantile(self.P, u)))
+        np.testing.assert_array_equal(values[1, 1:], np.sort(quantile(self.P, kept)))
         np.testing.assert_array_equal(logs[1, 1:], np.log(values[1, 1:]))
-        others = draw_sorted(self.P, 8, [np.random.default_rng(10), np.random.default_rng(12)])
         np.testing.assert_array_equal(values[[0, 2]], others[0])
         np.testing.assert_array_equal(logs[[0, 2]], others[1])
 
-    def test_out_receives_the_fresh_result(self):
-        fresh = draw_sorted(self.P, 30, [np.random.default_rng(r) for r in range(4)])
-        out = (np.empty((4, 30)), np.empty((4, 30)))
-        got = draw_sorted(self.P, 30, [np.random.default_rng(r) for r in range(4)], out=out)
-        assert got[0] is out[0] and got[1] is out[1]
+    def test_maps_the_uniforms_in_place_and_logs_receive_the_result(self):
+        u = np.random.default_rng(4).random((4, 30))
+        fresh = draw_sorted(self.P, u.copy())
+        logs = np.empty((4, 30))
+        got = draw_sorted(self.P, u, logs)
+        assert got[0] is u and got[1] is logs
         np.testing.assert_array_equal(got[0], fresh[0])
         np.testing.assert_array_equal(got[1], fresh[1])
-        with pytest.raises(ValueError, match="shape"):
-            draw_sorted(self.P, 30, [np.random.default_rng(0)], out=out)
+
+    @pytest.mark.parametrize("shape", [(30,), (4, 1), (2, 3, 4)])
+    def test_rejects_anything_but_a_matrix_with_two_columns_or_more(self, shape):
+        with pytest.raises(ValueError, match="R x n matrix"):
+            draw_sorted(self.P, np.full(shape, 0.5))
+
+    def test_sample_inverts_one_row_of_its_generator(self):
+        values, logs = draw_sorted(self.P, np.random.default_rng(8).random((1, 12)))
+        s = sample(self.P, 12, np.random.default_rng(8))
+        np.testing.assert_array_equal(s.values, values[0])
+        np.testing.assert_array_equal(s.logs, logs[0])
 
 
 class TestSubstreams:

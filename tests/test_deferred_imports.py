@@ -72,8 +72,8 @@ print(json.dumps(loaded))
 def forced_fallback() -> dict:
     """Every result of a 20 x 12 MLE batch cut off after one Newton step, so
     that its rows go on by bisection."""
-    rngs = [np.random.default_rng([3, r]) for r in range(20)]
-    values, logs = draw_sorted(WeibullParams(2.0, 5.0), 12, rngs)
+    u = np.array([np.random.default_rng([3, r]).random(12) for r in range(20)])
+    values, logs = draw_sorted(WeibullParams(2.0, 5.0), u)
     steps, roots.MAX_NEWTON_STEPS = roots.MAX_NEWTON_STEPS, 1
     try:
         fit = fit_batch("MLE", values, logs)

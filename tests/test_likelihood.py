@@ -24,6 +24,7 @@ from weibull_estlab import (
 )
 from weibull_estlab import likelihood
 from weibull_estlab.core import cdf, pdf
+from weibull_estlab.methods import fit_method
 from weibull_estlab.likelihood import (
     DEFAULT_WEIGHT_REPLICATIONS,
     WEIGHT_TABLE_HEADER,
@@ -454,6 +455,10 @@ class TestFitWMLE:
         with pytest.raises(ValueError):
             fit_wmle(lifetime_sample, WeightPair(w1=1.0, w2=1.0, n=10, replications=0))
 
+    def test_by_name_without_weights_raises(self, lifetime_sample):
+        with pytest.raises(ValueError, match="^WMLE requires a WeightPair for the sample size$"):
+            fit_method("WMLE", lifetime_sample)
+
     def test_degenerate(self):
         with pytest.raises(DegenerateSampleError):
             fit_wmle(SortedSample.from_data([1.0, 1.0]), WeightPair(1.0, 1.0, 2, 0))
@@ -533,6 +538,14 @@ class TestWeightTable:
         assert pair == seeded_weight_medians(5, 9)
         # the record of the other count stays in the file
         assert read_weight_table(path) == {(5, 2000, 9): other, (5, 100000, 9): pair}
+
+    def test_store_returns_the_simulated_pair_when_it_cannot_write(self, tmp_path):
+        # the cache's parent is a file: the write fails, and the store still answers
+        blocker = tmp_path / "blocker"
+        blocker.write_text("x\n")
+        pair = WeightStore(path=blocker / "weights.txt", seed=9).get(5)
+        assert pair == seeded_weight_medians(5, 9)
+        assert blocker.read_text() == "x\n" and list(tmp_path.iterdir()) == [blocker]
 
     def test_store_defaults_to_the_command_line_seed(self, tmp_path):
         # fit, weights and the lab default to seed 1729, and so does a store

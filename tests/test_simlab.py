@@ -23,11 +23,11 @@ from weibull_estlab import (
 from weibull_estlab import core, likelihood, methods, simlab
 from weibull_estlab.cli import PRESETS
 from weibull_estlab.core import DEFAULT_SEED, REPLICATIONS, BatchFit, draw_sorted, substreams
-from weibull_estlab.likelihood import seeded_weight_medians, weight_medians
+from weibull_estlab.likelihood import seeded_weight_medians
 from weibull_estlab.methods import FitOptions, fit_batch
 from weibull_estlab.simlab import CSV_HEADER, default_replications
 
-from conftest import OneZeroGenerator, replication_rng
+from conftest import OneZeroGenerator, replication_rng, uniform_rows
 
 
 def tiny_config(**overrides):
@@ -193,9 +193,9 @@ class TestRunExperiment:
         assert all(len(simlab._chunks(n, reps)) >= 3 for n in cfg.sample_sizes)
         rows = {(r.method, r.n, r.alpha): r for r in run_experiment(cfg).rows}
         for cell, n, level in cfg.cells():
-            values, logs = draw_sorted(level, n, substreams(cfg.master_seed, (REPLICATIONS, cell),
-                                                            range(reps)))
-            weights = weight_medians(n)
+            rngs = substreams(cfg.master_seed, (REPLICATIONS, cell), range(reps))
+            values, logs = draw_sorted(level, uniform_rows(rngs, n))
+            weights = seeded_weight_medians(n, DEFAULT_SEED)
             for method in cfg.methods:
                 fit = fit_batch(method, values, logs, cfg.options, weights)
                 ok = np.isfinite(fit.shape) & np.isfinite(fit.scale)
@@ -294,7 +294,8 @@ class TestRunExperiment:
         table = run_experiment(cfg)
         rows = {r.n: r for r in table.rows}
         for cell, n, level in cfg.cells():
-            values, logs = draw_sorted(level, n, substreams(5, (REPLICATIONS, cell), range(reps)))
+            values, logs = draw_sorted(level, uniform_rows(
+                substreams(5, (REPLICATIONS, cell), range(reps)), n))
             fit = fit_batch("WMLE", values, logs, cfg.options,
                             seeded_weight_medians(n, DEFAULT_SEED))
             ok = np.isfinite(fit.shape) & np.isfinite(fit.scale)
@@ -315,7 +316,7 @@ class TestRunExperiment:
             return simulate(n, *args)
 
         monkeypatch.setattr(likelihood, "simulate_weight_medians", counting)
-        likelihood.weight_medians.cache_clear()
+        likelihood.seeded_weight_medians.cache_clear()
         grid = dict(sample_sizes=(5, 10), param_levels=((2.0, 3.0),), replications=100)
         for seed in (5, 6):
             run_experiment(SimulationConfig(methods=("WMLE", "LM"), master_seed=seed, **grid))
@@ -350,10 +351,12 @@ class TestBlockSeeding:
     LEVEL = WeibullParams(2.0, 3.0)
 
     def oracle_rows(self, master, cell, reps, n=3):
-        return draw_sorted(self.LEVEL, n, [replication_rng(master, cell, r) for r in reps])[0]
+        rngs = [replication_rng(master, cell, r) for r in reps]
+        return draw_sorted(self.LEVEL, uniform_rows(rngs, n))[0]
 
     def block_rows(self, master, cell, reps):
-        return draw_sorted(self.LEVEL, 3, substreams(master, (REPLICATIONS, cell), reps))[0]
+        rngs = substreams(master, (REPLICATIONS, cell), reps)
+        return draw_sorted(self.LEVEL, uniform_rows(rngs, 3))[0]
 
     @pytest.mark.parametrize("master", [0, 1, 1729, 2**32 - 1, 2**32, 2**64 + 5, 172900017])
     def test_rows_equal_per_replication_seeding(self, master):
@@ -380,8 +383,8 @@ class TestBlockSeeding:
         # at n = 4000 a piece is _BLOCK_VALUES // n = 32 replications, one row block each
         drawn = []
 
-        def recording_draw(level, n, rngs, out=None):
-            values, logs = draw_sorted(level, n, rngs, out=out)
+        def recording_draw(level, u, logs=None):
+            values, logs = draw_sorted(level, u, logs)
             drawn.append(values.copy())  # the block draws into reused work arrays
             return values, logs
 
@@ -441,7 +444,7 @@ class TestRowBlocks:
     def test_cell_rows_do_not_depend_on_the_other_levels(self):
         # cell 1's piece alone, after cell 0's, and before it: the same sums
         n, methods, seed = 10, METHOD_NAMES, 1729
-        weights = weight_medians(n)
+        weights = seeded_weight_medians(n, DEFAULT_SEED)
         first, second = (0, 0.5, 2.5, 0, 100), (1, 2.5, 0.5, 100, 250)
 
         def run(*pieces):
@@ -458,8 +461,8 @@ class TestRowBlocks:
         cfg = SimulationConfig(methods=METHOD_NAMES, sample_sizes=(30,),
                                param_levels=(normal, extreme), replications=100)
         assert simlab._row_blocks(cfg) == [(30, ((0, 2.0, 3.0, 0, 100), (1, 0.01, 1.0, 0, 100)))]
-        values = draw_sorted(extreme, 30, substreams(cfg.master_seed, (REPLICATIONS, 1),
-                                                     range(100)))[0]
+        rngs = substreams(cfg.master_seed, (REPLICATIONS, 1), range(100))
+        values = draw_sorted(extreme, uniform_rows(rngs, 30))[0]
         bad_draws = np.count_nonzero((values[:, 0] == 0.0) | ~np.isfinite(values[:, -1]))
         assert bad_draws >= 1
         table = run_experiment(cfg)
@@ -550,6 +553,15 @@ class TestRankMethods:
             rank_methods(MetricTable(rows=()), "ALPHA_BIAS")
         with pytest.raises(ValueError):
             rank_methods(self.make_table(), "ALPHA_BIAS", n=99)
+
+    def test_level_selects_the_cell(self):
+        other = tuple(MetricRow(r.method, 10, 0.5, 1.0, -r.bias_alpha / 10, 0.0, 0.1, 0.1, 100, 0)
+                      for r in self.make_table().rows)
+        table = MetricTable(rows=self.make_table().rows + other)
+        ranked = rank_methods(table, "ALPHA_BIAS", n=10, level=WeibullParams(2.0, 3.0))
+        assert ranked == rank_methods(self.make_table(), "ALPHA_BIAS")
+        assert rank_methods(table, "ALPHA_BIAS", level=WeibullParams(0.5, 1.0)) == \
+            [("MM", 0.002), ("USTAT", -0.002), ("LM", 0.005)]
 
     def test_ambiguous_cell_errors(self):
         rows = self.make_table().rows + (MetricRow("LM", 20, 2.0, 3.0, 0.1, 0.1, 0.2, 0.2, 50, 0),)
