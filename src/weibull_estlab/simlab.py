@@ -16,11 +16,16 @@ The lab splits its work two ways, neither of which depends on the worker count:
   pieces of one sample size in grid order, so it can span every level of
   that size, at most ``_BLOCK_ROWS`` rows (1024, a cap set by the run's
   traced memory peak) and ``_BLOCK_VALUES`` values (or a single piece). Its
-  samples are drawn into one matrix: each piece fills its rows with the
-  uniforms of its substreams ``(REPLICATIONS, cell, r)`` under the master
-  seed (seeded together by :func:`core.substreams`), and
-  :func:`core.draw_sorted` inverts them at that cell's level. Every method
-  fits all of the block's rows in one batch call (:func:`methods.fit_block`).
+  samples are drawn into one matrix: row r of a piece of cell c holds the
+  first n uniforms of substream ``(REPLICATIONS, c, r)`` under the master
+  seed, filled for the whole block at once by :func:`core.fill_uniforms`
+  from every piece's seed words (:func:`core.state_words`), and
+  :func:`core.draw_sorted` inverts a piece's rows at its cell's level. Up to
+  n = 64 the fill is one numpy pass that repeats numpy's PCG64 in integer
+  arithmetic that wraps as its C code does, so a row gets the bits its own
+  Generator would; larger n keeps one Generator per row, whose cost is
+  small beside the row's draws. Every method fits all of the block's rows
+  in one batch call (:func:`methods.fit_block`).
   The calls share one :class:`regression.LogStats`, which forms each
   statistic several methods read once per block: one product of the logs
   with every cached column, their row sums and the tie notes. A row's
@@ -49,8 +54,8 @@ import numpy as np
 
 # sample, fit_method and simulate_weight_medians are the single-replication
 # steps of the lab, re-exported here next to their batched forms
-from .core import (DEFAULT_SEED, REPLICATIONS, WeibullParams, draw_sorted, sample,  # noqa: F401
-                   scratch, substreams)
+from .core import (DEFAULT_SEED, REPLICATIONS, WeibullParams, draw_sorted,  # noqa: F401
+                   fill_uniforms, sample, scratch, state_words)
 from .likelihood import WeightPair, seeded_weight_medians, simulate_weight_medians  # noqa: F401
 from .methods import METHOD_NAMES, FitOptions, fit_block, fit_method  # noqa: F401
 from .regression import DEFAULT_RULE
@@ -264,13 +269,16 @@ def _run_block(args) -> list[tuple[int, np.ndarray]]:
     """Fit all methods on one row block and reduce each of its pieces.
 
     ``args`` is (n, methods, options, weights, master seed, pieces), the
-    pieces as :func:`_row_blocks` lists them. Each piece fills its rows of
-    the block with the uniforms of its own substreams and inverts them at
-    its own level, and each method fits the whole block in one batch call,
-    all of them from one shared :class:`regression.LogStats`. Returns (cell
-    index, sums[n_methods, 5]) per piece, in order: per method, over the
-    piece's rows whose estimates are finite, their count k, the sums of the
-    shape and scale errors, and the sums of their squares.
+    pieces as :func:`_row_blocks` lists them. The seed words of every
+    piece's substreams fill the whole block's uniforms in one
+    :func:`core.fill_uniforms` call: one numpy pass with the bits of numpy's
+    PCG64 at n up to ``core._NUMPY_FILL_MAX_N``, one Generator per row above
+    it. Each piece inverts its rows at its own level, and each method fits
+    the whole block in one batch call, all of them from one shared
+    :class:`regression.LogStats`. Returns (cell index, sums[n_methods, 5])
+    per piece, in order: per method, over the piece's rows whose estimates
+    are finite, their count k, the sums of the shape and scale errors, and
+    the sums of their squares.
     """
     n, methods, options, weights, master_seed, pieces = args
     bounds = [0, *accumulate(stop - start for *_, start, stop in pieces)]
@@ -278,12 +286,11 @@ def _run_block(args) -> list[tuple[int, np.ndarray]]:
     # the samples live in this thread's reused work arrays: no fit keeps them
     block = (bounds[-1], n)
     values, logs = scratch("simlab.values", block), scratch("simlab.logs", block)
-    for (cell, shape, scale, start, stop), lo, hi in spans:
-        rows = values[lo:hi]
-        for row, rng in zip(rows, substreams(master_seed, (REPLICATIONS, cell),
-                                             range(start, stop))):
-            rng.random(out=row)
-        draw_sorted(WeibullParams(shape, scale), rows, logs[lo:hi])
+    fill_uniforms(np.concatenate([
+        state_words(master_seed, (REPLICATIONS, cell), range(start, stop))
+        for cell, _, _, start, stop in pieces]), values)
+    for (_, shape, scale, _, _), lo, hi in spans:
+        draw_sorted(WeibullParams(shape, scale), values[lo:hi], logs[lo:hi])
     # a draw of 0 (a 0.0 uniform or an underflow) or inf fails its replication for every method
     ok = np.flatnonzero((values[:, 0] > 0.0) & np.isfinite(values[:, -1]))
     if ok.size < block[0]:

@@ -221,6 +221,49 @@ class TestSubstreams:
                 assert rng.bit_generator.state == oracle.bit_generator.state, (seed, i)
 
 
+    def test_range_step_is_honoured(self):
+        for indices in (range(0, 10, 2), range(9, -1, -3)):
+            rngs = core.substreams(1, (core.REPLICATIONS, 3), indices)
+            assert len(rngs) == len(indices)
+            for i, rng in zip(indices, rngs):
+                oracle = np.random.default_rng(np.random.SeedSequence(1, spawn_key=(0, 3, i)))
+                assert rng.bit_generator.state == oracle.bit_generator.state, i
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            core.state_words(1, (core.REPLICATIONS, 0), range(-1, 3))
+
+
+class TestFillUniforms:
+    """core.fill_uniforms equals each row's own Generator.random, on both
+    sides of the row length where it switches to one Generator per row."""
+
+    CROSSOVER = core._NUMPY_FILL_MAX_N
+    INDICES = [*range(40), *range(2**32 - 3, 2**32)]
+
+    @pytest.mark.parametrize("seed", [0, 1729, 2**32, 2**64 + 5, 2**160 + 7])
+    @pytest.mark.parametrize("key", [(core.REPLICATIONS, 0), (core.REPLICATIONS, 11),
+                                     (core.WEIGHTS,)])
+    def test_rows_equal_seed_sequence(self, seed, key):
+        words = np.concatenate([core.state_words(seed, key, range(i, i + 1)) for i in self.INDICES])
+        for n in (2, 5, self.CROSSOVER, self.CROSSOVER + 1):
+            got = core.fill_uniforms(words, np.empty((len(self.INDICES), n)))
+            oracle = np.array([
+                np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key + (i,))).random(n)
+                for i in self.INDICES])
+            assert got.view(np.uint64).tobytes() == oracle.view(np.uint64).tobytes(), n
+
+    def test_numpy_pass_up_to_the_crossover_only(self, monkeypatch):
+        built = []
+        real = core._generator
+        monkeypatch.setattr(core, "_generator", lambda w: built.append(w) or real(w))
+        words = core.state_words(7, (core.REPLICATIONS, 2), range(3))
+        core.fill_uniforms(words, np.empty((3, self.CROSSOVER)))
+        assert built == []
+        core.fill_uniforms(words, np.empty((3, self.CROSSOVER + 1)))
+        assert len(built) == 3
+
+
 class TestScratch:
     def test_reused_per_tag_and_fresh_above_the_cap(self):
         a = core.scratch("test.a", (4, 5))

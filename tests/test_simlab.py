@@ -27,7 +27,7 @@ from weibull_estlab.likelihood import seeded_weight_medians
 from weibull_estlab.methods import FitOptions, fit_batch
 from weibull_estlab.simlab import CSV_HEADER, default_replications
 
-from conftest import OneZeroGenerator, replication_rng, uniform_rows
+from conftest import replication_rng, uniform_rows
 
 
 def tiny_config(**overrides):
@@ -379,6 +379,33 @@ class TestBlockSeeding:
         with pytest.raises(ValueError):
             substreams(-1, (REPLICATIONS, 0), range(3))
 
+    @pytest.mark.parametrize("n", [5, core._NUMPY_FILL_MAX_N, core._NUMPY_FILL_MAX_N + 1])
+    def test_block_fill_equals_per_row_generators(self, n, monkeypatch):
+        # pieces of 1, 255, 256 and 257 rows over two cells, in one row block
+        drawn = []
+
+        def recording_draw(level, u, logs=None):
+            values, logs = draw_sorted(level, u, logs)
+            drawn.append(values.copy())
+            return values, logs
+
+        monkeypatch.setattr(simlab, "draw_sorted", recording_draw)
+        master, shape, scale = 1729, self.LEVEL.shape, self.LEVEL.scale
+        pieces = ((3, shape, scale, 0, 1), (3, shape, scale, 1, 256),
+                  (4, shape, scale, 0, 256), (4, shape, scale, 256, 513))
+        task = (n, ("LM", "MLE"), FitOptions(), None, master, pieces)
+        sums = {}
+        for crossover in (n - 1, n):  # one Generator per row, then the numpy pass
+            monkeypatch.setattr(core, "_NUMPY_FILL_MAX_N", crossover)
+            drawn.clear()
+            sums[crossover] = simlab._run_block(task)
+            assert [len(v) for v in drawn] == [1, 255, 256, 257]
+            for (cell, *_, start, stop), values in zip(pieces, drawn):
+                assert np.array_equal(values, self.oracle_rows(master, cell, range(start, stop), n))
+        assert [c for c, _ in sums[n - 1]] == [c for c, _ in sums[n]] == [3, 3, 4, 4]
+        for (_, before), (_, after) in zip(sums[n - 1], sums[n]):
+            assert before.tobytes() == after.tobytes()
+
     def test_chunk_split_into_row_blocks(self, monkeypatch):
         # at n = 4000 a piece is _BLOCK_VALUES // n = 32 replications, one row block each
         drawn = []
@@ -482,16 +509,20 @@ class TestRowBlocks:
                                param_levels=((2.0, 3.0), (0.5, 1.0)), replications=100)
         target = (10, 2.0, 3.0)
         plain = run_experiment(cfg)
-        real = simlab.substreams
+        real = simlab.fill_uniforms
+        target_words = core.state_words(cfg.master_seed, (REPLICATIONS, 2), range(7, 8))[0]
+        planted = []
 
-        def one_zero(seed, key, indices):
-            rngs = real(seed, key, indices)
-            if key == (REPLICATIONS, 2) and 7 in indices:
-                rngs[7 - indices.start] = OneZeroGenerator(rngs[7 - indices.start], 4)
-            return rngs
+        def one_zero(words, out):
+            real(words, out)
+            rows = np.flatnonzero((words == target_words).all(axis=1))
+            out[rows, 4] = 0.0
+            planted.extend(rows.tolist())
+            return out
 
-        monkeypatch.setattr(simlab, "substreams", one_zero)
+        monkeypatch.setattr(simlab, "fill_uniforms", one_zero)
         zeroed = run_experiment(cfg)
+        assert len(planted) == 1
         assert plain.skipped == zeroed.skipped == ()
 
         def split(table):
