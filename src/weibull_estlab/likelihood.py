@@ -24,7 +24,13 @@ sum from a row's last score that way, and only a row whose last score lies
 farther from its root (a check of a bracket end, say) makes a fresh exp pass.
 
 The weighted variant replaces 1/a by w2/a and rescales the scale equation by
-1/w1, where (w1, w2) are medians of two pivotal statistics. Writing
+1/w1, where (w1, w2) are medians of two pivotal statistics; the MLE is the
+case w1 = w2 = 1. So one solve serves both (:func:`fit_likelihood_block`):
+the shifted logs, the degenerate check and the start are formed once, the
+block's rows are stacked once per method with that method's w2 and
+log(n w1), and one root solve and one fresh scale pass cover them all. A
+row's iterates depend on that row alone and 1.0 * x is exact, so each
+method's rows get the bits of a lone fit. Writing
 E = -log(1 - F(X)) ~ Exp(1) under the true model,
 
     W1 = mean(E_i)
@@ -69,6 +75,8 @@ __all__ = [
     "fit_wmle",
     "fit_mle_batch",
     "fit_wmle_batch",
+    "score_constants",
+    "fit_likelihood_block",
     "simulate_weight_medians",
     "seeded_weight_medians",
     "read_weight_table",
@@ -109,25 +117,29 @@ def _powers(alpha: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def _score_rows(dd: np.ndarray, mean_d: np.ndarray, alpha: np.ndarray,
-                w2: float) -> tuple[np.ndarray, ...]:
+                w2: np.ndarray | float) -> tuple[np.ndarray, ...]:
     """Rowwise w2/a + mean(d) - sum(e^(a d) d)/sum(e^(a d)) and its derivative
-    in a, for d = log x - max log x <= 0 (so no power overflows) and
-    dd = [d, d^2] stacked, then sum(e^(a d)) and m1 = sum(e^(a d) d)/sum(e^(a d))."""
+    in a, for d = log x - max log x <= 0 (so no power overflows), dd = [d, d^2]
+    stacked and w2 per row (or one for every row), then sum(e^(a d)) and
+    m1 = sum(e^(a d) d)/sum(e^(a d))."""
     w = _powers(alpha, dd[0])
     total = w.sum(axis=1)
     m1, m2 = np.einsum("ij,kij->ki", w, dd) / total
     inv = 1.0 / alpha
-    return w2 * inv + mean_d - m1, -w2 * inv * inv - (m2 - m1 * m1), total, m1
+    w2_inv = w2 * inv
+    return w2_inv + mean_d - m1, -w2_inv * inv - (m2 - m1 * m1), total, m1
 
 
-def _shifted(logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """dd = [d, d^2] for d = logs - max log, formed afresh in this thread's
-    reused work array (valid until the next call in this thread), and the
-    row means of d."""
-    dd = scratch("likelihood.dd", (2,) + logs.shape)
-    d = np.subtract(logs, logs[:, -1:], out=dd[0])
+def _shifted(logs: np.ndarray, copies: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """dd = [d, d^2] for d = logs - max log, its rows repeated ``copies`` times
+    over, formed afresh in this thread's reused work array (valid until the
+    next call in this thread), and the row means of d."""
+    rows, n = logs.shape
+    dd = scratch("likelihood.dd", (2, copies * rows, n))
+    d = dd[0]
+    np.subtract(logs, logs[:, -1:], out=d.reshape(copies, rows, n))
     np.multiply(d, d, out=dd[1])
-    return dd, d.sum(axis=1) / d.shape[1]
+    return dd, d.sum(axis=1) / n
 
 
 def profile_score(s: SortedSample, alpha: float) -> float:
@@ -143,14 +155,39 @@ def _log_power_sums(alpha: np.ndarray, d: np.ndarray) -> np.ndarray:
     return np.log(_powers(alpha, d).sum(axis=1))
 
 
-def _likelihood_batch(method: str, stats: LogStats, w1: float, w2: float) -> BatchFit:
+def score_constants(name: str, n: int, weights: WeightPair | None = None) -> tuple[float, float]:
+    """(w1, w2) of ``name``, MLE or WMLE, at sample size n: (1, 1) for MLE,
+    the medians of ``weights`` for WMLE. Raises ValueError for WMLE without a
+    WeightPair, or with one simulated for another n."""
+    if name == "MLE":
+        return 1.0, 1.0
+    if weights is None:
+        raise ValueError("WMLE requires a WeightPair for the sample size")
+    if weights.n != n:
+        raise ValueError(f"weights were simulated for n={weights.n}, sample has n={n}")
+    return weights.w1, weights.w2
+
+
+def fit_likelihood_block(stats: LogStats,
+                         constants: dict[str, tuple[float, float]]) -> dict[str, BatchFit]:
     """Shape root of the (weighted) profile score and scale (sum x^a / (n w1))^(1/a)
-    on every row (module docstring)."""
+    on every row, for each method named in ``constants`` with its (w1, w2)
+    (:func:`score_constants`), all from one root solve (module docstring)."""
     logs = stats.logs
-    n = logs.shape[1]
-    dd, mean_d = _shifted(logs)
+    count, n = logs.shape
+    k = len(constants)
+    # the methods' rows one after another, each with its method's log(n w1)
+    # and w2; a row's iterates depend on that row alone, so it gets the bits
+    # of a lone fit
+    dd, mean_d = _shifted(logs, k)
+    per_method = [(math.log(n * w1), w2) for w1, w2 in constants.values()]
+    log_n_w1, w2 = np.array(per_method).repeat(count, axis=0).T
+
+    def stacked(a):  # a vector of the block's rows, once per method
+        return np.concatenate((a,) * k)
+
     errors: dict = {}
-    fail_rows(errors, logs[:, 0] == logs[:, -1], lambda r: DegenerateSampleError(
+    fail_rows(errors, stacked(logs[:, 0] == logs[:, -1]), lambda r: DegenerateSampleError(
         "all observations equal; likelihood has no interior maximum"))
     with np.errstate(divide="ignore", invalid="ignore"):  # a failed row has slope and variance 0
         start = 1.0 / stats.products[:, GLS1_SLOPE]
@@ -158,10 +195,11 @@ def _likelihood_batch(method: str, stats: LogStats, w1: float, w2: float) -> Bat
         if moments.size:
             var_log = row_var(dd[0][moments], mean_d[moments])
             start[moments] = np.sqrt(math.pi ** 2 / (6.0 * var_log))
-    last = np.full((3, logs.shape[0]), np.nan)  # per row: a, sum(e^(a d)) and m1 of its last score
+    size = k * count
+    last = np.full((3, size), np.nan)  # per row: a, sum(e^(a d)) and m1 of its last score
 
     def score(alpha, rows):
-        if rows.size == logs.shape[0]:  # every row, in order: score them without a copy
+        if rows.size == size:  # every row, in order: score them without a copy
             f, df, last[1], last[2] = _score_rows(dd, mean_d, alpha, w2)
             last[0] = alpha
             return f, df
@@ -169,11 +207,11 @@ def _likelihood_batch(method: str, stats: LogStats, w1: float, w2: float) -> Bat
         # index is valid, and take buffers ``out`` in a temporary under mode="raise"
         gathered = np.take(dd, rows, axis=1, mode="clip",
                            out=scratch("likelihood.dd_rows", (2, rows.size, n)))
-        f, df, total, m1 = _score_rows(gathered, mean_d[rows], alpha, w2)
+        f, df, total, m1 = _score_rows(gathered, mean_d[rows], alpha, w2[rows])
         last[0, rows], last[1, rows], last[2, rows] = alpha, total, m1
         return f, df
 
-    shape, diagnostics = solve_rows(score, start, errors)
+    shape, diagnostics = solve_rows(score, stacked(start), errors)
     scored, total, m1 = last
     with np.errstate(invalid="ignore", over="ignore", under="ignore", divide="ignore"):
         step = shape - scored
@@ -181,13 +219,25 @@ def _likelihood_batch(method: str, stats: LogStats, w1: float, w2: float) -> Bat
         fresh = np.flatnonzero(~(np.abs(step) <= NEWTON_RTOL * scored))  # failed rows too
         if fresh.size:
             log_sum[fresh] = _log_power_sums(shape[fresh], dd[0][fresh])
-        scale = np.exp(logs[:, -1] + (log_sum - math.log(n * w1)) / shape)
-    return BatchFit.build(method, shape, scale, errors, **diagnostics)
+        scale = np.exp(stacked(logs[:, -1]) + (log_sum - log_n_w1) / shape)
+    # one fit per method: views of its rows (the solver and exp return fresh
+    # arrays, not work arrays) and its errors, renumbered from 0
+    lo, hi = diagnostics.pop("bracket")
+    fits = {}
+    for part, name in enumerate(constants):
+        first = part * count
+        rows = slice(first, first + count)
+        own = {r - first: e for r, e in errors.items() if first <= r < first + count}
+        fits[name] = BatchFit.build(name, shape[rows], scale[rows], own,
+                                    bracket=(lo[rows], hi[rows]),
+                                    **{key: a[rows] for key, a in diagnostics.items()})
+    return fits
 
 
 def fit_mle_batch(stats: LogStats) -> BatchFit:
     """Maximum likelihood on every row of a block via the profile-score root."""
-    return _likelihood_batch("MLE", stats, 1.0, 1.0)
+    constants = score_constants("MLE", stats.logs.shape[1])
+    return fit_likelihood_block(stats, {"MLE": constants})["MLE"]
 
 
 def fit_wmle_batch(stats: LogStats, weights: WeightPair) -> BatchFit:
@@ -199,10 +249,8 @@ def fit_wmle_batch(stats: LogStats, weights: WeightPair) -> BatchFit:
     exists; a row whose widened bracket holds no sign change fails with a
     BracketError, as an MLE row does. The scale is (sum(x^a) / (n w1))^(1/a).
     """
-    if weights.n != stats.logs.shape[1]:
-        raise ValueError(f"weights were simulated for n={weights.n}, "
-                         f"sample has n={stats.logs.shape[1]}")
-    return _likelihood_batch("WMLE", stats, weights.w1, weights.w2)
+    constants = score_constants("WMLE", stats.logs.shape[1], weights)
+    return fit_likelihood_block(stats, {"WMLE": constants})["WMLE"]
 
 
 def fit_mle(s: SortedSample) -> EstimateResult:

@@ -1,8 +1,11 @@
 """Uniform dispatch over the ten estimators, shared by the lab and the CLI.
 
-Every method is registered as a batch function that fits every row of a
-block of sorted samples at once from the block's :class:`regression.LogStats`.
-Every fit goes through :func:`fit_block`; a single fit is the batch of one.
+Every method fits every row of a block of sorted samples at once from the
+block's :class:`regression.LogStats`. Eight are registered as batch
+functions; MLE and WMLE share one root solve per block
+(:func:`likelihood.fit_likelihood_block`), run at the first of them that
+:func:`fit_block` reaches. Every fit goes through :func:`fit_block`; a single
+fit is the batch of one.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import numpy as np
 
 from .classical import PercentileConfig, fit_lm_batch, fit_mlm_batch, fit_mm_batch, fit_pm_batch
 from .core import BatchFit, EstimateResult, SortedSample
-from .likelihood import WeightPair, fit_mle_batch, fit_wmle_batch
+from .likelihood import WeightPair, fit_likelihood_block, score_constants
 from .regression import (
     DEFAULT_RULE,
     PLOTTING_RULES,
@@ -43,17 +46,11 @@ class FitOptions:
 
 BatchFunction = Callable[[LogStats, FitOptions, WeightPair | None], BatchFit]
 
-
-def _need_weights(weights: WeightPair | None) -> WeightPair:
-    if weights is None:
-        raise ValueError("WMLE requires a WeightPair for the sample size")
-    return weights
-
-
-_REGISTRY: dict[str, BatchFunction] = {
+# None marks MLE and WMLE, which fit_block fits together
+_REGISTRY: dict[str, BatchFunction | None] = {
     "USTAT": lambda st, o, w: fit_ustat_batch(st),
-    "MLE": lambda st, o, w: fit_mle_batch(st),
-    "WMLE": lambda st, o, w: fit_wmle_batch(st, _need_weights(w)),
+    "MLE": None,
+    "WMLE": None,
     "GLS1": lambda st, o, w: fit_gls1_batch(st),
     "GLS2": lambda st, o, w: fit_gls2_batch(st),
     "WLS": lambda st, o, w: fit_wls_batch(st),
@@ -67,7 +64,7 @@ _REGISTRY: dict[str, BatchFunction] = {
 METHOD_NAMES = tuple(_REGISTRY)
 
 
-def _lookup(name: str) -> BatchFunction:
+def _lookup(name: str) -> BatchFunction | None:
     try:
         return _REGISTRY[name]
     except KeyError:
@@ -83,12 +80,31 @@ def fit_block(
 ) -> Iterator[BatchFit]:
     """Fit each named method on every row of the R x n matrices of ascending
     positive finite values and their logs, one at a time and in order, from
-    one shared :class:`regression.LogStats`; raises KeyError for unknown names
-    before any fit."""
+    one shared :class:`regression.LogStats`.
+
+    MLE and WMLE are fitted together, in one root solve at the first of them
+    reached; a name given twice yields the same fit twice. Raises KeyError
+    for an unknown name, and ValueError for WMLE without a WeightPair for n,
+    before any fit.
+    """
     options = options or FitOptions()
     fits = [_lookup(name) for name in names]
+    n = values.shape[1]
+    constants = {name: score_constants(name, n, weights)
+                 for name, fit in zip(names, fits) if fit is None}
     stats = LogStats(values, logs, options.plotting_rule)
-    return (fit(stats, options, weights) for fit in fits)
+    return _fits(names, fits, stats, options, weights, constants)
+
+
+def _fits(names, fits, stats, options, weights, constants) -> Iterator[BatchFit]:
+    likelihood = {}  # MLE and WMLE's fits, from one solve at the first of them
+    for name, fit in zip(names, fits):
+        if fit is not None:
+            yield fit(stats, options, weights)
+            continue
+        if not likelihood:
+            likelihood = fit_likelihood_block(stats, constants)
+        yield likelihood[name]
 
 
 def fit_batch(

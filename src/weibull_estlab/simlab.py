@@ -25,7 +25,8 @@ The lab splits its work two ways, neither of which depends on the worker count:
   arithmetic that wraps as its C code does, so a row gets the bits its own
   Generator would; larger n keeps one Generator per row, whose cost is
   small beside the row's draws. Every method fits all of the block's rows
-  in one batch call (:func:`methods.fit_block`).
+  in one batch call (:func:`methods.fit_block`), and MLE and WMLE share
+  one: a single root solve over the block's rows stacked once per method.
   The calls share one :class:`regression.LogStats`, which forms each
   statistic several methods read once per block: one product of the logs
   with every cached column, their row sums and the tie notes. A row's
@@ -52,8 +53,9 @@ from pathlib import Path
 
 import numpy as np
 
-# sample, fit_method and simulate_weight_medians are the single-replication
-# steps of the lab, re-exported here next to their batched forms
+# the lab calls none of sample, fit_method and simulate_weight_medians; they
+# are re-exported only because the benchmark's tracer (perfbench/spans.py)
+# swaps them for timing wrappers, which therefore time nothing
 from .core import (DEFAULT_SEED, REPLICATIONS, WeibullParams, draw_sorted,  # noqa: F401
                    fill_uniforms, sample, scratch, state_words)
 from .likelihood import WeightPair, seeded_weight_medians, simulate_weight_medians  # noqa: F401
@@ -274,11 +276,11 @@ def _run_block(args) -> list[tuple[int, np.ndarray]]:
     :func:`core.fill_uniforms` call: one numpy pass with the bits of numpy's
     PCG64 at n up to ``core._NUMPY_FILL_MAX_N``, one Generator per row above
     it. Each piece inverts its rows at its own level, and each method fits
-    the whole block in one batch call, all of them from one shared
-    :class:`regression.LogStats`. Returns (cell index, sums[n_methods, 5])
-    per piece, in order: per method, over the piece's rows whose estimates
-    are finite, their count k, the sums of the shape and scale errors, and
-    the sums of their squares.
+    the whole block in one batch call (MLE and WMLE in one shared solve),
+    all of them from one shared :class:`regression.LogStats`. Returns
+    (cell index, sums[n_methods, 5]) per piece, in order: per method, over
+    the piece's rows whose estimates are finite, their count k, the sums of
+    the shape and scale errors, and the sums of their squares.
     """
     n, methods, options, weights, master_seed, pieces = args
     bounds = [0, *accumulate(stop - start for *_, start, stop in pieces)]

@@ -296,32 +296,60 @@ def test_closed_forms_match_previous_formulas(name):
 
 # --- the likelihood fits' shared start and scale ---------------------------------
 
+def _record(*parts):
+    """The rows of consecutive fits of one method as one fit's: every array's
+    bytes, and the errors by row, class and message."""
+    arrays = [np.concatenate([getattr(fit, field) for fit in parts])
+              for field in ("shape", "scale", "iterations", "residual", "fallback")]
+    arrays += [np.concatenate([fit.bracket[end] for fit in parts]) for end in (0, 1)]
+    offsets = np.cumsum([0] + [fit.shape.size for fit in parts])
+    errors = sorted((int(r + offset), type(e), str(e))
+                    for fit, offset in zip(parts, offsets) for r, e in fit.errors.items())
+    return [a.tobytes() for a in arrays], errors
+
+
+# the likelihood methods requested in these orders share one solve
+LIKELIHOOD_ORDERS = (("MLE", "WMLE"), ("WMLE", "MLE"), ("MLE", "WMLE", "MLE"))
+
+
 @pytest.mark.parametrize("name", ["MLE", "WMLE"])
 def test_likelihood_rows_do_not_depend_on_their_context(name):
     # the start is a column of the block's shared product, and the scale comes
     # from the row's own scores: fitted alone, beside the nine other methods,
-    # in another split of the block or under either plotting rule, a row gets
-    # the same bits
+    # in one solve with the other likelihood method in either order, in
+    # another split of the block or under either plotting rule, a row gets
+    # the same bits, diagnostics and errors
     for label, values, logs in CORPUS:
         rows = values.shape[0]
         if not rows:
             continue
         weights = _weights(values.shape[1])
-        alone = fit_batch(name, values, logs, None, weights)
-        others = [alone.shape, alone.scale, alone.iterations]
+        alone = _record(fit_batch(name, values, logs, None, weights))
         for rule in PLOTTING_RULES:
             options = FitOptions(plotting_rule=rule)
             fits = dict(zip(METHOD_NAMES, fit_block(METHOD_NAMES, values, logs, options, weights)))
+            contexts = [fit_batch(name, values, logs, options, weights), fits[name]]
+            for order in LIKELIHOOD_ORDERS:
+                contexts += [fit for method, fit in
+                             zip(order, fit_block(order, values, logs, options, weights))
+                             if method == name]
+            for fit in contexts:
+                assert _record(fit) == alone, (label, rule)
             split = [fit_batch(name, values[part], logs[part], options, weights)
                      for part in (slice(0, rows // 3), slice(rows // 3, rows))]
-            for fit in (fit_batch(name, values, logs, options, weights), fits[name]):
-                for got, want in zip([fit.shape, fit.scale, fit.iterations], others):
-                    assert got.tobytes() == want.tobytes(), (label, rule)
-            for got, want in zip(
-                    [np.concatenate([part.shape for part in split]),
-                     np.concatenate([part.scale for part in split]),
-                     np.concatenate([part.iterations for part in split])], others):
-                assert got.tobytes() == want.tobytes(), (label, rule)
+            assert _record(*split) == alone, (label, rule)
+
+
+@pytest.mark.parametrize("order", LIKELIHOOD_ORDERS + (("LM", "WMLE"),))
+def test_wmle_without_weights_raises_before_any_fit(order):
+    # fit_block checks WMLE's weights when it is called, before it fits
+    # anything, so no earlier method's fit is returned first
+    values, logs = _drawn(2.0, 5.0, 10, 4, 5)
+    with pytest.raises(ValueError, match="^WMLE requires a WeightPair for the sample size$"):
+        fit_block(order, values, logs)
+    with pytest.raises(ValueError, match="^weights were simulated for n=12, sample has n=10$"):
+        fit_block(order, values, logs, None, _weights(12))
+    assert not next(fit_block(("MLE",), values, logs)).failed.any()
 
 
 def test_scale_from_last_score_matches_a_fresh_pass(monkeypatch):
@@ -565,6 +593,14 @@ def checked_solver(monkeypatch):
 def test_solver_matches_eager_oracle_on_corpus(name, checked_solver):
     for label, values, logs in CORPUS:
         _fit(name, values, logs)
+    assert checked_solver.calls == sum(1 for case in CORPUS if case[1].shape[0])
+
+
+def test_solver_matches_eager_oracle_on_the_likelihood_pair(checked_solver):
+    # MLE and WMLE of a block share one solve over their stacked rows: the
+    # eager oracle agrees with it bit for bit, one call per case for the pair
+    for label, values, logs in CORPUS:
+        list(fit_block(("MLE", "WMLE"), values, logs, None, _weights(values.shape[1])))
     assert checked_solver.calls == sum(1 for case in CORPUS if case[1].shape[0])
 
 

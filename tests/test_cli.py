@@ -14,10 +14,12 @@ from weibull_estlab import (
     load_dataset,
     parse_dataset,
 )
-from weibull_estlab import cli
+from weibull_estlab import cli, likelihood
 from weibull_estlab.cli import EXIT_METHOD_FAILED, EXIT_OK, EXIT_USAGE, PRESETS, main
 from weibull_estlab.likelihood import (WEIGHT_TABLE_HEADER, read_weight_table,
                                        seeded_weight_medians)
+from weibull_estlab.methods import METHOD_NAMES
+from weibull_estlab.regression import LogStats
 
 LIFETIME_SHA256 = "6c20ae678d915be9f5e09e3474677af4d5439ce8ef75e75c4cdbcb9cf661bc23"
 
@@ -28,6 +30,13 @@ def run_cli(argv):
         return main(argv)
     except SystemExit as exc:  # argparse paths
         return int(exc.code or 0)
+
+
+def method_entries(report, names):
+    """The report's entries of the named methods, each value as json writes it."""
+    doc = json.loads(report.read_text())
+    return {key: json.dumps(value) for key, value in doc.items()
+            if key.split(".")[0] in names and "." in key}
 
 
 def unreadable_cache(path, kind):
@@ -108,6 +117,53 @@ class TestFitCommand:
         out = capsys.readouterr().out
         assert code == EXIT_METHOD_FAILED
         assert "failed" in out and "DegenerateSampleError" in out
+
+    def test_failed_method_is_reported_after_the_others(self, tmp_path, monkeypatch, capsys):
+        # PM's two quantiles coincide on this sample; the nine others fit it,
+        # print in order and write the values a run without PM writes
+        monkeypatch.setenv("WEIBULL_ESTLAB_WEIGHTS", str(tmp_path / "w.txt"))
+        f = tmp_path / "ties.txt"
+        f.write_text("1\n1\n1\n1\n2\n")
+        out = tmp_path / "r.json"
+        code = run_cli(["fit", "--data", str(f), "--methods", "all", "--out", str(out)])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == EXIT_METHOD_FAILED
+        others = [m for m in METHOD_NAMES if m != "PM"]
+        assert [line.split()[0] for line in lines[3:-1]] == others + ["PM"]
+        assert lines[-2].startswith("PM       failed: DegenerateSampleError: ")
+        doc = json.loads(out.read_text())
+        assert doc["PM.status"] == "failed" and doc["PM.error"].startswith("DegenerateSampleError")
+        partial = tmp_path / "partial.json"
+        assert run_cli(["fit", "--data", str(f), "--methods", ",".join(others),
+                        "--out", str(partial)]) == EXIT_OK
+        assert method_entries(partial, others) == method_entries(out, others)
+
+    @pytest.mark.parametrize("methods", ["WMLE", "WMLE,MLE", "MLE,LM"])
+    def test_a_method_writes_the_same_bytes_in_any_company(self, methods, tmp_path,
+                                                            monkeypatch, capsys):
+        # MLE and WMLE share one solve when both are asked for: alone, in
+        # either order or beside all the others, each writes the same values
+        monkeypatch.setenv("WEIBULL_ESTLAB_WEIGHTS", str(tmp_path / "w.txt"))
+        every, some = tmp_path / "all.json", tmp_path / "some.json"
+        assert run_cli(["fit", "--methods", "all", "--out", str(every)]) == EXIT_OK
+        assert run_cli(["fit", "--methods", methods, "--out", str(some)]) == EXIT_OK
+        names = methods.split(",")
+        assert method_entries(some, names) == method_entries(every, names)
+        assert len(method_entries(some, names)) == 5 * len(names)
+
+    def test_one_log_stats_and_one_likelihood_solve_per_invocation(self, tmp_path,
+                                                                     monkeypatch, capsys):
+        monkeypatch.setenv("WEIBULL_ESTLAB_WEIGHTS", str(tmp_path / "w.txt"))
+        built, solves = [], []
+        init, solve = LogStats.__init__, likelihood.solve_rows
+        monkeypatch.setattr(LogStats, "__init__",
+                            lambda self, *args: built.append(args) or init(self, *args))
+        monkeypatch.setattr(likelihood, "solve_rows",
+                            lambda *args: solves.append(args) or solve(*args))
+        assert run_cli(["fit", "--methods", "all"]) == EXIT_OK
+        assert (len(built), len(solves)) == (1, 1)
+        # the solve's rows: the sample's once for MLE and once for WMLE
+        assert solves[0][1].size == 2
 
     def test_unknown_method_exits_64(self, capsys):
         code = run_cli(["fit", "--methods", "XYZ"])
@@ -521,7 +577,8 @@ class TestUnwritableOutput:
         def forbidden(*args, **kwargs):
             raise AssertionError("work started before the output location was checked")
 
-        for name in ("fit_method", "gof_report", "run_experiment", "seeded_weight_medians"):
+        for name in ("fit_block", "fit_method", "gof_report", "run_experiment",
+                     "seeded_weight_medians"):
             monkeypatch.setattr(cli, name, forbidden)
         monkeypatch.setenv("WEIBULL_ESTLAB_WEIGHTS", str(tmp_path / "w.txt"))
 
