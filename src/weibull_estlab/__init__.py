@@ -39,7 +39,7 @@ from .errors import (
     InvalidRatioError,
     SingularSystemError,
 )
-from .gof import GofReport, cvm_distance, gof_report, ks_distance
+from .gof import GofReport, cvm_distance, gof_report, gof_reports, ks_distance
 from .likelihood import (
     WeightPair,
     WeightStore,
@@ -90,7 +90,7 @@ __all__ = [
     "PlottingPositions", "build_positions",
     "fit_gls1", "fit_gls2", "fit_wls",
     # gof
-    "GofReport", "ks_distance", "cvm_distance", "gof_report",
+    "GofReport", "ks_distance", "cvm_distance", "gof_report", "gof_reports",
     # lab
     "METHOD_NAMES", "FitOptions", "fit_method", "fit_batch",
     "SimulationConfig", "MetricRow", "MetricTable", "run_experiment",

@@ -18,10 +18,10 @@ from pathlib import Path
 
 from . import __version__
 from .classical import QUANTILE_RULES, PercentileConfig
-from .core import DEFAULT_SEED, SortedSample, WeibullParams
+from .core import DEFAULT_SEED, EstimateResult, SortedSample, WeibullParams
 from .datasets import BUNDLED_LIFETIME, Dataset, load_dataset
 from .errors import DataError, EstimationError
-from .gof import gof_report
+from .gof import gof_report, gof_reports
 from .likelihood import (
     WeightStore,
     default_weights_path,
@@ -219,17 +219,19 @@ def _run_fit(args) -> int:
         "version": __version__, "seed": args.seed, "plotting_rule": options.plotting_rule,
         "pm_p": options.percentile.p, "pm_rule": options.percentile.quantile_rule,
     }
+    fitted: dict[str, EstimateResult] = {}
     failures: dict[str, str] = {}
     # every method from one fit_block call on the sample as a block of one:
     # one LogStats, and MLE and WMLE from one root solve
     fits = fit_block(args.methods, s.values[None, :], s.logs[None, :], options, weights)
     for name, fit in zip(args.methods, fits):
         try:
-            r = fit.result()
+            fitted[name] = fit.result()
         except EstimationError as exc:
             failures[name] = f"{type(exc).__name__}: {exc}"
-            continue
-        g = gof_report(s, r.params)
+    # and every fitted method's KS and CVM from one cdf matrix
+    reports = gof_reports(s, [r.params for r in fitted.values()]) if fitted else []
+    for (name, r), g in zip(fitted.items(), reports):
         note = f"  ({'; '.join(r.notes)})" if r.notes else ""
         print(f"{name:8s} {r.shape:9.4f} {r.scale:10.4f} {g.ks:8.4f} {g.cvm:8.4f}{note}")
         doc.update({f"{name}.status": "ok", f"{name}.alpha": r.shape, f"{name}.beta": r.scale,

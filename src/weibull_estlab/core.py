@@ -457,7 +457,7 @@ class BatchFit:
         )
 
 
-def _check_positive(x, what: str = "x"):
+def check_positive(x, what: str = "x"):
     arr = np.asarray(x, dtype=float)
     if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
         raise ValueError(f"{what} must be positive and finite")
@@ -469,7 +469,7 @@ def pdf(p: WeibullParams, x):
 
     Accepts a scalar or array; raises ValueError on non-positive input.
     """
-    arr = _check_positive(x)
+    arr = check_positive(x)
     z = arr / p.scale
     out = (p.shape / p.scale) * z ** (p.shape - 1.0) * np.exp(-(z ** p.shape))
     return float(out) if np.isscalar(x) else out
@@ -477,7 +477,7 @@ def pdf(p: WeibullParams, x):
 
 def cdf(p: WeibullParams, x):
     """Distribution function 1 - exp{-(x/scale)^shape} for x > 0."""
-    arr = _check_positive(x)
+    arr = check_positive(x)
     out = -np.expm1(-((arr / p.scale) ** p.shape))
     return float(out) if np.isscalar(x) else out
 

@@ -1,14 +1,23 @@
-"""Kolmogorov-Smirnov and Cramer-von Mises distances against a fitted model."""
+"""Kolmogorov-Smirnov and Cramer-von Mises distances against fitted models.
+
+One implementation serves every caller: :func:`gof_reports` scores R
+(shape, scale) pairs against one dataset from one R x n matrix of model cdf
+values, and :func:`gof_report`, :func:`ks_distance` and :func:`cvm_distance`
+are its batch of one. Every element goes through the same numpy operations
+wherever its row sits, so a row's distances keep their bits alone, in any
+order and in any company.
+"""
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SortedSample, WeibullParams, cdf
+from .core import SortedSample, WeibullParams, check_positive
 
-__all__ = ["GofReport", "ks_distance", "cvm_distance", "gof_report"]
+__all__ = ["GofReport", "ks_distance", "cvm_distance", "gof_report", "gof_reports"]
 
 
 @dataclass(frozen=True)
@@ -29,21 +38,35 @@ def _ordered_values(data) -> np.ndarray:
     return values
 
 
-def _ks(f: np.ndarray) -> float:
-    n = f.size
+def gof_reports(data, params: Sequence[WeibullParams]) -> list[GofReport]:
+    """Both distances of each model in ``params`` on one dataset, in order.
+
+    Row r of the cdf matrix is F_r(x_(i)) = 1 - exp{-(x_(i)/scale_r)^shape_r},
+    as :func:`weibull_estlab.cdf` computes it. Observations must be positive
+    and finite, else ``ValueError``.
+    """
+    x = check_positive(_ordered_values(data))
+    n = x.size
+    f = x / np.array([p.scale for p in params], dtype=float).reshape(-1, 1)
+    # one scalar exponent per row, as a lone cdf call raises it: numpy squares
+    # at exactly 2 and takes the root at 0.5 only for a scalar exponent
+    for row, p in zip(f, params):
+        row **= p.shape
+    f = -np.expm1(-f)
     i = np.arange(1, n + 1, dtype=float)
-    return float(np.max(np.maximum(i / n - f, f - (i - 1) / n)))
+    ks = np.max(np.maximum(i / n - f, f - (i - 1) / n), axis=1)
+    cvm = 1.0 / (12 * n) + np.sum(((2 * i - 1) / (2 * n) - f) ** 2, axis=1)
+    return [GofReport(ks=k, cvm=c, n=n) for k, c in zip(ks.tolist(), cvm.tolist())]
 
 
-def _cvm(f: np.ndarray) -> float:
-    n = f.size
-    i = np.arange(1, n + 1, dtype=float)
-    return float(1.0 / (12 * n) + np.sum(((2 * i - 1) / (2 * n) - f) ** 2))
+def gof_report(data, p: WeibullParams) -> GofReport:
+    """Both distances from one evaluation of the model cdf at the ordered data."""
+    return gof_reports(data, [p])[0]
 
 
 def ks_distance(data, p: WeibullParams) -> float:
     """sup-norm distance: max over i of max{i/n - F(x_(i)), F(x_(i)) - (i-1)/n}."""
-    return _ks(cdf(p, _ordered_values(data)))
+    return gof_report(data, p).ks
 
 
 def cvm_distance(data, p: WeibullParams) -> float:
@@ -51,10 +74,4 @@ def cvm_distance(data, p: WeibullParams) -> float:
 
     Bounded below by 1/(12n), attained exactly when F(x_(i)) = (2i-1)/(2n).
     """
-    return _cvm(cdf(p, _ordered_values(data)))
-
-
-def gof_report(data, p: WeibullParams) -> GofReport:
-    """Both distances from one evaluation of the model cdf at the ordered data."""
-    f = cdf(p, _ordered_values(data))
-    return GofReport(ks=_ks(f), cvm=_cvm(f), n=int(f.size))
+    return gof_report(data, p).cvm

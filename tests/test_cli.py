@@ -9,7 +9,9 @@ from weibull_estlab import (
     DataError,
     PercentileConfig,
     SortedSample,
+    WeibullParams,
     fit_lm,
+    gof_report,
     lifetime48,
     load_dataset,
     parse_dataset,
@@ -164,6 +166,36 @@ class TestFitCommand:
         assert (len(built), len(solves)) == (1, 1)
         # the solve's rows: the sample's once for MLE and once for WMLE
         assert solves[0][1].size == 2
+
+    @pytest.mark.parametrize("data, scored, code", [
+        (None, METHOD_NAMES, EXIT_OK),
+        ("1\n1\n1\n1\n2\n", tuple(m for m in METHOD_NAMES if m != "PM"), EXIT_METHOD_FAILED),
+        ("3\n3\n3\n", (), EXIT_METHOD_FAILED),
+    ], ids=["lifetime48", "pm-fails", "all-fail"])
+    def test_one_gof_batch_over_the_fitted_methods(self, data, scored, code, tmp_path,
+                                                   monkeypatch, capsys):
+        # every method that fits is scored by one gof_reports call, in order;
+        # a failed one is left out, and with none fitted no GOF runs at all
+        monkeypatch.setenv("WEIBULL_ESTLAB_WEIGHTS", str(tmp_path / "w.txt"))
+        calls, batch = [], cli.gof_reports
+        monkeypatch.setattr(cli, "gof_reports",
+                            lambda s, params: calls.append(params) or batch(s, params))
+        monkeypatch.setattr(cli, "gof_report", None)
+        out, source = tmp_path / "r.json", "bundled:lifetime48"
+        if data is not None:
+            source = tmp_path / "d.txt"
+            source.write_text(data)
+        assert run_cli(["fit", "--data", str(source), "--methods", "all",
+                        "--out", str(out)]) == code
+        doc = json.loads(out.read_text())
+        fitted = [WeibullParams(doc[f"{m}.alpha"], doc[f"{m}.beta"]) for m in scored]
+        assert calls == ([fitted] if scored else [])
+        s = SortedSample.from_data(load_dataset(str(source)).observations)
+        for name, params in zip(scored, fitted):  # each the bits of a lone report
+            lone = gof_report(s, params)
+            assert (doc[f"{name}.ks"], doc[f"{name}.cvm"]) == (lone.ks, lone.cvm)
+        assert [k for k in doc if k.endswith(".status") and doc[k] == "ok"] == \
+            [f"{m}.status" for m in sorted(scored)]
 
     def test_unknown_method_exits_64(self, capsys):
         code = run_cli(["fit", "--methods", "XYZ"])
@@ -577,7 +609,7 @@ class TestUnwritableOutput:
         def forbidden(*args, **kwargs):
             raise AssertionError("work started before the output location was checked")
 
-        for name in ("fit_block", "fit_method", "gof_report", "run_experiment",
+        for name in ("fit_block", "fit_method", "gof_report", "gof_reports", "run_experiment",
                      "seeded_weight_medians"):
             monkeypatch.setattr(cli, name, forbidden)
         monkeypatch.setenv("WEIBULL_ESTLAB_WEIGHTS", str(tmp_path / "w.txt"))

@@ -2,8 +2,9 @@
 
 The files under ``tests/golden/`` are the metric and plot CSVs of
 ``simulate --preset table1 --reps 300`` and ``--preset table3 --reps 100``,
-the ``fit --methods all --out`` document of the bundled lifetime48 dataset
-and the ``weights --n 5,10,30`` table, all at the default seed 1729. A change
+the ``fit --methods all --out`` document of the bundled lifetime48 dataset,
+its ``gof --alpha 4.5922 --beta 26.9452 --out`` document and the
+``weights --n 5,10,30`` table, all at the default seed 1729. A change
 that leaves every output alone leaves them untouched; a deliberate output
 change rewrites them with
 
@@ -34,7 +35,7 @@ SIMULATIONS = (("table1", 300), ("table3", 100))
 SIM_FILES = ("metrics.csv", "plot_bias_alpha.csv", "plot_bias_beta.csv",
              "plot_rmse_alpha.csv", "plot_rmse_beta.csv")
 FILES = tuple(f"{preset}/{name}" for preset, _ in SIMULATIONS for name in SIM_FILES) + (
-    "fit_lifetime48.json", "weights.txt")
+    "fit_lifetime48.json", "gof_lifetime48.json", "weights.txt")
 
 
 def generate(out: Path, workers: int) -> None:
@@ -47,6 +48,8 @@ def generate(out: Path, workers: int) -> None:
                      "--workers", str(workers), "--out-dir", str(out / preset)]
                     for preset, reps in SIMULATIONS]
             runs.append(["fit", "--methods", "all", "--out", str(out / "fit_lifetime48.json")])
+            runs.append(["gof", "--alpha", "4.5922", "--beta", "26.9452",
+                         "--out", str(out / "gof_lifetime48.json")])
             runs.append(["weights", "--n", "5,10,30", "--out", str(out / "weights.txt")])
             for argv in runs:
                 if main(argv) != EXIT_OK:
