@@ -6,10 +6,11 @@ for the parameterization
     F(x) = 1 - exp{-(x/scale)^shape},    x > 0,
 
 plus the validated sample container, the per-row result of a batched fit,
-the seeding of every random substream, the fill of a block of substreams'
-uniforms (:func:`fill_uniforms`) and the handful of special constants the
-estimators share. Inversion maps uniforms its caller drew
-(:func:`draw_sorted`), so how the streams are laid out stays with the caller.
+every random stream and the handful of special constants the estimators
+share. The layout of the streams lives here alone: :func:`fill_uniforms`
+seeds and fills a block of the lab's replications, :func:`weight_stream`
+gives the WMLE weight simulation its generator. Inversion maps uniforms its
+caller drew (:func:`draw_sorted`).
 
 Every estimator has one array implementation that fits R samples of one size
 at once, read through the block's shared :class:`regression.LogStats`; a
@@ -21,6 +22,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from numbers import Real
 
@@ -39,11 +41,8 @@ __all__ = [
     "EstimateResult",
     "BatchFit",
     "DEFAULT_SEED",
-    "REPLICATIONS",
-    "WEIGHTS",
-    "state_words",
-    "substreams",
     "fill_uniforms",
+    "weight_stream",
     "scratch",
     "row_dot",
     "row_var",
@@ -73,10 +72,10 @@ _scratch_buffers = threading.local()
 # the master seed of every run that names none: the lab's, fit's and the weight table's
 DEFAULT_SEED = 1729
 
-# substream families, the first word of a spawn key: the lab's replication r
-# of cell c is (REPLICATIONS, c, r), the WMLE weight simulation at n is (WEIGHTS, n)
-REPLICATIONS = 0
-WEIGHTS = 1
+# stream families, the first word of a spawn key: the lab's replication r of
+# cell c is (_REPLICATIONS, c, r), the WMLE weight simulation at n is (_WEIGHTS, n)
+_REPLICATIONS = 0
+_WEIGHTS = 1
 
 # SeedSequence hashing constants (NEP 19): hashmix multipliers A (entropy into
 # the pool) and B (pool into state words), and the pool's mix multipliers
@@ -208,11 +207,6 @@ def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
     return value ^ value >> _SHIFT
 
 
-def _word_count(x: int) -> int:
-    """How many uint32 entropy words SeedSequence makes of the integer x >= 0."""
-    return max(1, -(-int(x).bit_length() // 32))
-
-
 class _StateWords(ISeedSequence):
     """Hands a bit generator the precomputed ``generate_state(4, uint64)`` words."""
 
@@ -225,46 +219,9 @@ class _StateWords(ISeedSequence):
         return self.words
 
 
-def state_words(seed: int, key: tuple[int, ...], indices: range) -> np.ndarray:
-    """The R x 4 uint64 words that seed stream i's PCG64, one row per i in
-    ``indices``: row i equals ``SeedSequence(seed, spawn_key=key +
-    (i,)).generate_state(4, np.uint64)`` bit for bit; ``key`` starts with the
-    family.
-
-    A SeedSequence mixes its entropy words into a 4-word pool one at a time,
-    and the index is the last word. So the pool of the shared (seed, key)
-    words comes from numpy, and only the indices are hashed in here, as
-    uint32 arithmetic over all of them at once (it wraps mod 2^32, as the
-    hash does). Every shared word took 4 hashmix steps, which fixes where
-    the hash constant stands.
-    """
-    if indices and min(indices[0], indices[-1]) < 0:
-        raise ValueError("a substream index must be non-negative")
-    if indices and max(indices[0], indices[-1]) >= 1 << 32:
-        raise ValueError("a substream index must fit one 32-bit entropy word")
-    shared = np.random.SeedSequence(seed, spawn_key=key)
-    # the shared words: the seed's, zero-padded to the pool size, then the key's
-    shared_words = max(4, _word_count(seed)) + sum(_word_count(k) for k in key)
-    start = _INIT_A * pow(_MULT_A, 4 * shared_words, 1 << 32) & _MASK32
-    index = np.arange(indices.start, indices.stop, indices.step).astype(np.uint32)
-    mixed = _hashmix(index, _hash_consts(start, _MULT_A, 4))
-    pool = shared.pool[:, None] * _MIX_L - mixed * _MIX_R
-    pool ^= pool >> _SHIFT
-    state32 = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_CONSTS).astype(np.uint64)
-    # PCG64 reads its 4 words from the row's memory, so every row must be contiguous
-    return np.ascontiguousarray((state32[0::2] | state32[1::2] << np.uint64(32)).T)
-
-
-def _generator(words: np.ndarray) -> np.random.Generator:
-    """numpy's Generator over the PCG64 that one row of :func:`state_words` seeds."""
-    return np.random.Generator(np.random.PCG64(_StateWords(words)))
-
-
-def substreams(seed: int, key: tuple[int, ...], indices: range) -> list[np.random.Generator]:
-    """Generator i equals ``default_rng(SeedSequence(seed, spawn_key=key +
-    (i,)))`` bit for bit, for each i in ``indices``: one per row of
-    :func:`state_words`, the one derivation of a random stream from a seed."""
-    return [_generator(row) for row in state_words(seed, key, indices)]
+def weight_stream(seed: int, n: int) -> np.random.Generator:
+    """The generator of the WMLE weight simulation at sample size ``n``."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_WEIGHTS, n)))
 
 
 @functools.cache
@@ -293,10 +250,48 @@ def _jumps(n: int) -> tuple[np.ndarray, ...]:
     return tuple(columns)
 
 
-def fill_uniforms(words: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Fill each row of the R x n float64 matrix ``out`` with the first n
-    ``Generator.random`` draws of the PCG64 that the same row of ``words``
-    (:func:`state_words`) seeds, bit for bit; returns ``out``.
+def _seed_words(seed: int, pieces: Sequence[tuple[int, int, int]]) -> np.ndarray:
+    """The 4 x R uint64 words that seed the PCG64 of each row of
+    :func:`fill_uniforms`, one column per row: the
+    ``generate_state(4, np.uint64)`` of its row's SeedSequence, bit for bit.
+
+    A SeedSequence mixes its entropy words into a 4-word pool one at a time,
+    and the index is the last word. So numpy builds the pool of the shared
+    (seed, family, cell) words, once per distinct cell, and only the indices
+    are hashed in here, as uint32 arithmetic over every row at once (it
+    wraps mod 2^32, as the hash does). Every shared word took 4 hashmix
+    steps, which fixes where the hash constant stands.
+    """
+    pools = {}
+    for cell, start, stop in pieces:
+        if not (0 <= cell < 1 << 32 and 0 <= start <= stop <= 1 << 32):
+            raise ValueError(f"piece {(cell, start, stop)}: a cell or replication index "
+                             "must be one non-negative 32-bit entropy word")
+        if cell not in pools:
+            pools[cell] = np.random.SeedSequence(seed, spawn_key=(_REPLICATIONS, cell)).pool
+    index = np.concatenate([np.arange(start, stop) for _, start, stop in pieces])
+    # the seed's words, zero-padded to the pool size, then the family's and the cell's
+    shared_words = max(4, -(-int(seed).bit_length() // 32)) + 2
+    start = _INIT_A * pow(_MULT_A, 4 * shared_words, 1 << 32) & _MASK32
+    mixed = _hashmix(index.astype(np.uint32), _hash_consts(start, _MULT_A, 4))
+    pool = np.repeat(np.array([pools[cell] for cell, _, _ in pieces]).T,
+                     [stop - start for _, start, stop in pieces], axis=1)
+    pool *= _MIX_L
+    pool -= mixed * _MIX_R
+    pool ^= pool >> _SHIFT
+    state32 = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_CONSTS).astype(np.uint64)
+    return state32[0::2] | state32[1::2] << np.uint64(32)
+
+
+def fill_uniforms(seed: int, pieces: Sequence[tuple[int, int, int]],
+                  out: np.ndarray) -> np.ndarray:
+    """Fill the R x n float64 matrix ``out`` with the lab's replications;
+    returns ``out``.
+
+    ``pieces`` lists (cell, start, stop) in row order, one range of a cell's
+    replications each, R rows in all. The row of replication i of cell c
+    holds the first n ``Generator.random`` draws of ``default_rng(
+    SeedSequence(seed, spawn_key=(_REPLICATIONS, c, i)))``, bit for bit.
 
     Rows of up to ``_NUMPY_FILL_MAX_N`` values come from one pass of numpy
     uint64 arithmetic over the whole matrix, longer rows from one Generator
@@ -313,16 +308,19 @@ def fill_uniforms(words: np.ndarray, out: np.ndarray) -> np.ndarray:
       6 bits, and ``random`` turns its top 53 bits into k * 2^-53.
     """
     rows, n = out.shape
-    if words.shape != (rows, 4):
-        raise ValueError(f"need {rows} x 4 state words for {rows} rows, got shape {words.shape}")
+    # the seeding's temporaries die here: the traced peak of a block's fits holds no more
+    words = _seed_words(seed, pieces)
+    if words.shape[1] != rows:
+        raise ValueError(f"the pieces hold {words.shape[1]} rows, not the {rows} to fill")
     if n > _NUMPY_FILL_MAX_N:
-        for row, w in zip(out, words):
-            _generator(w).random(out=row)
+        # PCG64 reads its 4 words from the row's memory, so every row must be contiguous
+        for row, w in zip(out, np.ascontiguousarray(words.T)):
+            np.random.Generator(np.random.PCG64(_StateWords(w))).random(out=row)
         return out
-    inc_hi = words[:, 2] << 1 | words[:, 3] >> 63
-    inc_lo = words[:, 3] << 1 | 1
-    t_lo = words[:, 1] + inc_lo
-    t_hi = words[:, 0] + inc_hi + (t_lo < inc_lo)
+    inc_hi = words[2] << 1 | words[3] >> 63
+    inc_lo = words[3] << 1 | 1
+    t_lo = words[1] + inc_lo
+    t_hi = words[0] + inc_hi + (t_lo < inc_lo)
     a_lo, a_0, a_1, a_hi, c_lo, c_0, c_1, c_hi = _jumps(n)
     # output j in row j, so numpy's loops run along the R columns
     hi, lo, b1, b2 = (np.empty((n, rows), dtype=np.uint64) for _ in range(4))
@@ -467,18 +465,24 @@ def check_positive(x, what: str = "x"):
 def pdf(p: WeibullParams, x):
     """Density (shape/scale)(x/scale)^(shape-1) exp{-(x/scale)^shape} for x > 0.
 
-    Accepts a scalar or array; raises ValueError on non-positive input.
+    Accepts a scalar or array; raises ValueError on non-positive input. It is
+    0 where (x/scale)^shape overflows, as the exponential factor then is.
     """
     arr = check_positive(x)
     z = arr / p.scale
-    out = (p.shape / p.scale) * z ** (p.shape - 1.0) * np.exp(-(z ** p.shape))
+    with np.errstate(over="ignore"):
+        power = np.asarray(z ** p.shape)
+        rise = (p.shape / p.scale) * z ** (p.shape - 1.0)
+    # where the power overflows, so may the rise: inf * 0 would be NaN
+    out = np.multiply(rise, np.exp(-power), out=np.zeros_like(power), where=power < math.inf)
     return float(out) if np.isscalar(x) else out
 
 
 def cdf(p: WeibullParams, x):
     """Distribution function 1 - exp{-(x/scale)^shape} for x > 0."""
     arr = check_positive(x)
-    out = -np.expm1(-((arr / p.scale) ** p.shape))
+    with np.errstate(over="ignore"):  # an overflowing power saturates the cdf at 1
+        out = -np.expm1(-((arr / p.scale) ** p.shape))
     return float(out) if np.isscalar(x) else out
 
 

@@ -50,8 +50,9 @@ def gof_reports(data, params: Sequence[WeibullParams]) -> list[GofReport]:
     f = x / np.array([p.scale for p in params], dtype=float).reshape(-1, 1)
     # one scalar exponent per row, as a lone cdf call raises it: numpy squares
     # at exactly 2 and takes the root at 0.5 only for a scalar exponent
-    for row, p in zip(f, params):
-        row **= p.shape
+    with np.errstate(over="ignore"):  # an overflowing power saturates the cdf at 1
+        for row, p in zip(f, params):
+            row **= p.shape
     f = -np.expm1(-f)
     i = np.arange(1, n + 1, dtype=float)
     ks = np.max(np.maximum(i / n - f, f - (i - 1) / n), axis=1)

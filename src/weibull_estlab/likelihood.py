@@ -62,8 +62,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (DEFAULT_SEED, WEIGHTS, BatchFit, EstimateResult, SortedSample, fail_rows,
-                   row_var, scratch, substreams)
+from .core import (DEFAULT_SEED, BatchFit, EstimateResult, SortedSample, fail_rows, row_var,
+                   scratch, weight_stream)
 from .errors import DegenerateSampleError
 from .regression import GLS1_SLOPE, LogStats
 from .roots import NEWTON_RTOL, solve_rows
@@ -337,16 +337,15 @@ def simulate_weight_medians(n: int, replications: int, rng: np.random.Generator)
 
 @functools.cache
 def seeded_weight_medians(n: int, seed: int) -> WeightPair:
-    """The weight medians for ``n`` simulated from the substream (WEIGHTS, n)
-    of ``seed``, :data:`DEFAULT_WEIGHT_REPLICATIONS` replications long, on
+    """The weight medians for ``n`` simulated from ``core.weight_stream(seed,
+    n)``, :data:`DEFAULT_WEIGHT_REPLICATIONS` replications long, on
     the first call for each (n, seed) in a process and looked up after it.
 
-    The one place that picks the weight stream, so the lab (at
+    The one caller of the weight stream, so the lab (at
     :data:`DEFAULT_SEED`, whatever its master seed), the weight cache and the
     ``weights`` command agree on it.
     """
-    rng, = substreams(seed, (WEIGHTS,), range(n, n + 1))
-    return simulate_weight_medians(n, DEFAULT_WEIGHT_REPLICATIONS, rng)
+    return simulate_weight_medians(n, DEFAULT_WEIGHT_REPLICATIONS, weight_stream(seed, n))
 
 
 # --- weight-table cache file: this header line, then one record per line,

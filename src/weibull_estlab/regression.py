@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -202,20 +202,6 @@ def _rule(n: int, positions: PlottingPositions | None) -> str:
     return positions.rule
 
 
-class _cached:
-    """functools.cached_property without the lock it takes on first use
-    before Python 3.12, which costs a single fit more than its statistic."""
-
-    def __init__(self, compute):
-        self.compute, self.__doc__ = compute, compute.__doc__
-
-    def __get__(self, stats, owner):
-        if stats is None:  # read from the class, as help() does
-            return self
-        value = stats.__dict__[self.compute.__name__] = self.compute(stats)
-        return value
-
-
 class LogStats:
     """The statistics of R sorted samples of one size that several estimators
     read, each computed once, on first use, for every row at once.
@@ -234,17 +220,17 @@ class LogStats:
         """One sample as a block of one, under the rule of ``positions``."""
         return cls(s.values[None, :], s.logs[None, :], _rule(s.n, positions))
 
-    @_cached
+    @cached_property
     def products(self) -> np.ndarray:
         """R x 6: each row of logs times every cached column (see ``_GlsOperator``)."""
         return row_dot(self.logs, _gls_operator(self.logs.shape[1], self.rule).columns)
 
-    @_cached
+    @cached_property
     def totals(self) -> np.ndarray:
         """The row sums of the logs (pairwise summation)."""
         return self.logs.sum(axis=1)
 
-    @_cached
+    @cached_property
     def ties(self) -> dict[int, tuple[str, ...]]:
         """A note for every row with tied adjacent values."""
         tied = self.values[:, 1:] == self.values[:, :-1]

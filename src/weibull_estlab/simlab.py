@@ -16,10 +16,10 @@ The lab splits its work two ways, neither of which depends on the worker count:
   pieces of one sample size in grid order, so it can span every level of
   that size, at most ``_BLOCK_ROWS`` rows (1024, a cap set by the run's
   traced memory peak) and ``_BLOCK_VALUES`` values (or a single piece). Its
-  samples are drawn into one matrix: row r of a piece of cell c holds the
-  first n uniforms of substream ``(REPLICATIONS, c, r)`` under the master
-  seed, filled for the whole block at once by :func:`core.fill_uniforms`
-  from every piece's seed words (:func:`core.state_words`), and
+  samples are drawn into one matrix, which one
+  ``core.fill_uniforms(seed, pieces, out)`` call fills with the first n
+  uniforms of each row's replication stream under the master seed (the
+  stream layout is ``core``'s alone), and
   :func:`core.draw_sorted` inverts a piece's rows at its cell's level. Up to
   n = 64 the fill is one numpy pass that repeats numpy's PCG64 in integer
   arithmetic that wraps as its C code does, so a row gets the bits its own
@@ -35,8 +35,9 @@ The lab splits its work two ways, neither of which depends on the worker count:
 
 WMLE's weights depend on n alone, so every run takes the library's,
 :func:`likelihood.seeded_weight_medians` at the default seed (simulated once
-per process and n), whatever its master seed. The parent looks them up before
-it builds any task, so no worker simulates them, and the table lists them.
+per process and n, from :func:`core.weight_stream`), whatever its master
+seed. The parent looks them up before it builds any task, so no worker
+simulates them, and the table lists them.
 
 Estimator failures (degenerate samples at tiny n, bracket failures) never
 abort a run; they are excluded from the metrics and counted per cell. So is
@@ -56,8 +57,8 @@ import numpy as np
 # the lab calls none of sample, fit_method and simulate_weight_medians; they
 # are re-exported only because the benchmark's tracer (perfbench/spans.py)
 # swaps them for timing wrappers, which therefore time nothing
-from .core import (DEFAULT_SEED, REPLICATIONS, WeibullParams, draw_sorted,  # noqa: F401
-                   fill_uniforms, sample, scratch, state_words)
+from .core import (DEFAULT_SEED, WeibullParams, draw_sorted, fill_uniforms,  # noqa: F401
+                   sample, scratch)
 from .likelihood import WeightPair, seeded_weight_medians, simulate_weight_medians  # noqa: F401
 from .methods import METHOD_NAMES, FitOptions, fit_block, fit_method  # noqa: F401
 from .regression import DEFAULT_RULE
@@ -271,11 +272,12 @@ def _run_block(args) -> list[tuple[int, np.ndarray]]:
     """Fit all methods on one row block and reduce each of its pieces.
 
     ``args`` is (n, methods, options, weights, master seed, pieces), the
-    pieces as :func:`_row_blocks` lists them. The seed words of every
-    piece's substreams fill the whole block's uniforms in one
-    :func:`core.fill_uniforms` call: one numpy pass with the bits of numpy's
-    PCG64 at n up to ``core._NUMPY_FILL_MAX_N``, one Generator per row above
-    it. Each piece inverts its rows at its own level, and each method fits
+    pieces as :func:`_row_blocks` lists them. One
+    ``core.fill_uniforms(master_seed, pieces, out)`` call seeds and fills
+    the whole block's uniforms from the pieces' (cell, start, stop): one
+    numpy pass with the bits of numpy's PCG64 at n up to
+    ``core._NUMPY_FILL_MAX_N``, one Generator per row above it. Each piece
+    inverts its rows at its own level, and each method fits
     the whole block in one batch call (MLE and WMLE in one shared solve),
     all of them from one shared :class:`regression.LogStats`. Returns
     (cell index, sums[n_methods, 5]) per piece, in order: per method, over
@@ -288,9 +290,8 @@ def _run_block(args) -> list[tuple[int, np.ndarray]]:
     # the samples live in this thread's reused work arrays: no fit keeps them
     block = (bounds[-1], n)
     values, logs = scratch("simlab.values", block), scratch("simlab.logs", block)
-    fill_uniforms(np.concatenate([
-        state_words(master_seed, (REPLICATIONS, cell), range(start, stop))
-        for cell, _, _, start, stop in pieces]), values)
+    fill_uniforms(master_seed, [(cell, start, stop) for cell, _, _, start, stop in pieces],
+                  values)
     for (_, shape, scale, _, _), lo, hi in spans:
         draw_sorted(WeibullParams(shape, scale), values[lo:hi], logs[lo:hi])
     # a draw of 0 (a 0.0 uniform or an underflow) or inf fails its replication for every method

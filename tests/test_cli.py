@@ -335,6 +335,13 @@ class TestGofCommand:
     def test_rejects_bad_parameters(self, capsys):
         assert run_cli(["gof", "--alpha", "-1", "--beta", "2"]) == EXIT_USAGE
 
+    def test_overflowing_power_neither_warns_nor_moves_the_distances(self, capsys):
+        # (x/20)^3000 overflows for most of lifetime48: the cdf saturates at 1
+        code = run_cli(["gof", "--alpha", "3000", "--beta", "20"])
+        captured = capsys.readouterr()
+        assert code == EXIT_OK and captured.err == ""
+        assert "KS  = 0.7708\n" in captured.out and "CVM = 7.5020\n" in captured.out
+
 
 class TestSimulateCommand:
     def test_config_run_writes_outputs(self, tmp_path, capsys):

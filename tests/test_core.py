@@ -19,7 +19,7 @@ from weibull_estlab import (
 from weibull_estlab import core
 from weibull_estlab.core import LOG_TWO, PSI_ONE, TRIGAMMA_ONE, draw_sorted
 
-from conftest import OneZeroGenerator
+from conftest import OneZeroGenerator, replication_rng, uniform_rows
 
 
 class TestWeibullParams:
@@ -70,6 +70,22 @@ class TestPdf:
         total, err = quad(lambda x: pdf(p, x), 1e-300, upper, limit=200)
         assert total == pytest.approx(1.0, abs=1e-8)
 
+    def test_zero_where_the_power_overflows(self):
+        # (26.9/20)^3000 overflows, and so does (26.9/20)^2999: inf * exp(-inf)
+        # must not be NaN, nor warn
+        p = WeibullParams(3000, 20)
+        got = pdf(p, [10.0, 20.0, 26.9])
+        assert got[0] == 0.0 and got[2] == 0.0
+        assert got[1] == pytest.approx(150 * math.exp(-1), rel=1e-12)  # 55.18191618...
+        assert pdf(p, 26.9) == 0.0
+
+    def test_bits_where_the_power_is_finite(self, rng):
+        p = WeibullParams(3.7, 1.3)
+        x = rng.uniform(0.01, 10.0, 200)
+        z = x / p.scale
+        direct = (p.shape / p.scale) * z ** (p.shape - 1.0) * np.exp(-(z ** p.shape))
+        assert pdf(p, x).tobytes() == direct.tobytes()
+
 
 class TestCdf:
     def test_at_scale_for_any_shape(self):
@@ -91,6 +107,9 @@ class TestCdf:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             cdf(WeibullParams(1, 1), -2.0)
+
+    def test_one_where_the_power_overflows(self):
+        assert cdf(WeibullParams(3000, 20), 26.9) == 1.0
 
 
 class TestQuantile:
@@ -202,66 +221,62 @@ class TestDrawSorted:
 
 
 class TestSubstreams:
-    """core.substreams equals numpy's SeedSequence for every spawn-key prefix."""
+    """core.weight_stream is numpy's own SeedSequence generator, and
+    core.fill_uniforms takes only indices that SeedSequence would."""
 
     # the last seed has more entropy words than the pool holds
     @pytest.mark.parametrize("seed", [0, 1, 1729, 2**32, 2**64 + 5, 2**96 + 12345, 2**160 + 7])
     def test_weight_family_equals_seed_sequence(self, seed):
         for n in (2, 5, 30, 48, 1000, 2**32 - 1):
-            rng, = core.substreams(seed, (core.WEIGHTS,), range(n, n + 1))
-            oracle = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(core.WEIGHTS, n)))
+            rng = core.weight_stream(seed, n)
+            oracle = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, n)))
             assert rng.bit_generator.state == oracle.bit_generator.state, n
             assert np.array_equal(rng.standard_exponential(8), oracle.standard_exponential(8))
 
-    @pytest.mark.parametrize("key", [(), (core.REPLICATIONS, 5), (3, 2**40)])
-    def test_any_key_prefix_equals_seed_sequence(self, key):
-        for seed in (0, 2**64 + 5, 2**160 + 7):
-            for i, rng in enumerate(core.substreams(seed, key, range(40))):
-                oracle = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key + (i,)))
-                assert rng.bit_generator.state == oracle.bit_generator.state, (seed, i)
-
-
-    def test_range_step_is_honoured(self):
-        for indices in (range(0, 10, 2), range(9, -1, -3)):
-            rngs = core.substreams(1, (core.REPLICATIONS, 3), indices)
-            assert len(rngs) == len(indices)
-            for i, rng in zip(indices, rngs):
-                oracle = np.random.default_rng(np.random.SeedSequence(1, spawn_key=(0, 3, i)))
-                assert rng.bit_generator.state == oracle.bit_generator.state, i
-
     def test_negative_index_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            core.state_words(1, (core.REPLICATIONS, 0), range(-1, 3))
+        with pytest.raises(ValueError, match="non-negative 32-bit entropy word"):
+            core.fill_uniforms(1, [(0, -1, 3)], np.empty((4, 5)))
 
 
 class TestFillUniforms:
-    """core.fill_uniforms equals each row's own Generator.random, on both
-    sides of the row length where it switches to one Generator per row."""
+    """core.fill_uniforms equals one SeedSequence per replication
+    (conftest.replication_rng), on both sides of the row length where it
+    switches to one Generator per row."""
 
     CROSSOVER = core._NUMPY_FILL_MAX_N
-    INDICES = [*range(40), *range(2**32 - 3, 2**32)]
 
     @pytest.mark.parametrize("seed", [0, 1729, 2**32, 2**64 + 5, 2**160 + 7])
-    @pytest.mark.parametrize("key", [(core.REPLICATIONS, 0), (core.REPLICATIONS, 11),
-                                     (core.WEIGHTS,)])
+    # the cells that the block's pieces take in turn
+    @pytest.mark.parametrize("key", [(0,), (11,), (3, 0, 11)])
     def test_rows_equal_seed_sequence(self, seed, key):
-        words = np.concatenate([core.state_words(seed, key, range(i, i + 1)) for i in self.INDICES])
+        # pieces of 1, 255, 256 and 257 rows, then the last replications a
+        # 32-bit index can name
+        ranges = [(0, 1), (1, 256), (256, 512), (512, 769), (2**32 - 3, 2**32)]
+        pieces = [(key[i % len(key)], start, stop) for i, (start, stop) in enumerate(ranges)]
+        rows = sum(stop - start for _, start, stop in pieces)
         for n in (2, 5, self.CROSSOVER, self.CROSSOVER + 1):
-            got = core.fill_uniforms(words, np.empty((len(self.INDICES), n)))
-            oracle = np.array([
-                np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key + (i,))).random(n)
-                for i in self.INDICES])
+            got = core.fill_uniforms(seed, pieces, np.empty((rows, n)))
+            oracle = uniform_rows([replication_rng(seed, cell, i)
+                                   for cell, start, stop in pieces for i in range(start, stop)], n)
             assert got.view(np.uint64).tobytes() == oracle.view(np.uint64).tobytes(), n
 
     def test_numpy_pass_up_to_the_crossover_only(self, monkeypatch):
         built = []
-        real = core._generator
-        monkeypatch.setattr(core, "_generator", lambda w: built.append(w) or real(w))
-        words = core.state_words(7, (core.REPLICATIONS, 2), range(3))
-        core.fill_uniforms(words, np.empty((3, self.CROSSOVER)))
+
+        class Recording(core._StateWords):
+            def __init__(self, words):
+                built.append(words)
+                super().__init__(words)
+
+        monkeypatch.setattr(core, "_StateWords", Recording)
+        core.fill_uniforms(7, [(2, 0, 3)], np.empty((3, self.CROSSOVER)))
         assert built == []
-        core.fill_uniforms(words, np.empty((3, self.CROSSOVER + 1)))
+        core.fill_uniforms(7, [(2, 0, 3)], np.empty((3, self.CROSSOVER + 1)))
         assert len(built) == 3
+
+    def test_rows_must_match_the_pieces(self):
+        with pytest.raises(ValueError, match="the pieces hold 5 rows, not the 4"):
+            core.fill_uniforms(1, [(0, 0, 2), (1, 0, 3)], np.empty((4, 5)))
 
 
 class TestScratch:

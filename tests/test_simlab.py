@@ -22,7 +22,7 @@ from weibull_estlab import (
 )
 from weibull_estlab import core, likelihood, methods, simlab
 from weibull_estlab.cli import PRESETS
-from weibull_estlab.core import DEFAULT_SEED, REPLICATIONS, BatchFit, draw_sorted, substreams
+from weibull_estlab.core import DEFAULT_SEED, BatchFit, draw_sorted
 from weibull_estlab.likelihood import seeded_weight_medians
 from weibull_estlab.methods import FitOptions, fit_batch
 from weibull_estlab.simlab import CSV_HEADER, default_replications
@@ -193,7 +193,7 @@ class TestRunExperiment:
         assert all(len(simlab._chunks(n, reps)) >= 3 for n in cfg.sample_sizes)
         rows = {(r.method, r.n, r.alpha): r for r in run_experiment(cfg).rows}
         for cell, n, level in cfg.cells():
-            rngs = substreams(cfg.master_seed, (REPLICATIONS, cell), range(reps))
+            rngs = [replication_rng(cfg.master_seed, cell, r) for r in range(reps)]
             values, logs = draw_sorted(level, uniform_rows(rngs, n))
             weights = seeded_weight_medians(n, DEFAULT_SEED)
             for method in cfg.methods:
@@ -295,7 +295,7 @@ class TestRunExperiment:
         rows = {r.n: r for r in table.rows}
         for cell, n, level in cfg.cells():
             values, logs = draw_sorted(level, uniform_rows(
-                substreams(5, (REPLICATIONS, cell), range(reps)), n))
+                [replication_rng(5, cell, r) for r in range(reps)], n))
             fit = fit_batch("WMLE", values, logs, cfg.options,
                             seeded_weight_medians(n, DEFAULT_SEED))
             ok = np.isfinite(fit.shape) & np.isfinite(fit.scale)
@@ -345,8 +345,9 @@ class TestRunExperiment:
 
 
 class TestBlockSeeding:
-    """Rows seeded a block at a time by core.substreams equal one SeedSequence
-    per replication."""
+    """The rows of a block that the lab fills equal one SeedSequence per
+    replication (conftest.replication_rng); core.fill_uniforms is checked
+    against it directly in test_core."""
 
     LEVEL = WeibullParams(2.0, 3.0)
 
@@ -354,34 +355,9 @@ class TestBlockSeeding:
         rngs = [replication_rng(master, cell, r) for r in reps]
         return draw_sorted(self.LEVEL, uniform_rows(rngs, n))[0]
 
-    def block_rows(self, master, cell, reps):
-        rngs = substreams(master, (REPLICATIONS, cell), reps)
-        return draw_sorted(self.LEVEL, uniform_rows(rngs, 3))[0]
-
-    @pytest.mark.parametrize("master", [0, 1, 1729, 2**32 - 1, 2**32, 2**64 + 5, 172900017])
-    def test_rows_equal_per_replication_seeding(self, master):
-        for cell in (0, 11):
-            expected = self.oracle_rows(master, cell, range(300))
-            for block in (1, 255, 256, 257):
-                rows = np.concatenate([
-                    self.block_rows(master, cell, range(first, min(first + block, 300)))
-                    for first in range(0, 300, block)])
-                assert np.array_equal(rows, expected), (cell, block)
-            last = range(2**32 - 1, 2**32)
-            assert np.array_equal(self.block_rows(master, cell, last),
-                                  self.oracle_rows(master, cell, last))
-
-    def test_index_beyond_one_entropy_word_rejected(self):
-        with pytest.raises(ValueError):
-            substreams(1, (REPLICATIONS, 0), range(2**32 - 1, 2**32 + 1))
-
-    def test_negative_master_seed_rejected(self):
-        with pytest.raises(ValueError):
-            substreams(-1, (REPLICATIONS, 0), range(3))
-
-    @pytest.mark.parametrize("n", [5, core._NUMPY_FILL_MAX_N, core._NUMPY_FILL_MAX_N + 1])
-    def test_block_fill_equals_per_row_generators(self, n, monkeypatch):
-        # pieces of 1, 255, 256 and 257 rows over two cells, in one row block
+    def run_block(self, monkeypatch, master, n, pieces):
+        """simlab._run_block over ``pieces`` (all at LEVEL) after checking
+        that each piece's drawn rows equal the oracle's; returns its sums."""
         drawn = []
 
         def recording_draw(level, u, logs=None):
@@ -390,18 +366,58 @@ class TestBlockSeeding:
             return values, logs
 
         monkeypatch.setattr(simlab, "draw_sorted", recording_draw)
-        master, shape, scale = 1729, self.LEVEL.shape, self.LEVEL.scale
+        sums = simlab._run_block((n, ("LM", "MLE"), FitOptions(), None, master, pieces))
+        assert [len(v) for v in drawn] == [stop - start for *_, start, stop in pieces]
+        for (cell, *_, start, stop), values in zip(pieces, drawn):
+            assert np.array_equal(values, self.oracle_rows(master, cell, range(start, stop), n))
+        return sums
+
+    @pytest.mark.parametrize("master", [0, 1, 1729, 2**32 - 1, 2**32, 2**64 + 5, 172900017])
+    def test_rows_equal_per_replication_seeding(self, master, monkeypatch):
+        # two cells of two pieces each, in one row block
+        shape, scale = self.LEVEL.shape, self.LEVEL.scale
+        pieces = ((0, shape, scale, 0, 256), (0, shape, scale, 256, 300),
+                  (11, shape, scale, 0, 256), (11, shape, scale, 256, 300))
+        self.run_block(monkeypatch, master, 3, pieces)
+
+    def test_one_seed_sequence_per_cell_per_block(self, monkeypatch):
+        # at 600 replications a cell is three pieces (256, 256 and 88 rows):
+        # the first 1024-row block holds cell 0's three and cell 1's first,
+        # the second cell 1's other two. Each block builds one SeedSequence
+        # pool per cell it holds, not one per piece
+        keys = []
+        real = np.random.SeedSequence
+
+        def recording(*args, **kwargs):
+            keys.append(kwargs.get("spawn_key"))
+            return real(*args, **kwargs)
+
+        cfg = SimulationConfig(methods=("LM",), sample_sizes=(5,), replications=600,
+                               param_levels=((2.0, 3.0), (0.5, 1.0)))
+        assert [[(p[0], p[4] - p[3]) for p in pieces] for _, pieces in simlab._row_blocks(cfg)] \
+            == [[(0, 256), (0, 256), (0, 88), (1, 256)], [(1, 256), (1, 88)]]
+        monkeypatch.setattr(np.random, "SeedSequence", recording)
+        run_experiment(cfg)
+        assert keys == [(0, 0), (0, 1), (0, 1)]
+
+    def test_index_beyond_one_entropy_word_rejected(self):
+        with pytest.raises(ValueError, match="non-negative 32-bit entropy word"):
+            core.fill_uniforms(1, [(0, 2**32 - 1, 2**32 + 1)], np.empty((2, 3)))
+
+    def test_negative_master_seed_rejected(self):
+        with pytest.raises(ValueError):
+            core.fill_uniforms(-1, [(0, 0, 3)], np.empty((3, 3)))
+
+    @pytest.mark.parametrize("n", [5, core._NUMPY_FILL_MAX_N, core._NUMPY_FILL_MAX_N + 1])
+    def test_block_fill_equals_per_row_generators(self, n, monkeypatch):
+        # pieces of 1, 255, 256 and 257 rows over two cells, in one row block
+        shape, scale = self.LEVEL.shape, self.LEVEL.scale
         pieces = ((3, shape, scale, 0, 1), (3, shape, scale, 1, 256),
                   (4, shape, scale, 0, 256), (4, shape, scale, 256, 513))
-        task = (n, ("LM", "MLE"), FitOptions(), None, master, pieces)
         sums = {}
         for crossover in (n - 1, n):  # one Generator per row, then the numpy pass
             monkeypatch.setattr(core, "_NUMPY_FILL_MAX_N", crossover)
-            drawn.clear()
-            sums[crossover] = simlab._run_block(task)
-            assert [len(v) for v in drawn] == [1, 255, 256, 257]
-            for (cell, *_, start, stop), values in zip(pieces, drawn):
-                assert np.array_equal(values, self.oracle_rows(master, cell, range(start, stop), n))
+            sums[crossover] = self.run_block(monkeypatch, 1729, n, pieces)
         assert [c for c, _ in sums[n - 1]] == [c for c, _ in sums[n]] == [3, 3, 4, 4]
         for (_, before), (_, after) in zip(sums[n - 1], sums[n]):
             assert before.tobytes() == after.tobytes()
@@ -488,7 +504,7 @@ class TestRowBlocks:
         cfg = SimulationConfig(methods=METHOD_NAMES, sample_sizes=(30,),
                                param_levels=(normal, extreme), replications=100)
         assert simlab._row_blocks(cfg) == [(30, ((0, 2.0, 3.0, 0, 100), (1, 0.01, 1.0, 0, 100)))]
-        rngs = substreams(cfg.master_seed, (REPLICATIONS, 1), range(100))
+        rngs = [replication_rng(cfg.master_seed, 1, r) for r in range(100)]
         values = draw_sorted(extreme, uniform_rows(rngs, 30))[0]
         bad_draws = np.count_nonzero((values[:, 0] == 0.0) | ~np.isfinite(values[:, -1]))
         assert bad_draws >= 1
@@ -510,14 +526,16 @@ class TestRowBlocks:
         target = (10, 2.0, 3.0)
         plain = run_experiment(cfg)
         real = simlab.fill_uniforms
-        target_words = core.state_words(cfg.master_seed, (REPLICATIONS, 2), range(7, 8))[0]
         planted = []
 
-        def one_zero(words, out):
-            real(words, out)
-            rows = np.flatnonzero((words == target_words).all(axis=1))
-            out[rows, 4] = 0.0
-            planted.extend(rows.tolist())
+        def one_zero(seed, pieces, out):
+            real(seed, pieces, out)
+            first = 0  # the row of the piece's first replication
+            for cell, start, stop in pieces:
+                if cell == 2 and start <= 7 < stop:
+                    out[first + 7 - start, 4] = 0.0
+                    planted.append((cell, first + 7 - start))
+                first += stop - start
             return out
 
         monkeypatch.setattr(simlab, "fill_uniforms", one_zero)
