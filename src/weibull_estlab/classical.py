@@ -194,10 +194,13 @@ def fit_pm_batch(stats: LogStats, cfg: PercentileConfig | None = None) -> BatchF
     x_p = _sorted_quantile(stats.values, cfg.p, cfg.quantile_rule)
     x_anchor = _sorted_quantile(stats.values, _ANCHOR_P, cfg.quantile_rule)
     errors: dict = {}
-    fail_rows(errors, x_p == x_anchor, lambda r: DegenerateSampleError(
-        f"empirical quantiles at p={cfg.p} and {_ANCHOR_P:.4f} coincide ({float(x_p[r])})"))
     with np.errstate(divide="ignore", invalid="ignore"):
-        shape = math.log(-math.log1p(-cfg.p)) / (np.log(x_p) - np.log(x_anchor))
+        log_gap = np.log(x_p) - np.log(x_anchor)
+        # two distinct quantiles can share a log (near 1e300, say), and the shape divides by it
+        fail_rows(errors, log_gap == 0.0, lambda r: DegenerateSampleError(
+            f"the logs of the empirical quantiles at p={cfg.p} and {_ANCHOR_P:.4f} coincide "
+            f"({float(x_p[r])})"))
+        shape = math.log(-math.log1p(-cfg.p)) / log_gap
     return BatchFit.build("PM", shape, x_anchor, errors)
 
 

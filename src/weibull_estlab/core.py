@@ -63,10 +63,11 @@ TRIGAMMA_ONE = 1.6449340668482266  # trigamma(1) = pi^2/6, one ulp above math.pi
 # for x > ~171.62
 _GAMMA_OVERFLOW_ARG = 171.61447887182298
 
-# work arrays up to this many values are kept between calls (2 MB each, room
-# for the d/d^2 stack of a lab row block of 2^17 values); a larger one is
-# allocated afresh, so one fit at a huge n does not pin its memory
-_SCRATCH_MAX_VALUES = 1 << 18
+# work arrays up to this many values are kept between calls (4 MB each, room
+# for the d/d^2 stack of a lab row block of 2^17 values, once for MLE and once
+# for WMLE); a larger one is allocated afresh, so one fit at a huge n does not
+# pin its memory
+_SCRATCH_MAX_VALUES = 1 << 19
 _scratch_buffers = threading.local()
 
 # the master seed of every run that names none: the lab's, fit's and the weight table's
@@ -142,12 +143,9 @@ class SortedSample:
             observation is non-positive or non-finite (see
             :func:`check_observations`).
         """
-        values = np.asarray(data, dtype=float)
-        if values.ndim != 1:
-            values = values.reshape(-1)
+        values = check_observations(data).reshape(-1)
         if values.size < 2:
             raise DataError(f"need at least 2 observations, got {values.size}")
-        check_observations(values)
         values = np.sort(values)
         values.flags.writeable = False
         logs = np.log(values)
@@ -159,13 +157,18 @@ class SortedSample:
         return SortedSample.from_data(self.values * c)
 
 
-def check_observations(values: np.ndarray) -> None:
-    """Raise DataError naming the first observation, by its 1-based position in
-    ``values`` and its value, that is not a positive finite real."""
+def check_observations(data) -> np.ndarray:
+    """``data`` as a float array of its own shape, every value a positive finite real.
+
+    Raises DataError naming the first observation that is not, by its
+    1-based position in ``data``'s flat (row-major) order and its value.
+    """
+    values = np.asarray(data, dtype=float)
     bad = np.flatnonzero(~np.isfinite(values) | (values <= 0.0))
     if bad.size:
         i = int(bad[0])
-        raise DataError(f"observation {i + 1} is not a positive finite real ({float(values[i])})")
+        raise DataError(f"observation {i + 1} is not a positive finite real ({float(values.flat[i])})")
+    return values
 
 
 @dataclass(frozen=True)
@@ -455,20 +458,14 @@ class BatchFit:
         )
 
 
-def check_positive(x, what: str = "x"):
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} must be positive and finite")
-    return arr
-
-
 def pdf(p: WeibullParams, x):
     """Density (shape/scale)(x/scale)^(shape-1) exp{-(x/scale)^shape} for x > 0.
 
-    Accepts a scalar or array; raises ValueError on non-positive input. It is
-    0 where (x/scale)^shape overflows, as the exponential factor then is.
+    Accepts a scalar or array; raises DataError, naming the observation, on
+    one that is not a positive finite real (:func:`check_observations`). It
+    is 0 where (x/scale)^shape overflows, as the exponential factor then is.
     """
-    arr = check_positive(x)
+    arr = check_observations(x)
     z = arr / p.scale
     with np.errstate(over="ignore"):
         power = np.asarray(z ** p.shape)
@@ -479,8 +476,9 @@ def pdf(p: WeibullParams, x):
 
 
 def cdf(p: WeibullParams, x):
-    """Distribution function 1 - exp{-(x/scale)^shape} for x > 0."""
-    arr = check_positive(x)
+    """Distribution function 1 - exp{-(x/scale)^shape} for x > 0, checked as
+    :func:`pdf` checks."""
+    arr = check_observations(x)
     with np.errstate(over="ignore"):  # an overflowing power saturates the cdf at 1
         out = -np.expm1(-((arr / p.scale) ** p.shape))
     return float(out) if np.isscalar(x) else out

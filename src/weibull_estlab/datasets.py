@@ -32,9 +32,8 @@ class Dataset:
 def _validate(values: list[float], name: str, source: str) -> Dataset:
     if not values:
         raise DataError(f"{source}: no observations found")
-    arr = np.asarray(values, dtype=float)
     try:
-        check_observations(arr)
+        arr = check_observations(values)
     except DataError as exc:
         raise DataError(f"{source}: {exc}") from None
     arr.flags.writeable = False

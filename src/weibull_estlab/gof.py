@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SortedSample, WeibullParams, check_positive
+from .core import SortedSample, WeibullParams, check_observations
 
 __all__ = ["GofReport", "ks_distance", "cvm_distance", "gof_report", "gof_reports"]
 
@@ -31,11 +31,11 @@ class GofReport:
 
 def _ordered_values(data) -> np.ndarray:
     if isinstance(data, SortedSample):
-        return data.values
-    values = np.sort(np.asarray(data, dtype=float).reshape(-1))
+        return check_observations(data.values)
+    values = check_observations(data).reshape(-1)  # unsorted: an error names the caller's position
     if values.size == 0:
         raise ValueError("need at least one observation")
-    return values
+    return np.sort(values)
 
 
 def gof_reports(data, params: Sequence[WeibullParams]) -> list[GofReport]:
@@ -43,9 +43,9 @@ def gof_reports(data, params: Sequence[WeibullParams]) -> list[GofReport]:
 
     Row r of the cdf matrix is F_r(x_(i)) = 1 - exp{-(x_(i)/scale_r)^shape_r},
     as :func:`weibull_estlab.cdf` computes it. Observations must be positive
-    and finite, else ``ValueError``.
+    and finite, else ``DataError`` naming the first that is not.
     """
-    x = check_positive(_ordered_values(data))
+    x = _ordered_values(data)
     n = x.size
     f = x / np.array([p.scale for p in params], dtype=float).reshape(-1, 1)
     # one scalar exponent per row, as a lone cdf call raises it: numpy squares

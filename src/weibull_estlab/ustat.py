@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LOG_TWO, PSI_ONE, BatchFit, EstimateResult, SortedSample, fail_rows
+from .core import LOG_TWO, PSI_ONE, BatchFit, EstimateResult, SortedSample, check_observations, fail_rows
 from .errors import DegenerateSampleError
 from .regression import PAIR_MINIMA, LogStats
 
@@ -56,27 +56,19 @@ class UStatEstimate:
     beta_hat: float
 
 
-def _check_pair(x1: float, x2: float):
-    if not (x1 > 0.0 and x2 > 0.0 and math.isfinite(x1) and math.isfinite(x2)):
-        raise ValueError(f"kernel arguments must be positive finite reals, got ({x1!r}, {x2!r})")
-
-
 def kernel_h1(x1: float, x2: float) -> float:
-    """Kernel whose expectation is 1/shape; symmetric and >= 0."""
-    _check_pair(x1, x2)
+    """Kernel whose expectation is 1/shape; symmetric and >= 0. Raises
+    DataError, naming the argument, unless both are positive finite reals."""
+    check_observations((x1, x2))
     l1, l2 = math.log(x1), math.log(x2)
     return (l1 + l2) / (2.0 * LOG_TWO) - min(l1, l2) / LOG_TWO
 
 
 def kernel_h2(x1: float, x2: float) -> float:
-    """Kernel whose expectation is log scale.
-
-    Equals (log x1 + log x2)/2 - psi(1) * kernel_h1(x1, x2).
-    """
-    _check_pair(x1, x2)
-    l1, l2 = math.log(x1), math.log(x2)
-    h1 = (l1 + l2) / (2.0 * LOG_TWO) - min(l1, l2) / LOG_TWO
-    return (l1 + l2) / 2.0 - PSI_ONE * h1
+    """Kernel whose expectation is log scale, checked as :func:`kernel_h1` checks:
+    (log x1 + log x2)/2 - psi(1) * kernel_h1(x1, x2)."""
+    h1 = kernel_h1(x1, x2)  # first: it checks the arguments that math.log reads
+    return (math.log(x1) + math.log(x2)) / 2.0 - PSI_ONE * h1
 
 
 def _pair_means_rows(stats: LogStats) -> tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,6 @@
 """The public names resolve, so do the attributes the benchmark harness uses,
-and every batch estimator takes the same input.
+every batch estimator takes the same input, and every entry point that reads
+observations checks them alike.
 
 `perfbench/` reads or swaps these module attributes to time a run; a name
 deleted from the package must not silently break a traced run.
@@ -7,12 +8,28 @@ deleted from the package must not silently break a traced run.
 
 import importlib
 import inspect
+import math
 import pkgutil
 import re
 
+import numpy as np
 import pytest
 
 import weibull_estlab
+from weibull_estlab import (
+    DataError,
+    SortedSample,
+    WeibullParams,
+    cdf,
+    cvm_distance,
+    gof_report,
+    gof_reports,
+    kernel_h1,
+    kernel_h2,
+    ks_distance,
+    pdf,
+)
+from weibull_estlab.datasets import parse_dataset_text
 from weibull_estlab.regression import LogStats
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(weibull_estlab.__path__))
@@ -66,3 +83,41 @@ def test_batch_fits_take_log_stats_first():
                 found.append((f"{module}.{name}", first.name, first.annotation))
     assert len(found) == 10
     assert [f for f in found if f[1:] != ("stats", LogStats)] == []
+
+
+P = WeibullParams(2.0, 3.0)
+
+# entry point -> (its call on five observations x, the position there of x[2])
+READERS = {
+    "SortedSample.from_data": (SortedSample.from_data, 3),
+    "parse_dataset_text": (lambda x: parse_dataset_text(
+        "# header\n" + "\n".join(map(str, x)), "d", "d.txt"), 3),
+    "pdf": (lambda x: pdf(P, x), 3),
+    "pdf_scalar": (lambda x: pdf(P, x[2]), 1),
+    "cdf": (lambda x: cdf(P, x), 3),
+    "cdf_2x3": (lambda x: cdf(P, np.array([*x, 4.0]).reshape(2, 3)), 3),
+    "gof_report": (lambda x: gof_report(x, P), 3),
+    "gof_report_sorted_sample": (lambda x: gof_report(
+        SortedSample(np.array(x), np.zeros(len(x)), len(x)), P), 3),
+    "gof_reports": (lambda x: gof_reports(x, [P, WeibullParams(1.0, 1.0)]), 3),
+    "ks_distance": (lambda x: ks_distance(x, P), 3),
+    "cvm_distance": (lambda x: cvm_distance(x, P), 3),
+    "kernel_h1": (lambda x: kernel_h1(x[0], x[2]), 2),
+    "kernel_h2": (lambda x: kernel_h2(x[0], x[2]), 2),
+}
+
+
+@pytest.mark.parametrize("bad", [0.0, -2.5, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("reader", READERS)
+def test_observations_are_checked_in_the_callers_order(reader, bad):
+    # position 3 is no sorted position of any bad value: a check after a
+    # sort would name another
+    call, position = READERS[reader]
+    with pytest.raises(DataError, match=(rf"observation {position} is not a positive finite "
+                                         rf"real \({re.escape(str(bad))}\)$")):
+        call([3.0, 1.0, bad, 5.0, 2.0])
+
+
+def test_gof_needs_one_observation():
+    with pytest.raises(ValueError, match="^need at least one observation$"):
+        ks_distance([], P)

@@ -146,6 +146,14 @@ class TestFitPM:
         with pytest.raises(DegenerateSampleError):
             fit_pm(SortedSample.from_data([2.0, 2.0, 2.0, 2.0]))
 
+    def test_distinct_quantiles_that_share_a_log(self):
+        # three distinct values whose logs are one double: the shape's
+        # denominator is 0, as for tied quantiles
+        s = SortedSample.from_data([1e300, np.nextafter(1e300, np.inf), 1e300 * (1 + 4.4e-16)])
+        assert len(set(s.values)) == 3 and len(set(s.logs)) == 1
+        with pytest.raises(DegenerateSampleError, match="logs of the empirical quantiles"):
+            fit_pm(s)
+
     @pytest.mark.parametrize("p", [0.0, 0.6322, 0.9, -0.1])
     def test_config_validation(self, p):
         with pytest.raises(ValueError):

@@ -558,21 +558,35 @@ class TestRowBlocks:
 class TestWorkBuffers:
     """A warm row block draws and fits in reused per-thread work arrays."""
 
-    def chunk(self, start, stop):
-        return simlab._run_block((4000, ("MLE", "LM"), FitOptions(), None, 1729,
+    def chunk(self, n, methods, start, stop):
+        weights = seeded_weight_medians(n, DEFAULT_SEED) if "WMLE" in methods else None
+        return simlab._run_block((n, methods, FitOptions(), weights, 1729,
                                   ((5, 2.0, 3.0, start, stop),)))
 
     def test_warm_chunk_allocates_nothing_large(self):
-        # a 32 x 4000 block's draw alone is two 1 MB matrices
-        self.chunk(0, 32)
-        tracemalloc.start()
-        try:
-            [(_, sums)] = self.chunk(32, 64)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert (sums[:, 0] == 32).all()  # every row of both methods finite
-        assert peak < 1 << 20, peak
+        for n, methods, warm, (start, stop) in (
+            # a 32 x 4000 block's draw alone is two 1 MB matrices
+            (4000, ("MLE", "LM"), (0, 32), (32, 64)),
+            # MLE and WMLE solve one stack of two copies of the block's d and
+            # d^2, 2 x 2048 x 100 values (3.2 MB). The same block warms it: the
+            # rows a Newton step gathers, and so their work array, vary by block
+            (100, ("MLE", "WMLE"), (0, 1024), (0, 1024)),
+        ):
+            self.chunk(n, methods, *warm)
+            tracemalloc.start()
+            try:
+                [(_, sums)] = self.chunk(n, methods, start, stop)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (sums[:, 0] == stop - start).all()  # every row of both methods finite
+            assert peak < 1 << 20, (n, methods, peak)
+
+    def test_scratch_cap_holds_a_stacked_likelihood_block(self):
+        # a lab block holds up to _BLOCK_VALUES values, and MLE with WMLE
+        # stack d and d^2 of two copies of it (likelihood._shifted): a cap
+        # below that allocates, and page-faults, a fresh stack every block
+        assert core._SCRATCH_MAX_VALUES >= 4 * simlab._BLOCK_VALUES
 
 
 class TestRankMethods:
