@@ -22,13 +22,7 @@ from .core import DEFAULT_SEED, EstimateResult, SortedSample, WeibullParams
 from .datasets import BUNDLED_LIFETIME, Dataset, load_dataset
 from .errors import DataError, EstimationError
 from .gof import gof_report, gof_reports
-from .likelihood import (
-    WeightStore,
-    default_weights_path,
-    read_weight_table,
-    seeded_weight_medians,
-    write_weight_table,
-)
+from .likelihood import default_weights_path, fit_weights, update_weight_table
 # fit goes through fit_block; fit_method is re-exported only because the
 # benchmark's tracer (perfbench/spans.py) swaps it for a timing wrapper, and
 # since fit no longer calls it, that swap times nothing
@@ -192,21 +186,18 @@ def _write_document(path: Path | None, doc: dict) -> None:
 def _run_fit(args) -> int:
     parser = args.parser
     dataset = _load_data(args.data, parser)
-    try:
+    try:  # a PM option out of range, or an observation (DataError)
         options = FitOptions(
             plotting_rule=args.rule,
             percentile=PercentileConfig(p=args.pm_p, quantile_rule=args.pm_rule),
         )
-    except ValueError as exc:
-        parser.error(str(exc))
-    try:
         s = SortedSample.from_data(dataset.observations)
-    except DataError as exc:
+    except ValueError as exc:
         parser.error(str(exc))
     if args.out is not None:
         _check_writable(args.out, parser)
     try:
-        weights = WeightStore(seed=args.seed).get(s.n) if "WMLE" in args.methods else None
+        weights = fit_weights(args.methods, s.n, args.seed)
     except ValueError as exc:  # an unreadable or malformed weight cache
         parser.error(str(exc))
 
@@ -221,8 +212,7 @@ def _run_fit(args) -> int:
     }
     fitted: dict[str, EstimateResult] = {}
     failures: dict[str, str] = {}
-    # every method from one fit_block call on the sample as a block of one:
-    # one LogStats, and MLE and WMLE from one root solve
+    # every method from one fit_block call on the sample as a block of one
     fits = fit_block(args.methods, s.values[None, :], s.logs[None, :], options, weights)
     for name, fit in zip(args.methods, fits):
         try:
@@ -298,9 +288,8 @@ def _run_simulate(args) -> int:
         "wall_time_seconds": elapsed,
         "files": [str(csv_path)] + [str(p) for p in plot_paths],
         "skipped_cells": [list(item) for item in table.skipped],
-        # the lab's weights are the default seed's (likelihood.seeded_weight_medians);
         # json writes each float as its repr, which reads back exactly
-        "wmle_weights": [[p.n, p.w1, p.w2, p.replications, DEFAULT_SEED] for p in table.weights],
+        "wmle_weights": [p.record for p in table.weights],
         "version": __version__,
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=1) + "\n")
@@ -313,14 +302,11 @@ def _run_simulate(args) -> int:
 
 def _run_weights(args) -> int:
     path = args.out or default_weights_path()
-    try:
-        records = read_weight_table(path)
-    except ValueError as exc:
+    try:  # the table is checked before the location, both before any simulation
+        pairs = update_weight_table(path, args.seed, args.n,
+                                    check=lambda: _check_writable(path, args.parser))
+    except ValueError as exc:  # an unreadable or malformed weight table
         args.parser.error(str(exc))
-    _check_writable(path, args.parser)
-    pairs = [seeded_weight_medians(n, args.seed) for n in args.n]
-    records.update({(pair.n, pair.replications, args.seed): pair for pair in pairs})
-    write_weight_table(path, records)
     print(f"wrote {len(pairs)} record(s) to {path}")
     for pair in pairs:
         print(f"n={pair.n}: w1={pair.w1:.6f} w2={pair.w2:.6f} ({pair.replications} replications)")

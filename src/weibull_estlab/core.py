@@ -41,6 +41,7 @@ __all__ = [
     "EstimateResult",
     "BatchFit",
     "DEFAULT_SEED",
+    "BLOCK_VALUES",
     "fill_uniforms",
     "weight_stream",
     "scratch",
@@ -49,6 +50,7 @@ __all__ = [
     "fail_rows",
     "pdf",
     "cdf",
+    "cdf_rows",
     "quantile",
     "sample",
     "draw_sorted",
@@ -63,11 +65,13 @@ TRIGAMMA_ONE = 1.6449340668482266  # trigamma(1) = pi^2/6, one ulp above math.pi
 # for x > ~171.62
 _GAMMA_OVERFLOW_ARG = 171.61447887182298
 
-# work arrays up to this many values are kept between calls (4 MB each, room
-# for the d/d^2 stack of a lab row block of 2^17 values, once for MLE and once
-# for WMLE); a larger one is allocated afresh, so one fit at a huge n does not
-# pin its memory
-_SCRATCH_MAX_VALUES = 1 << 19
+# values per row block of the lab at most (or one row), to keep its temporaries small
+BLOCK_VALUES = 1 << 17
+# work arrays up to this many values are kept between calls; a larger one is
+# allocated afresh, so one fit at a huge n does not pin its memory. MLE with
+# WMLE stack d and d^2 of two copies of a block, so with a smaller cap every
+# such block would allocate, and page-fault on, that stack afresh
+_SCRATCH_MAX_VALUES = 4 * BLOCK_VALUES
 _scratch_buffers = threading.local()
 
 # the master seed of every run that names none: the lab's, fit's and the weight table's
@@ -477,20 +481,39 @@ def pdf(p: WeibullParams, x):
 
 def cdf(p: WeibullParams, x):
     """Distribution function 1 - exp{-(x/scale)^shape} for x > 0, checked as
-    :func:`pdf` checks."""
+    :func:`pdf` checks: the batch of one of :func:`cdf_rows`."""
     arr = check_observations(x)
-    with np.errstate(over="ignore"):  # an overflowing power saturates the cdf at 1
-        out = -np.expm1(-((arr / p.scale) ** p.shape))
+    out = cdf_rows([p], arr)[0].reshape(arr.shape)
     return float(out) if np.isscalar(x) else out
 
 
+def cdf_rows(params: Sequence[WeibullParams], x: np.ndarray) -> np.ndarray:
+    """The R x n matrix of the cdfs of R models at n positive points. Each
+    row is raised by one scalar-exponent power (numpy squares at exactly 2
+    and takes the root at 0.5 only for a scalar exponent), so a row has the
+    same bits alone and in any company."""
+    f = x.reshape(1, -1) / np.array([p.scale for p in params], dtype=float).reshape(-1, 1)
+    with np.errstate(over="ignore"):  # an overflowing power saturates the cdf at 1
+        for row, p in zip(f, params):
+            row **= p.shape
+    return -np.expm1(-f)
+
+
 def quantile(p: WeibullParams, prob):
-    """Inverse cdf: scale * (-log(1 - prob))^(1/shape), prob in (0, 1)."""
-    arr = np.asarray(prob, dtype=float)
+    """Inverse cdf: scale * (-log1p(-prob))^(1/shape), prob in (0, 1)."""
+    arr = np.array(prob, dtype=float)  # a copy: inverted in place
     if not np.all((arr > 0.0) & (arr < 1.0)):  # NaN fails both
         raise ValueError("prob must lie strictly inside (0, 1)")
-    out = p.scale * (-np.log1p(-arr)) ** (1.0 / p.shape)
+    out = _invert(p, arr)
     return float(out) if np.isscalar(prob) else out
+
+
+def _invert(p: WeibullParams, u: np.ndarray) -> np.ndarray:
+    """The inverse cdf at the uniforms ``u``, in place: no temporaries."""
+    np.negative(np.log1p(np.negative(u, out=u), out=u), out=u)
+    u **= 1.0 / p.shape
+    u *= p.scale
+    return u
 
 
 def draw_sorted(p: WeibullParams, u: np.ndarray,
@@ -507,12 +530,7 @@ def draw_sorted(p: WeibullParams, u: np.ndarray,
     if u.ndim != 2 or u.shape[1] < 2:
         raise ValueError(f"need an R x n matrix of uniforms with n >= 2, got shape {u.shape}")
     with np.errstate(over="ignore", under="ignore"):
-        # x = scale * (-log1p(-u))^(1/shape), in place: no n-sized temporaries
-        x = np.negative(u, out=u)
-        np.log1p(x, out=x)
-        np.negative(x, out=x)
-        x **= 1.0 / p.shape
-        x *= p.scale
+        x = _invert(p, u)
     x.sort(axis=1)
     with np.errstate(divide="ignore"):
         logs = np.log(x, out=logs)

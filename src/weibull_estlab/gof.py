@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SortedSample, WeibullParams, check_observations
+from .core import SortedSample, WeibullParams, cdf_rows, check_observations
 
 __all__ = ["GofReport", "ks_distance", "cvm_distance", "gof_report", "gof_reports"]
 
@@ -29,31 +29,21 @@ class GofReport:
     n: int
 
 
-def _ordered_values(data) -> np.ndarray:
-    if isinstance(data, SortedSample):
-        return check_observations(data.values)
-    values = check_observations(data).reshape(-1)  # unsorted: an error names the caller's position
-    if values.size == 0:
-        raise ValueError("need at least one observation")
-    return np.sort(values)
-
-
 def gof_reports(data, params: Sequence[WeibullParams]) -> list[GofReport]:
     """Both distances of each model in ``params`` on one dataset, in order.
 
-    Row r of the cdf matrix is F_r(x_(i)) = 1 - exp{-(x_(i)/scale_r)^shape_r},
-    as :func:`weibull_estlab.cdf` computes it. Observations must be positive
-    and finite, else ``DataError`` naming the first that is not.
+    Row r of the cdf matrix (:func:`core.cdf_rows`) is F_r at the ordered
+    observations. Observations must be positive and finite, else
+    ``DataError`` naming the first that is not.
     """
-    x = _ordered_values(data)
+    if isinstance(data, SortedSample):
+        x = check_observations(data.values)
+    else:  # checked unsorted, so that an error names the caller's position
+        x = np.sort(check_observations(data).reshape(-1))
     n = x.size
-    f = x / np.array([p.scale for p in params], dtype=float).reshape(-1, 1)
-    # one scalar exponent per row, as a lone cdf call raises it: numpy squares
-    # at exactly 2 and takes the root at 0.5 only for a scalar exponent
-    with np.errstate(over="ignore"):  # an overflowing power saturates the cdf at 1
-        for row, p in zip(f, params):
-            row **= p.shape
-    f = -np.expm1(-f)
+    if n == 0:
+        raise ValueError("need at least one observation")
+    f = cdf_rows(params, x)
     i = np.arange(1, n + 1, dtype=float)
     ks = np.max(np.maximum(i / n - f, f - (i - 1) / n), axis=1)
     cvm = 1.0 / (12 * n) + np.sum(((2 * i - 1) / (2 * n) - f) ** 2, axis=1)

@@ -39,8 +39,10 @@ E = -log(1 - F(X)) ~ Exp(1) under the true model,
 so both medians depend on the sample size only and are estimated once per n
 by simulating standard exponentials. n * W1 is Gamma(n, 1); both medians
 tend to 1 as n grows, which is why the weighted fit converges to the MLE.
-Each (n, seed) is simulated once per process (:func:`seeded_weight_medians`);
-the library's own weights are those of the default seed.
+Each (n, seed) is simulated once per process (:func:`seeded_weight_medians`).
+Every decision about the weights is taken here: which a run of given
+methods uses (:func:`lab_weights`, :func:`fit_weights`), how the cache
+table is updated (:func:`update_weight_table`) and what a record is.
 
 The simulation runs on two threads on any host, the caller and one on a
 pool opened within each call. Under one lock a thread claims the next block
@@ -56,8 +58,9 @@ import functools
 import math
 import os
 import threading
+from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures.thread import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -79,8 +82,11 @@ __all__ = [
     "fit_likelihood_block",
     "simulate_weight_medians",
     "seeded_weight_medians",
+    "lab_weights",
+    "fit_weights",
     "read_weight_table",
     "write_weight_table",
+    "update_weight_table",
     "default_weights_path",
     "WeightStore",
 ]
@@ -106,6 +112,12 @@ class WeightPair:
     w2: float
     n: int
     replications: int
+    seed: int | None = None  # of the weight stream; None for a generator of the caller's
+
+    @property
+    def record(self) -> tuple:
+        """(n, w1, w2, replications, seed): a weight table line and a manifest row."""
+        return self.n, self.w1, self.w2, self.replications, self.seed
 
 
 def _powers(alpha: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -341,15 +353,26 @@ def seeded_weight_medians(n: int, seed: int) -> WeightPair:
     n)``, :data:`DEFAULT_WEIGHT_REPLICATIONS` replications long, on
     the first call for each (n, seed) in a process and looked up after it.
 
-    The one caller of the weight stream, so the lab (at
-    :data:`DEFAULT_SEED`, whatever its master seed), the weight cache and the
+    The one caller of the weight stream, so the lab, the weight cache and the
     ``weights`` command agree on it.
     """
-    return simulate_weight_medians(n, DEFAULT_WEIGHT_REPLICATIONS, weight_stream(seed, n))
+    pair = simulate_weight_medians(n, DEFAULT_WEIGHT_REPLICATIONS, weight_stream(seed, n))
+    return replace(pair, seed=seed)
+
+
+def lab_weights(methods: Sequence[str], sizes: Iterable[int]) -> dict[int, WeightPair]:
+    """The weights a lab run of ``methods`` fits WMLE with, by n in ``sizes``:
+    none without WMLE, else the library's own, :data:`DEFAULT_SEED`'s at any master seed."""
+    return {n: seeded_weight_medians(n, DEFAULT_SEED) for n in sizes} if "WMLE" in methods else {}
+
+
+def fit_weights(methods: Sequence[str], n: int, seed: int) -> WeightPair | None:
+    """The weights of ``fit --seed seed`` at n (:meth:`WeightStore.get`); none without WMLE."""
+    return WeightStore(seed=seed).get(n) if "WMLE" in methods else None
 
 
 # --- weight-table cache file: this header line, then one record per line,
-# --- "n w1 w2 replications seed", floats written with repr so they read back exactly
+# --- WeightPair.record, floats written as their str (= repr) so they read back exactly
 
 WEIGHT_TABLE_HEADER = "# weibull_estlab weight table v2: n w1 w2 replications seed (exact floats)"
 WeightKey = tuple[int, int, int]  # (n, replications, seed)
@@ -401,17 +424,39 @@ def read_weight_table(path: Path) -> dict[WeightKey, WeightPair]:
                          (0.0 < w2 < math.inf, "w2 must be finite and positive")):
             if not ok:
                 raise ValueError(f"{path}:{lineno}: {rule}, got {line!r}")
-        records[(n, reps, seed)] = WeightPair(w1=w1, w2=w2, n=n, replications=reps)
+        records[(n, reps, seed)] = WeightPair(w1, w2, n, reps, seed)
     if records and lines[0].strip() != WEIGHT_TABLE_HEADER:
         return {}
     return records
 
 
+def update_weight_table(path: Path, seed: int, sizes: Iterable[int], lookup: bool = False,
+                        check: Callable[[], None] = lambda: None) -> list[WeightPair]:
+    """The records of ``sizes`` at ``seed``, from the one read-merge-write of
+    the table at ``path``: read it (ValueError if that fails), run ``check()``,
+    simulate the records (under ``lookup`` only those missing), merge them in
+    and write it back (OSError if that fails; a lookup skips a failed write)."""
+    records = read_weight_table(path)
+    check()
+    keys = [(n, DEFAULT_WEIGHT_REPLICATIONS, seed) for n in sizes]
+    missing = [key for key in keys if not (lookup and key in records)]
+    if missing:
+        records.update({key: seeded_weight_medians(key[0], seed) for key in missing})
+        try:
+            write_weight_table(path, records)
+        except OSError:
+            if not lookup:
+                raise
+    return [records[key] for key in keys]
+
+
 def write_weight_table(path: Path, records: dict[WeightKey, WeightPair]) -> None:
-    """Write the records, replacing the file atomically (temp file, then rename)."""
+    """Write the records in key order, replacing the file atomically (temp file, then rename)."""
+    if any(pair.seed is None for pair in records.values()):
+        raise ValueError("a weight table holds only pairs of the weight stream, with their seed")
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [WEIGHT_TABLE_HEADER] + [f"{n} {pair.w1!r} {pair.w2!r} {reps} {seed}"
-                                     for (n, reps, seed), pair in sorted(records.items())]
+    lines = [WEIGHT_TABLE_HEADER] + [" ".join(map(str, pair.record))
+                                     for _, pair in sorted(records.items())]
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_text("\n".join(lines) + "\n")
@@ -422,28 +467,12 @@ def write_weight_table(path: Path, records: dict[WeightKey, WeightPair]) -> None
 
 
 class WeightStore:
-    """Weight lookup backed by the cache file.
-
-    Records are keyed by (n, replications, seed); only those of
-    :data:`DEFAULT_WEIGHT_REPLICATIONS` are looked up. Missing ones are
-    simulated on demand by :func:`seeded_weight_medians` and added to the
-    cache (best effort; a read-only location just skips the write).
-    """
+    """The cached weight records of one seed at :data:`DEFAULT_WEIGHT_REPLICATIONS`."""
 
     def __init__(self, path: Path | None = None, seed: int = DEFAULT_SEED):
         self.path = path or default_weights_path()
         self.seed = seed
 
     def get(self, n: int) -> WeightPair:
-        key = (n, DEFAULT_WEIGHT_REPLICATIONS, self.seed)
-        records = read_weight_table(self.path)
-        if key in records:
-            pair = records[key]
-        else:
-            pair = seeded_weight_medians(n, self.seed)
-            records[key] = pair
-            try:
-                write_weight_table(self.path, records)
-            except OSError:
-                pass
-        return pair
+        """The record of n from the cache, or simulated and added to it (best effort)."""
+        return update_weight_table(self.path, self.seed, [n], lookup=True)[0]

@@ -16,28 +16,17 @@ The lab splits its work two ways, neither of which depends on the worker count:
   pieces of one sample size in grid order, so it can span every level of
   that size, at most ``_BLOCK_ROWS`` rows (1024, a cap set by the run's
   traced memory peak) and ``_BLOCK_VALUES`` values (or a single piece). Its
-  samples are drawn into one matrix, which one
-  ``core.fill_uniforms(seed, pieces, out)`` call fills with the first n
-  uniforms of each row's replication stream under the master seed (the
-  stream layout is ``core``'s alone), and
-  :func:`core.draw_sorted` inverts a piece's rows at its cell's level. Up to
-  n = 64 the fill is one numpy pass that repeats numpy's PCG64 in integer
-  arithmetic that wraps as its C code does, so a row gets the bits its own
-  Generator would; larger n keeps one Generator per row, whose cost is
-  small beside the row's draws. Every method fits all of the block's rows
-  in one batch call (:func:`methods.fit_block`), and MLE and WMLE share
-  one: a single root solve over the block's rows stacked once per method.
-  The calls share one :class:`regression.LogStats`, which forms each
-  statistic several methods read once per block: one product of the logs
-  with every cached column, their row sums and the tie notes. A row's
-  estimate never depends on the other rows of its block, nor on which
-  methods share it, so packing pieces into blocks moves no output bit.
+  samples are drawn into one matrix, which ``core.fill_uniforms`` fills, and
+  :func:`core.draw_sorted` inverts a piece's rows at its cell's level.
+  Every method fits all of the block's rows in one batch call
+  (:func:`methods.fit_block`), all from one shared
+  :class:`regression.LogStats`. A row's estimate never depends on the other
+  rows of its block, nor on which methods share it, so packing pieces into
+  blocks moves no output bit.
 
-WMLE's weights depend on n alone, so every run takes the library's,
-:func:`likelihood.seeded_weight_medians` at the default seed (simulated once
-per process and n, from :func:`core.weight_stream`), whatever its master
-seed. The parent looks them up before it builds any task, so no worker
-simulates them, and the table lists them.
+WMLE's weights depend on n alone: the run takes those
+:func:`likelihood.lab_weights` gives for its methods and sizes before it
+builds any task, so no worker simulates them, and the table lists them.
 
 Estimator failures (degenerate samples at tiny n, bracket failures) never
 abort a run; they are excluded from the metrics and counted per cell. So is
@@ -57,9 +46,9 @@ import numpy as np
 # the lab calls none of sample, fit_method and simulate_weight_medians; they
 # are re-exported only because the benchmark's tracer (perfbench/spans.py)
 # swaps them for timing wrappers, which therefore time nothing
-from .core import (DEFAULT_SEED, WeibullParams, draw_sorted, fill_uniforms,  # noqa: F401
-                   sample, scratch)
-from .likelihood import WeightPair, seeded_weight_medians, simulate_weight_medians  # noqa: F401
+from .core import (BLOCK_VALUES as _BLOCK_VALUES, DEFAULT_SEED, WeibullParams,  # noqa: F401
+                   draw_sorted, fill_uniforms, sample, scratch)
+from .likelihood import WeightPair, lab_weights, simulate_weight_medians  # noqa: F401
 from .methods import METHOD_NAMES, FitOptions, fit_block, fit_method  # noqa: F401
 from .regression import DEFAULT_RULE
 
@@ -79,8 +68,7 @@ __all__ = [
 RANK_TARGETS = ("ALPHA_BIAS", "BETA_BIAS", "ALPHA_RMSE", "BETA_RMSE")
 CSV_HEADER = "method,n,alpha,beta,bias_alpha,bias_beta,rmse_alpha,rmse_beta,reps,failures"
 
-_CHUNK = 256  # replications per piece at most
-_BLOCK_VALUES = 1 << 17  # and values per piece or block at most (or one row), to keep temporaries small
+_CHUNK = 256  # replications per piece at most, and _BLOCK_VALUES values
 # replications per row block at most: a 4-method run at n = 5 peaks under
 # tracemalloc at about 480 KiB with this cap and 870 KiB with twice it
 _BLOCK_ROWS = 4 * _CHUNK
@@ -272,17 +260,12 @@ def _run_block(args) -> list[tuple[int, np.ndarray]]:
     """Fit all methods on one row block and reduce each of its pieces.
 
     ``args`` is (n, methods, options, weights, master seed, pieces), the
-    pieces as :func:`_row_blocks` lists them. One
-    ``core.fill_uniforms(master_seed, pieces, out)`` call seeds and fills
-    the whole block's uniforms from the pieces' (cell, start, stop): one
-    numpy pass with the bits of numpy's PCG64 at n up to
-    ``core._NUMPY_FILL_MAX_N``, one Generator per row above it. Each piece
-    inverts its rows at its own level, and each method fits
-    the whole block in one batch call (MLE and WMLE in one shared solve),
-    all of them from one shared :class:`regression.LogStats`. Returns
-    (cell index, sums[n_methods, 5]) per piece, in order: per method, over
-    the piece's rows whose estimates are finite, their count k, the sums of
-    the shape and scale errors, and the sums of their squares.
+    pieces as :func:`_row_blocks` lists them. ``core.fill_uniforms`` fills
+    the block, each piece inverts its rows at its own level, and each method
+    fits the whole block in one batch call. Returns (cell index,
+    sums[n_methods, 5]) per piece, in order: per method, over the piece's
+    rows whose estimates are finite, their count k, the sums of the shape and
+    scale errors, and the sums of their squares.
     """
     n, methods, options, weights, master_seed, pieces = args
     bounds = [0, *accumulate(stop - start for *_, start, stop in pieces)]
@@ -314,15 +297,9 @@ def _run_block(args) -> list[tuple[int, np.ndarray]]:
     return sums
 
 
-def _weight_medians_for(cfg: SimulationConfig) -> dict[int, WeightPair]:
-    if "WMLE" not in cfg.methods:
-        return {}
-    return {n: seeded_weight_medians(n, DEFAULT_SEED) for n in cfg.sample_sizes}
-
-
 def run_experiment(cfg: SimulationConfig) -> MetricTable:
     """Run the full grid and reduce to bias/RMSE per (method, cell)."""
-    weights_by_n = _weight_medians_for(cfg)
+    weights_by_n = lab_weights(cfg.methods, cfg.sample_sizes)
     options = cfg.options
     cells = cfg.cells()
     totals = {cell: np.zeros((len(cfg.methods), 5)) for cell, _, _ in cells}

@@ -553,6 +553,22 @@ class TestWeightsCommand:
         assert len(lines) == 7
         assert [int(l.split()[0]) for l in lines] == [5, 10, 15, 30, 50, 100, 200]
 
+    def test_table_line_and_manifest_row_are_one_record(self, tmp_path, capsys):
+        # both at the default seed 1729; the lab's at any master seed
+        table = tmp_path / "w.txt"
+        assert run_cli(["weights", "--n", "5,30", "--out", str(table)]) == EXIT_OK
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"methods": ["WMLE"], "sample_sizes": [5, 30],
+                                   "param_levels": [[2.0, 3.0]], "replications": 100}))
+        out_dir = tmp_path / "out"
+        argv = ["simulate", "--config", str(cfg), "--seed", "5", "--out-dir", str(out_dir)]
+        assert run_cli(argv) == EXIT_OK
+        rows = json.loads((out_dir / "manifest.json").read_text())["wmle_weights"]
+        lines = table.read_text().splitlines()[1:]
+        assert [r[0] for r in rows] == [5, 30] and [r[4] for r in rows] == [1729, 1729]
+        # the same five fields, with the same text: a float's str is its repr
+        assert [" ".join(map(str, r)) for r in rows] == lines
+
     def test_rerun_identical_bytes(self, tmp_path, capsys):
         out = tmp_path / "w.txt"
         run_cli(["weights", "--n", "5,7", "--seed", "3", "--out", str(out)])
@@ -616,9 +632,11 @@ class TestUnwritableOutput:
         def forbidden(*args, **kwargs):
             raise AssertionError("work started before the output location was checked")
 
-        for name in ("fit_block", "fit_method", "gof_report", "gof_reports", "run_experiment",
-                     "seeded_weight_medians"):
+        for name in ("fit_block", "fit_method", "gof_report", "gof_reports", "run_experiment"):
             monkeypatch.setattr(cli, name, forbidden)
+        # every weight lookup and simulation, whoever asks for it
+        for name in ("seeded_weight_medians", "simulate_weight_medians"):
+            monkeypatch.setattr(likelihood, name, forbidden)
         monkeypatch.setenv("WEIBULL_ESTLAB_WEIGHTS", str(tmp_path / "w.txt"))
 
     def assert_usage_error(self, argv, message, tmp_path, capsys, kept):

@@ -111,6 +111,16 @@ class TestCdf:
     def test_one_where_the_power_overflows(self):
         assert cdf(WeibullParams(3000, 20), 26.9) == 1.0
 
+    def test_a_scalar_and_an_array_are_the_batch_of_one(self, rng):
+        # shapes where numpy squares and takes the root, and random ones
+        for shape in (2.0, 0.5, *np.exp(rng.normal(0.0, 1.5, 40)).tolist()):
+            p = WeibullParams(shape, float(np.exp(rng.normal())))
+            x = np.exp(rng.normal(0.0, 2.0, (2, 3)))
+            f = cdf(p, x)
+            with np.errstate(over="ignore"):
+                assert f.tobytes() == (-np.expm1(-((x / p.scale) ** p.shape))).tobytes()
+            assert [cdf(p, v) for v in x.ravel().tolist()] == f.ravel().tolist()
+
 
 class TestQuantile:
     def test_fixed_point_at_scale(self):
@@ -133,6 +143,14 @@ class TestQuantile:
                 p = WeibullParams(shape, scale)
                 err = np.abs(cdf(p, quantile(p, probs)) - probs)
                 assert err.max() < 1e-10
+
+    def test_a_scalar_and_an_array_are_the_batch_of_one(self, rng):
+        for shape in (2.0, 0.5, *np.exp(rng.normal(0.0, 1.5, 40)).tolist()):
+            p = WeibullParams(shape, float(np.exp(rng.normal())))
+            u = rng.random((2, 3))
+            q = quantile(p, u)
+            assert q.tobytes() == (p.scale * (-np.log1p(-u)) ** (1.0 / p.shape)).tobytes()
+            assert [quantile(p, v) for v in u.ravel().tolist()] == q.ravel().tolist()
 
     def test_scale_equivariance(self):
         probs = np.linspace(0.05, 0.95, 19)

@@ -28,7 +28,10 @@ from weibull_estlab.methods import fit_method
 from weibull_estlab.likelihood import (
     DEFAULT_WEIGHT_REPLICATIONS,
     WEIGHT_TABLE_HEADER,
+    WEIGHTS_ENV_VAR,
     WeightStore,
+    fit_weights,
+    lab_weights,
     read_weight_table,
     seeded_weight_medians,
     write_weight_table,
@@ -469,9 +472,10 @@ class TestWeightTable:
         path = tmp_path / "weights.txt"
         records = {
             (5, 100000, 42): WeightPair(w1=0.935058123456789, w2=0.7050612345678901,
-                                        n=5, replications=100000),
-            (48, 100000, 42): WeightPair(w1=0.993672, w2=0.968697, n=48, replications=100000),
-            (48, 2000, 7): WeightPair(w1=0.1 + 0.2, w2=1 / 3, n=48, replications=2000),
+                                        n=5, replications=100000, seed=42),
+            (48, 100000, 42): WeightPair(w1=0.993672, w2=0.968697, n=48, replications=100000,
+                                         seed=42),
+            (48, 2000, 7): WeightPair(w1=0.1 + 0.2, w2=1 / 3, n=48, replications=2000, seed=7),
         }
         write_weight_table(path, records)
         back = read_weight_table(path)
@@ -479,6 +483,14 @@ class TestWeightTable:
         assert back == records
         # the file is replaced through a temporary that does not stay behind
         assert [p.name for p in tmp_path.iterdir()] == ["weights.txt"]
+
+    def test_write_rejects_a_pair_without_its_seed(self, tmp_path):
+        # a pair simulated from a generator of the caller's has no seed to record
+        path = tmp_path / "weights.txt"
+        pair = WeightPair(w1=0.9, w2=0.7, n=5, replications=2000)
+        with pytest.raises(ValueError, match="with their seed"):
+            write_weight_table(path, {(5, 2000, 9): pair})
+        assert list(tmp_path.iterdir()) == []
 
     def test_read_rejects_malformed(self, tmp_path):
         path = tmp_path / "weights.txt"
@@ -532,7 +544,7 @@ class TestWeightTable:
 
     def test_store_looks_up_only_the_fixed_replication_count(self, tmp_path):
         path = tmp_path / "weights.txt"
-        other = WeightPair(w1=0.9, w2=0.7, n=5, replications=2000)
+        other = WeightPair(w1=0.9, w2=0.7, n=5, replications=2000, seed=9)
         write_weight_table(path, {(5, 2000, 9): other})
         pair = WeightStore(path=path, seed=9).get(5)
         assert pair == seeded_weight_medians(5, 9)
@@ -551,6 +563,19 @@ class TestWeightTable:
         # fit, weights and the lab default to seed 1729, and so does a store
         pair = WeightStore(path=tmp_path / "weights.txt").get(5)
         assert pair == seeded_weight_medians(5, 1729)
+
+    def test_only_a_run_with_wmle_gets_weights(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(WEIGHTS_ENV_VAR, str(tmp_path / "weights.txt"))
+        assert lab_weights(("MLE", "LM"), (5, 10)) == {}
+        assert fit_weights(("MLE", "LM"), 5, 9) is None
+        assert list(tmp_path.iterdir()) == []
+        # the lab's are the default seed's, by n in the order given; fit's are
+        # its own seed's, through the cache
+        assert list(lab_weights(("LM", "WMLE"), (10, 5)).items()) == \
+            [(10, seeded_weight_medians(10, 1729)), (5, seeded_weight_medians(5, 1729))]
+        pair = fit_weights(("WMLE",), 5, 9)
+        assert pair == seeded_weight_medians(5, 9) and pair.record[3:] == (100000, 9)
+        assert read_weight_table(tmp_path / "weights.txt") == {(5, 100000, 9): pair}
 
     def test_store_respects_env_default(self, tmp_path, monkeypatch):
         target = tmp_path / "env-weights.txt"
