@@ -24,6 +24,17 @@ The lab splits its work two ways, neither of which depends on the worker count:
   rows of its block, nor on which methods share it, so packing pieces into
   blocks moves no output bit.
 
+A row block's draw depends on nothing its fits compute, and numpy releases
+the interpreter lock through it. So at one worker :func:`run_experiment`
+draws each block of at least ``_DRAW_AHEAD_VALUES`` values (2^16: every
+full-size table3 block but no table1 block) on a helper thread while it
+fits the block before it (:func:`_fitted_in_order`). The helper writes
+into a second pair of the caller's work arrays, 2 MB more at n = 4000, and
+no output bit moves. The helper is a one-thread pool that the call opens
+only when a block draws ahead and shuts down before it returns or raises;
+it is separate from ``workers``, and a run with worker processes opens
+none, so no process is forked while it is open.
+
 WMLE's weights depend on n alone: the run takes those
 :func:`likelihood.lab_weights` gives for its methods and sizes before it
 builds any task, so no worker simulates them, and the table lists them.
@@ -36,7 +47,8 @@ at extreme parameters: it counts as a failure of every method.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
+from concurrent.futures.thread import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 from itertools import accumulate
 from pathlib import Path
@@ -72,6 +84,17 @@ _CHUNK = 256  # replications per piece at most, and _BLOCK_VALUES values
 # replications per row block at most: a 4-method run at n = 5 peaks under
 # tracemalloc at about 480 KiB with this cap and 870 KiB with twice it
 _BLOCK_ROWS = 4 * _CHUNK
+# in process, a row block of at least this many values is drawn on a helper
+# thread while the block before it is fitted (:func:`_fitted_in_order`). A
+# smaller block's draw is too short to pay for the hand-over: draw-ahead over
+# serial time of a run of such blocks, 2-core host, by n (1024-row blocks up
+# to n = 64, then 2^17 values):
+#   n      5     30    64    100   200   500   1000
+#   ratio  0.92  1.07  1.22  1.17  1.21  1.21  1.38
+_DRAW_AHEAD_VALUES = 1 << 16
+# the names of the two pairs of (values, logs) work arrays: a block drawn
+# ahead goes into the pair that the block being fitted does not use
+_PAIRS = (("simlab.values", "simlab.logs"), ("simlab.values.ahead", "simlab.logs.ahead"))
 
 
 def default_replications(n: int) -> int:
@@ -256,38 +279,54 @@ def _row_blocks(cfg: SimulationConfig) -> list[tuple[int, tuple]]:
     return [(n, tuple(pieces)) for n, pieces in blocks]
 
 
-def _run_block(args) -> list[tuple[int, np.ndarray]]:
-    """Fit all methods on one row block and reduce each of its pieces.
+def _bounds(pieces) -> list[int]:
+    """The first row of each of a block's pieces, then its row count."""
+    return [0, *accumulate(stop - start for *_, start, stop in pieces)]
 
-    ``args`` is (n, methods, options, weights, master seed, pieces), the
-    pieces as :func:`_row_blocks` lists them. ``core.fill_uniforms`` fills
-    the block, each piece inverts its rows at its own level, and each method
-    fits the whole block in one batch call. Returns (cell index,
-    sums[n_methods, 5]) per piece, in order: per method, over the piece's
-    rows whose estimates are finite, their count k, the sums of the shape and
-    scale errors, and the sums of their squares.
-    """
-    n, methods, options, weights, master_seed, pieces = args
-    bounds = [0, *accumulate(stop - start for *_, start, stop in pieces)]
-    spans = list(zip(pieces, bounds, bounds[1:]))
-    # the samples live in this thread's reused work arrays: no fit keeps them
-    block = (bounds[-1], n)
-    values, logs = scratch("simlab.values", block), scratch("simlab.logs", block)
+
+def _draws_ahead(args) -> bool:
+    """Whether the block of task ``args`` is drawn on the helper thread of
+    :func:`_fitted_in_order`: it holds at least ``_DRAW_AHEAD_VALUES`` values."""
+    return args[0] * _bounds(args[-1])[-1] >= _DRAW_AHEAD_VALUES
+
+
+def _buffers(args, pair: int) -> tuple[np.ndarray, np.ndarray]:
+    """This thread's work arrays of buffer pair 0 or 1, shaped for the block
+    of task ``args``: the values and the logs. No fit keeps them."""
+    shape = (_bounds(args[-1])[-1], args[0])
+    return scratch(_PAIRS[pair][0], shape), scratch(_PAIRS[pair][1], shape)
+
+
+def _draw_block(args, values: np.ndarray, logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The draw half of :func:`_run_block`: the samples of the block of task
+    ``args``, sorted, and their logs, written into the block-shaped
+    ``values`` and ``logs``, which it returns. It allocates nothing that
+    outlives it, so another thread can run it on buffers the caller owns."""
+    *_, master_seed, pieces = args
     fill_uniforms(master_seed, [(cell, start, stop) for cell, _, _, start, stop in pieces],
                   values)
-    for (_, shape, scale, _, _), lo, hi in spans:
+    bounds = _bounds(pieces)
+    for (_, shape, scale, _, _), lo, hi in zip(pieces, bounds, bounds[1:]):
         draw_sorted(WeibullParams(shape, scale), values[lo:hi], logs[lo:hi])
+    return values, logs
+
+
+def _fit_block(args, values: np.ndarray, logs: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """The fit half of :func:`_run_block`: every method on the drawn block,
+    and each piece's sums."""
+    _, methods, options, weights, _, pieces = args
+    bounds = _bounds(pieces)
     # a draw of 0 (a 0.0 uniform or an underflow) or inf fails its replication for every method
     ok = np.flatnonzero((values[:, 0] > 0.0) & np.isfinite(values[:, -1]))
-    if ok.size < block[0]:
+    if ok.size < bounds[-1]:
         values, logs = values[ok], logs[ok]
     # estimates by (method, parameter, row), NaN where a draw or a fit failed
-    est = np.full((len(methods), 2, block[0]), np.nan)
+    est = np.full((len(methods), 2, bounds[-1]), np.nan)
     for m, fit in enumerate(fit_block(methods, values, logs, options, weights)):
         est[m, 0, ok] = fit.shape
         est[m, 1, ok] = fit.scale
     sums = []
-    for (cell, shape, scale, _, _), lo, hi in spans:
+    for (cell, shape, scale, _, _), lo, hi in zip(pieces, bounds, bounds[1:]):
         # the piece's errors, C-ordered: each sum runs along its contiguous rows, pairwise
         err = np.subtract(est[:, :, lo:hi], [[shape], [scale]])
         finite = np.isfinite(err).all(axis=1)
@@ -295,6 +334,49 @@ def _run_block(args) -> list[tuple[int, np.ndarray]]:
         sums.append((cell, np.column_stack((finite.sum(axis=1), err.sum(axis=2),
                                             (err * err).sum(axis=2)))))
     return sums
+
+
+def _run_block(args) -> list[tuple[int, np.ndarray]]:
+    """Fit all methods on one row block and reduce each of its pieces.
+
+    ``args`` is (n, methods, options, weights, master seed, pieces), the
+    pieces as :func:`_row_blocks` lists them. The draw half
+    (:func:`_draw_block`) fills the block with ``core.fill_uniforms`` and
+    inverts each piece's rows at its own level, into this thread's buffer
+    pair 0; the fit half (:func:`_fit_block`) fits each method on the whole
+    block in one batch call. Returns (cell index, sums[n_methods, 5]) per
+    piece, in order: per method, over the piece's rows whose estimates are
+    finite, their count k, the sums of the shape and scale errors, and the
+    sums of their squares.
+
+    It is the unit of the process pool, which draws and fits each block
+    whole. At one worker :func:`_fitted_in_order` runs the same two halves,
+    and draws a block of at least ``_DRAW_AHEAD_VALUES`` values after the
+    first on a helper thread while it fits the block before it, into a
+    second buffer pair (2 MB at n = 4000). That thread is separate from
+    ``workers``: a run with worker processes opens none, so no process is
+    forked while it is open.
+    """
+    return _fit_block(args, *_draw_block(args, *_buffers(args, 0)))
+
+
+def _fitted_in_order(tasks: list, helper: ThreadPoolExecutor | None) -> Iterator[list]:
+    """:func:`_run_block` of each task in order, fitted on this thread.
+
+    With a ``helper`` pool (one thread), a block after the first that
+    :func:`_draws_ahead` is drawn there while this thread fits the block
+    before it, into the buffer pair that block does not use; every other
+    block is drawn here once the block before it is fitted. A draw depends
+    on its task alone, so the sums keep every bit.
+    """
+    pair, drawn = 0, None  # the pair of the block being fitted; the next block's draw
+    for task, after in zip(tasks, [*tasks[1:], None]):
+        buffers = drawn.result() if drawn else _draw_block(task, *_buffers(task, pair))
+        drawn = None
+        if helper and after and _draws_ahead(after):
+            pair = 1 - pair
+            drawn = helper.submit(_draw_block, after, *_buffers(after, pair))
+        yield _fit_block(task, *buffers)
 
 
 def run_experiment(cfg: SimulationConfig) -> MetricTable:
@@ -308,21 +390,26 @@ def run_experiment(cfg: SimulationConfig) -> MetricTable:
 
     # no more processes than tasks: a fork start opens every worker at once
     workers = min(cfg.workers, len(tasks))
-    pool = None
+    pool = helper = None
     if workers > 1:
         # imported here: at one worker the process pool's modules
         # (multiprocessing, socket, ...) would be loaded for nothing
         from concurrent.futures import ProcessPoolExecutor
         pool = ProcessPoolExecutor(max_workers=workers)
+    elif any(map(_draws_ahead, tasks[1:])):
+        # the draw-ahead thread, only in this branch: no worker is forked while it lives
+        helper = ThreadPoolExecutor(1)
     try:
-        results = pool.map(_run_block, tasks, chunksize=1) if pool else map(_run_block, tasks)
+        results = (pool.map(_run_block, tasks, chunksize=1) if pool
+                   else _fitted_in_order(tasks, helper))
         # each cell adds its pieces' sums in grid order, whichever blocks hold them
         for block in results:
             for cell, sums in block:
                 totals[cell] += sums
     finally:
-        if pool:
-            pool.shutdown()
+        for executor in (pool, helper):
+            if executor:
+                executor.shutdown()
 
     rows: list[MetricRow] = []
     skipped: list[tuple[str, int, float, float, int]] = []

@@ -2,6 +2,8 @@ import concurrent.futures
 import dataclasses
 import math
 import re
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -587,6 +589,126 @@ class TestWorkBuffers:
         # stack d and d^2 of two copies of it (likelihood._shifted): a cap
         # below that allocates, and page-faults, a fresh stack every block
         assert core._SCRATCH_MAX_VALUES >= 4 * simlab._BLOCK_VALUES
+
+
+class TestDrawAhead:
+    """In process, a large row block is drawn on a helper thread while the
+    block before it is fitted; no output bit moves and no thread is left."""
+
+    # mixed n, WMLE, shape-0.01 draws that fail, and cell 1 (n 5) split across
+    # two blocks: 600 replications are pieces of 256, 256 and 88 rows, and a
+    # 1024-row block takes cell 0's three and cell 1's first
+    GRID = SimulationConfig(methods=("MLE", "WMLE", "LM", "GLS1"), sample_sizes=(5, 30),
+                            param_levels=((2.0, 3.0), (0.01, 1.0)), replications=600)
+
+    def test_bit_identical_to_the_serial_run(self, monkeypatch):
+        cells = [{cell for cell, *_ in block} for _, block in simlab._row_blocks(self.GRID)]
+        assert any(a & b for a, b in zip(cells, cells[1:]))  # a cell spans two blocks
+        monkeypatch.setattr(simlab, "_DRAW_AHEAD_VALUES", math.inf)
+        serial = run_experiment(self.GRID)
+        assert any(r.failures for r in serial.rows if r.alpha == 0.01)
+        monkeypatch.setattr(simlab, "_DRAW_AHEAD_VALUES", 1)  # every block after the first
+        assert run_experiment(dataclasses.replace(self.GRID, workers=2)) == serial
+        # each fit waits until the next block's draw has finished, so a draw
+        # into the buffers of the block being fitted would change its sums
+        blocks = len(cells)
+        drawn = [threading.Event() for _ in range(blocks)]
+        threads, fits = [], []
+        draw, fit = simlab._draw_block, simlab._fit_block
+
+        def draw_then_signal(*args):
+            threads.append(threading.current_thread())
+            out = draw(*args)
+            drawn[len(threads) - 1].set()
+            return out
+
+        def fit_after_the_next_draw(*args):
+            fits.append(len(fits))
+            if len(fits) < blocks:
+                assert drawn[len(fits)].wait(timeout=60)
+            return fit(*args)
+
+        monkeypatch.setattr(simlab, "_draw_block", draw_then_signal)
+        monkeypatch.setattr(simlab, "_fit_block", fit_after_the_next_draw)
+        assert run_experiment(self.GRID) == serial
+        assert len(fits) == blocks and threads[0] is threading.main_thread()
+        assert all(t is not threading.main_thread() for t in threads[1:])
+
+    def test_short_switch_interval_moves_no_bit(self, monkeypatch):
+        # n = 1000 blocks of 131 rows, all drawn ahead but the first, with the
+        # interpreter switching threads every few microseconds
+        cfg = SimulationConfig(methods=("MLE", "LM"), sample_sizes=(1000,),
+                               param_levels=((2.0, 3.0), (0.5, 1.0)), replications=400)
+        monkeypatch.setattr(simlab, "_DRAW_AHEAD_VALUES", math.inf)
+        serial = run_experiment(cfg)
+        monkeypatch.undo()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert run_experiment(cfg) == serial
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_failing_draw_surfaces_and_leaves_no_thread(self, monkeypatch):
+        monkeypatch.setattr(simlab, "_DRAW_AHEAD_VALUES", 1)
+        real, calls = simlab.fill_uniforms, []
+
+        def second_fails(*args):
+            calls.append(threading.current_thread())
+            if len(calls) == 2:
+                raise RuntimeError("injected draw failure")
+            return real(*args)
+
+        monkeypatch.setattr(simlab, "fill_uniforms", second_fails)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="injected draw failure"):
+            run_experiment(tiny_config(sample_sizes=(5, 10, 20), replications=100))
+        assert calls[1] is not threading.main_thread()
+        assert threading.active_count() == before
+        run_experiment(tiny_config(sample_sizes=(5, 10, 20), replications=100))
+        assert len(calls) == 5 and threading.active_count() == before
+
+    def test_only_one_worker_opens_the_draw_ahead_pool(self, monkeypatch):
+        opened = []
+
+        class RecordingPool(simlab.ThreadPoolExecutor):
+            def __init__(self, *args):
+                opened.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(simlab, "ThreadPoolExecutor", RecordingPool)
+        cfg = tiny_config(sample_sizes=(5, 10, 20), replications=100)
+        run_experiment(cfg)
+        assert opened == []  # no block holds _DRAW_AHEAD_VALUES values
+        monkeypatch.setattr(simlab, "_DRAW_AHEAD_VALUES", 1)
+        run_experiment(cfg)
+        assert opened == [(1,)]
+        # the process pool runs _run_block whole, and no thread pool is open while it forks
+        run_experiment(dataclasses.replace(cfg, workers=2))
+        assert opened == [(1,)]
+
+    def test_traced_cost_is_one_buffer_pair(self, monkeypatch):
+        # n = 4000: 32-row blocks of 2^17 values, all drawn ahead but the first and
+        # each cell's 4-row tail; a pair of values and logs is 2 MB
+        cfg = SimulationConfig(methods=("MLE", "LM", "GLS1"), sample_sizes=(4000,),
+                               param_levels=((2.0, 3.0), (0.5, 1.0)), replications=100)
+        pair, threshold = 2 * 32 * 4000 * 8, simlab._DRAW_AHEAD_VALUES
+        assert 4 * 4000 < threshold <= 32 * 4000
+        run_experiment(cfg)
+
+        def peak(threshold):
+            monkeypatch.setattr(simlab, "_DRAW_AHEAD_VALUES", threshold)
+            vars(core._scratch_buffers).clear()
+            tracemalloc.start()
+            try:
+                run_experiment(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        serial, ahead = peak(math.inf), peak(threshold)
+        # beyond the pair: the helper thread's pool and its draw's seed words, about 8 KiB
+        assert pair <= ahead - serial <= pair + (1 << 15), (serial, ahead)
 
 
 class TestRankMethods:
