@@ -305,9 +305,9 @@ def _run_weights(args) -> int:
     try:  # the table is checked before the location, both before any simulation
         pairs = update_weight_table(path, args.seed, args.n,
                                     check=lambda: _check_writable(path, args.parser))
-    except ValueError as exc:  # an unreadable or malformed weight table
+    except ValueError as exc:  # a malformed or unreadable table, or a record it cannot hold
         args.parser.error(str(exc))
-    print(f"wrote {len(pairs)} record(s) to {path}")
+    print(f"{len(pairs)} record(s) in {path}")
     for pair in pairs:
         print(f"n={pair.n}: w1={pair.w1:.6f} w2={pair.w2:.6f} ({pair.replications} replications)")
     return EXIT_OK

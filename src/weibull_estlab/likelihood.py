@@ -385,6 +385,19 @@ def default_weights_path() -> Path:
     return Path.home() / ".cache" / "weibull_estlab" / "weights.txt"
 
 
+def _record_error(pair: WeightPair) -> str | None:
+    """The first rule of a weight table record that ``pair`` breaks, or None."""
+    for ok, rule in ((pair.n >= 1, "n must be >= 1"),
+                     (pair.replications >= MIN_WEIGHT_REPLICATIONS,
+                      f"replications must be >= {MIN_WEIGHT_REPLICATIONS}"),
+                     (pair.seed >= 0, "seed must be >= 0"),
+                     (0.0 < pair.w1 < math.inf, "w1 must be finite and positive"),
+                     (0.0 < pair.w2 < math.inf, "w2 must be finite and positive")):
+        if not ok:
+            return rule
+    return None
+
+
 def read_weight_table(path: Path) -> dict[WeightKey, WeightPair]:
     """Parse the cache file into {(n, replications, seed): WeightPair}; later records win.
 
@@ -392,10 +405,10 @@ def read_weight_table(path: Path) -> dict[WeightKey, WeightPair]:
     older layout with floats rounded to 12 digits; its records are not
     returned, so they are simulated again and the file is rewritten. A
     malformed record, or one that cannot be weights (n < 1, replications
-    below the floor, a negative seed, w1 or w2 not finite and positive: no
-    simulation makes w2 <= 0), raises ValueError("<path>:<line>: ..."), and a
-    file that cannot be read or decoded ValueError("<path>: cannot read
-    weight table: ...").
+    below the floor, a negative seed, w1 or w2 not finite and positive; the
+    writer refuses such records too, so a table holds none unless edited by
+    hand), raises ValueError("<path>:<line>: ..."), and a file that cannot be
+    read or decoded ValueError("<path>: cannot read weight table: ...").
     """
     records: dict[WeightKey, WeightPair] = {}
     if not path.exists():
@@ -416,44 +429,43 @@ def read_weight_table(path: Path) -> dict[WeightKey, WeightPair]:
             w1, w2 = float(parts[1]), float(parts[2])
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
-        for ok, rule in ((n >= 1, "n must be >= 1"),
-                         (reps >= MIN_WEIGHT_REPLICATIONS,
-                          f"replications must be >= {MIN_WEIGHT_REPLICATIONS}"),
-                         (seed >= 0, "seed must be >= 0"),
-                         (0.0 < w1 < math.inf, "w1 must be finite and positive"),
-                         (0.0 < w2 < math.inf, "w2 must be finite and positive")):
-            if not ok:
-                raise ValueError(f"{path}:{lineno}: {rule}, got {line!r}")
-        records[(n, reps, seed)] = WeightPair(w1, w2, n, reps, seed)
+        pair = WeightPair(w1, w2, n, reps, seed)
+        rule = _record_error(pair)
+        if rule:
+            raise ValueError(f"{path}:{lineno}: {rule}, got {line!r}")
+        records[(n, reps, seed)] = pair
     if records and lines[0].strip() != WEIGHT_TABLE_HEADER:
         return {}
     return records
 
 
-def update_weight_table(path: Path, seed: int, sizes: Iterable[int], lookup: bool = False,
+def update_weight_table(path: Path, seed: int, sizes: Iterable[int],
                         check: Callable[[], None] = lambda: None) -> list[WeightPair]:
     """The records of ``sizes`` at ``seed``, from the one read-merge-write of
     the table at ``path``: read it (ValueError if that fails), run ``check()``,
-    simulate the records (under ``lookup`` only those missing), merge them in
-    and write it back (OSError if that fails; a lookup skips a failed write)."""
+    simulate the records it lacks, and if there are any, merge them in and
+    write it back (ValueError for a record the table cannot hold, OSError if
+    the write fails)."""
     records = read_weight_table(path)
     check()
     keys = [(n, DEFAULT_WEIGHT_REPLICATIONS, seed) for n in sizes]
-    missing = [key for key in keys if not (lookup and key in records)]
+    missing = [key for key in keys if key not in records]
     if missing:
         records.update({key: seeded_weight_medians(key[0], seed) for key in missing})
-        try:
-            write_weight_table(path, records)
-        except OSError:
-            if not lookup:
-                raise
+        write_weight_table(path, records)
     return [records[key] for key in keys]
 
 
 def write_weight_table(path: Path, records: dict[WeightKey, WeightPair]) -> None:
-    """Write the records in key order, replacing the file atomically (temp file, then rename)."""
+    """Write the records in key order, replacing the file atomically (temp
+    file, then rename). A record that :func:`read_weight_table` would reject
+    raises ValueError, and the file is left as it was."""
     if any(pair.seed is None for pair in records.values()):
         raise ValueError("a weight table holds only pairs of the weight stream, with their seed")
+    for pair in records.values():
+        rule = _record_error(pair)
+        if rule:
+            raise ValueError(f"{path}: cannot write the record {pair.record}: {rule}")
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [WEIGHT_TABLE_HEADER] + [" ".join(map(str, pair.record))
                                      for _, pair in sorted(records.items())]
@@ -474,5 +486,9 @@ class WeightStore:
         self.seed = seed
 
     def get(self, n: int) -> WeightPair:
-        """The record of n from the cache, or simulated and added to it (best effort)."""
-        return update_weight_table(self.path, self.seed, [n], lookup=True)[0]
+        """The record of n from the cache, or simulated and added to it (best
+        effort: a failed write is skipped, a record the table refuses is not)."""
+        try:
+            return update_weight_table(self.path, self.seed, [n])[0]
+        except OSError:
+            return seeded_weight_medians(n, self.seed)

@@ -25,15 +25,19 @@ The lab splits its work two ways, neither of which depends on the worker count:
   blocks moves no output bit.
 
 A row block's draw depends on nothing its fits compute, and numpy releases
-the interpreter lock through it. So at one worker :func:`run_experiment`
-draws each block of at least ``_DRAW_AHEAD_VALUES`` values (2^16: every
-full-size table3 block but no table1 block) on a helper thread while it
-fits the block before it (:func:`_fitted_in_order`). The helper writes
-into a second pair of the caller's work arrays, 2 MB more at n = 4000, and
-no output bit moves. The helper is a one-thread pool that the call opens
-only when a block draws ahead and shuts down before it returns or raises;
-it is separate from ``workers``, and a run with worker processes opens
-none, so no process is forked while it is open.
+the interpreter lock through it. :func:`run_experiment` opens one executor
+per call, in a ``with`` block, so it is shut down before the call returns
+or raises. With more than one worker it is a process pool, which draws and
+fits each block whole (:func:`_run_block`). At one worker it is a
+one-thread helper pool: the calling thread fits every block
+(:func:`_fitted_in_order`), and each block after the first of at least
+``_DRAW_AHEAD_VALUES`` values (2^16: every full-size table3 block but no
+table1 block) is drawn on the helper while the block before it is fitted,
+into a second pair of the caller's work arrays, 2 MB more at n = 4000. The
+helper starts its thread at its first draw, so a run without such a block
+starts none; and as the two pools are opened in separate branches, no
+worker process is forked while the helper lives. Which thread draws a
+block moves no output bit.
 
 WMLE's weights depend on n alone: the run takes those
 :func:`likelihood.lab_weights` gives for its methods and sizes before it
@@ -337,43 +341,27 @@ def _fit_block(args, values: np.ndarray, logs: np.ndarray) -> list[tuple[int, np
 
 
 def _run_block(args) -> list[tuple[int, np.ndarray]]:
-    """Fit all methods on one row block and reduce each of its pieces.
+    """Fit all methods on one row block and reduce each of its pieces: the
+    process pool's unit of work.
 
     ``args`` is (n, methods, options, weights, master seed, pieces), the
-    pieces as :func:`_row_blocks` lists them. The draw half
-    (:func:`_draw_block`) fills the block with ``core.fill_uniforms`` and
-    inverts each piece's rows at its own level, into this thread's buffer
-    pair 0; the fit half (:func:`_fit_block`) fits each method on the whole
-    block in one batch call. Returns (cell index, sums[n_methods, 5]) per
-    piece, in order: per method, over the piece's rows whose estimates are
-    finite, their count k, the sums of the shape and scale errors, and the
-    sums of their squares.
-
-    It is the unit of the process pool, which draws and fits each block
-    whole. At one worker :func:`_fitted_in_order` runs the same two halves,
-    and draws a block of at least ``_DRAW_AHEAD_VALUES`` values after the
-    first on a helper thread while it fits the block before it, into a
-    second buffer pair (2 MB at n = 4000). That thread is separate from
-    ``workers``: a run with worker processes opens none, so no process is
-    forked while it is open.
+    pieces as :func:`_row_blocks` lists them. Returns (cell index,
+    sums[n_methods, 5]) per piece, in order: per method, over the piece's
+    rows whose estimates are finite, their count k, the sums of the shape
+    and scale errors, and the sums of their squares.
     """
     return _fit_block(args, *_draw_block(args, *_buffers(args, 0)))
 
 
-def _fitted_in_order(tasks: list, helper: ThreadPoolExecutor | None) -> Iterator[list]:
-    """:func:`_run_block` of each task in order, fitted on this thread.
-
-    With a ``helper`` pool (one thread), a block after the first that
-    :func:`_draws_ahead` is drawn there while this thread fits the block
-    before it, into the buffer pair that block does not use; every other
-    block is drawn here once the block before it is fitted. A draw depends
-    on its task alone, so the sums keep every bit.
-    """
+def _fitted_in_order(tasks: list, helper: ThreadPoolExecutor) -> Iterator[list]:
+    """:func:`_run_block` of each task in order, fitted on this thread; each
+    block after the first that :func:`_draws_ahead` is drawn on ``helper``
+    while the block before it is fitted, into the buffer pair it does not use."""
     pair, drawn = 0, None  # the pair of the block being fitted; the next block's draw
     for task, after in zip(tasks, [*tasks[1:], None]):
         buffers = drawn.result() if drawn else _draw_block(task, *_buffers(task, pair))
         drawn = None
-        if helper and after and _draws_ahead(after):
+        if after and _draws_ahead(after):
             pair = 1 - pair
             drawn = helper.submit(_draw_block, after, *_buffers(after, pair))
         yield _fit_block(task, *buffers)
@@ -390,26 +378,20 @@ def run_experiment(cfg: SimulationConfig) -> MetricTable:
 
     # no more processes than tasks: a fork start opens every worker at once
     workers = min(cfg.workers, len(tasks))
-    pool = helper = None
     if workers > 1:
         # imported here: at one worker the process pool's modules
         # (multiprocessing, socket, ...) would be loaded for nothing
         from concurrent.futures import ProcessPoolExecutor
-        pool = ProcessPoolExecutor(max_workers=workers)
-    elif any(map(_draws_ahead, tasks[1:])):
-        # the draw-ahead thread, only in this branch: no worker is forked while it lives
-        helper = ThreadPoolExecutor(1)
-    try:
-        results = (pool.map(_run_block, tasks, chunksize=1) if pool
-                   else _fitted_in_order(tasks, helper))
+        executor = ProcessPoolExecutor(max_workers=workers)
+    else:
+        executor = ThreadPoolExecutor(1)
+    with executor:
+        results = (executor.map(_run_block, tasks, chunksize=1) if workers > 1
+                   else _fitted_in_order(tasks, executor))
         # each cell adds its pieces' sums in grid order, whichever blocks hold them
         for block in results:
             for cell, sums in block:
                 totals[cell] += sums
-    finally:
-        for executor in (pool, helper):
-            if executor:
-                executor.shutdown()
 
     rows: list[MetricRow] = []
     skipped: list[tuple[str, int, float, float, int]] = []

@@ -340,6 +340,12 @@ def test_likelihood_rows_do_not_depend_on_their_context(name):
             assert _record(*split) == alone, (label, rule)
 
 
+def test_unknown_method_is_a_key_error_naming_the_known_ones():
+    values, logs = _drawn(2.0, 5.0, 10, 4, 5)
+    with pytest.raises(KeyError, match=f"unknown method 'XYZ'; known: {', '.join(METHOD_NAMES)}"):
+        fit_batch("XYZ", values, logs)
+
+
 @pytest.mark.parametrize("order", LIKELIHOOD_ORDERS + (("LM", "WMLE"),))
 def test_wmle_without_weights_raises_before_any_fit(order):
     # fit_block checks WMLE's weights when it is called, before it fits

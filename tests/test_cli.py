@@ -576,6 +576,21 @@ class TestWeightsCommand:
         run_cli(["weights", "--n", "5,7", "--seed", "3", "--out", str(out)])
         assert out.read_bytes() == first
 
+    def test_table_holding_every_record_is_left_as_it_is(self, tmp_path, monkeypatch,
+                                                          capsys):
+        # a record depends only on (n, replications, seed), so one the table
+        # holds is reported, not simulated again
+        def forbidden(*args, **kwargs):
+            raise AssertionError("simulated a record the table holds")
+
+        out = tmp_path / "w.txt"
+        out.write_text(f"{WEIGHT_TABLE_HEADER}\n5 0.9 0.7 100000 1729\n30 0.95 0.85 100000 1729\n")
+        before = out.read_bytes()
+        monkeypatch.setattr(likelihood, "simulate_weight_medians", forbidden)
+        assert run_cli(["weights", "--n", "5,30", "--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == before
+        assert "n=5: w1=0.900000 w2=0.700000" in capsys.readouterr().out
+
     def test_rejects_n1(self, capsys):
         assert run_cli(["weights", "--n", "1,5"]) == EXIT_USAGE
 

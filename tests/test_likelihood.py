@@ -34,6 +34,7 @@ from weibull_estlab.likelihood import (
     lab_weights,
     read_weight_table,
     seeded_weight_medians,
+    update_weight_table,
     write_weight_table,
 )
 
@@ -492,6 +493,37 @@ class TestWeightTable:
             write_weight_table(path, {(5, 2000, 9): pair})
         assert list(tmp_path.iterdir()) == []
 
+    def test_write_refuses_a_record_the_reader_rejects(self, tmp_path):
+        # n = 1's median of W2 is 0.0: the table must not take a record that
+        # would make every later read of it fail
+        path = tmp_path / "weights.txt"
+        pair = WeightStore(path=path, seed=9).get(5)
+        before = path.read_bytes()
+        assert seeded_weight_medians(1, 9).w2 == 0.0
+        for write in (lambda: WeightStore(path=path, seed=9).get(1),
+                      lambda: update_weight_table(path, 9, [1])):
+            with pytest.raises(ValueError, match="w2 must be finite and positive"):
+                write()
+            assert path.read_bytes() == before
+            assert [p.name for p in tmp_path.iterdir()] == ["weights.txt"]
+        assert read_weight_table(path) == {(5, 100000, 9): pair}
+
+    def test_failed_replace_keeps_the_previous_table(self, tmp_path, monkeypatch):
+        path = tmp_path / "weights.txt"
+        old = WeightPair(w1=0.9, w2=0.7, n=5, replications=2000, seed=9)
+        write_weight_table(path, {(5, 2000, 9): old})
+        before = path.read_bytes()
+
+        def failing_replace(src, dst):
+            raise OSError("injected rename failure")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        new = WeightPair(w1=0.8, w2=0.6, n=6, replications=2000, seed=9)
+        with pytest.raises(OSError, match="injected rename failure"):
+            write_weight_table(path, {(5, 2000, 9): old, (6, 2000, 9): new})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["weights.txt"]
+
     def test_read_rejects_malformed(self, tmp_path):
         path = tmp_path / "weights.txt"
         path.write_text("5 0.9 0.7\n")
@@ -514,8 +546,8 @@ class TestWeightTable:
             ("48 inf 0.97 100000 1729", "w1 must be finite and positive"),
             ("48 0.99 nan 100000 1729", "w2 must be finite and positive"),
             ("48 0.99 -inf 100000 1729", "w2 must be finite and positive"),
-            # W2 >= 0 for every draw, equal to 0 only if all n draws are equal,
-            # so no simulation makes a median w2 <= 0
+            # W2 >= 0 for every draw and equal to 0 when all n draws are equal,
+            # as at n = 1, so a simulated median w2 is 0.0 there and never below
             ("48 0.98 0.0 100000 1729", "w2 must be finite and positive"),
             ("48 0.98 -0.5 100000 1729", "w2 must be finite and positive"),
         ]:

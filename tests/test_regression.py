@@ -9,6 +9,7 @@ from scipy.linalg import cho_factor, cho_solve
 from weibull_estlab import (
     DegenerateSampleError,
     PlottingPositions,
+    SingularSystemError,
     SortedSample,
     WeibullParams,
     build_positions,
@@ -25,6 +26,7 @@ from weibull_estlab.regression import (
     LogStats,
     _apply_precision,
     _gls_operator,
+    _solve_rows,
     mean_corrected_transform,
     plot_transform,
     v_diagonal,
@@ -215,6 +217,16 @@ class TestFitProperties:
         # equal values built by hand are accepted
         same = PlottingPositions(rule="i/(n+1)", values=np.arange(1, 49) / 49.0)
         assert fitter(lifetime_sample, same) == fitter(lifetime_sample, build_positions(48))
+
+    def test_singular_system_fails_every_row(self):
+        # numpy's LinAlgError becomes every row's SingularSystemError, not the batch's exception
+        values = np.sort(np.random.default_rng(3).weibull(2.0, (3, 6)), axis=1)
+        stats = LogStats(values, np.log(values), "i/(n+1)")
+        fit = _solve_rows("GLS1", stats, np.zeros((2, 2)), slice(0, 2), "GLS1 normal equations")
+        assert sorted(fit.errors) == [0, 1, 2] and np.isnan(fit.shape).all()
+        for error in fit.errors.values():
+            assert type(error) is SingularSystemError
+            assert str(error).startswith("GLS1 normal equations: Singular matrix")
 
 
 class TestBuildSystem:

@@ -234,7 +234,10 @@ class TestRunExperiment:
             def map(self, fn, tasks, chunksize):
                 return map(fn, tasks)
 
-            def shutdown(self):
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
                 pass
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
@@ -679,13 +682,46 @@ class TestDrawAhead:
         monkeypatch.setattr(simlab, "ThreadPoolExecutor", RecordingPool)
         cfg = tiny_config(sample_sizes=(5, 10, 20), replications=100)
         run_experiment(cfg)
-        assert opened == []  # no block holds _DRAW_AHEAD_VALUES values
-        monkeypatch.setattr(simlab, "_DRAW_AHEAD_VALUES", 1)
-        run_experiment(cfg)
-        assert opened == [(1,)]
+        assert opened == [(1,)]  # every one-worker run, whatever its blocks
         # the process pool runs _run_block whole, and no thread pool is open while it forks
         run_experiment(dataclasses.replace(cfg, workers=2))
         assert opened == [(1,)]
+
+    @staticmethod
+    def record_started_threads(monkeypatch) -> list:
+        started, start = [], threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        return started
+
+    def test_no_block_to_draw_ahead_starts_no_thread(self, monkeypatch):
+        started = self.record_started_threads(monkeypatch)
+        cfg = tiny_config(sample_sizes=(5, 10, 20), replications=100)
+        blocks = simlab._row_blocks(cfg)
+        assert len(blocks) == 3
+        assert all(n * simlab._bounds(pieces)[-1] < simlab._DRAW_AHEAD_VALUES
+                   for n, pieces in blocks)
+        run_experiment(cfg)
+        assert started == []
+
+    def test_every_block_after_the_first_is_drawn_on_the_helper(self, monkeypatch):
+        started = self.record_started_threads(monkeypatch)
+        monkeypatch.setattr(simlab, "_DRAW_AHEAD_VALUES", 1)
+        drawn_on, draw = [], simlab._draw_block
+
+        def recording_draw(*args):
+            drawn_on.append(threading.current_thread())
+            return draw(*args)
+
+        monkeypatch.setattr(simlab, "_draw_block", recording_draw)
+        before = threading.active_count()
+        run_experiment(tiny_config(sample_sizes=(5, 10, 20), replications=100))
+        assert len(started) == 1 and drawn_on == [threading.main_thread(), *started * 2]
+        assert threading.active_count() == before
 
     def test_traced_cost_is_one_buffer_pair(self, monkeypatch):
         # n = 4000: 32-row blocks of 2^17 values, all drawn ahead but the first and
@@ -782,6 +818,17 @@ class TestEmission:
             parsed[(method, int(n))] = float(value)
         for r in table.rows:
             assert parsed[(r.method, r.n)] == r.bias_alpha  # exact, not approx
+
+    def test_unwritable_file_is_named(self, tmp_path):
+        # each target is a directory, so only its own write fails
+        table = run_experiment(tiny_config())
+        metrics, plot = tmp_path / "metrics.csv", tmp_path / "plot_bias_beta.csv"
+        metrics.mkdir()
+        plot.mkdir()
+        with pytest.raises(OSError, match="^cannot write metric table to " + re.escape(str(metrics))):
+            write_metric_csv(table, metrics)
+        with pytest.raises(OSError, match=f"^cannot write plot data to {re.escape(str(plot))}"):
+            emit_plot_data(table, tmp_path / "plot")
 
     def test_metric_csv_schema(self, tmp_path):
         table = run_experiment(tiny_config(replications=120))
